@@ -4,7 +4,7 @@ Each sequential or re-estimation step reduces to a weighted binary
 classification: labels are the arm-side indicator flipped by the sign of the
 outcome residual, and case weights are |residual| / propensity-of-side.
 Rules come in two flavors: an L2 (kernel) weighted SVM fit, and an L1 linear
-fit solved as a linear program.
+fit solved through the (1+2p)-row dual of its linear program.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, gram_matrix
-from .solvers import LinearProgram, logistic_fit, simplex_solve, wsvm_dual_solve
+from .solvers import l1_hinge_dual_solve, logistic_fit, wsvm_dual_solve
 
 __all__ = [
     "BinarySubproblem",
@@ -249,38 +249,23 @@ def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam, tol=1e-5):
 
 
 def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
-    """Weighted hinge loss + lambda * ||beta||_1 as an LP (intercept unpenalized).
+    """Weighted hinge loss + lambda * ||beta||_1 (intercept unpenalized).
 
-    Variables: beta0 (free), beta split into +/- parts, one slack xi per
-    subject; constraints xi_i >= 1 - label_i * f(x_i).  Slopes below 1e-8 in
-    magnitude are snapped to exactly zero.
+    Solved by l1_hinge_dual_solve on the active rows: a bounded-variable
+    simplex on the dual LP, whose 1+2p rows do not grow with the subject
+    count.  Slopes below 1e-8 in magnitude are snapped to exactly zero.
     """
     if lam <= 0:
         raise DataError("lambda must be positive")
     keep = _active(sub)
-    X = sub.features[keep]
-    labels = sub.labels[keep].astype(float)
-    weights = sub.weights[keep]
-    m, p = X.shape
-    # variable order: beta0 (free), beta+ (p), beta- (p), xi (m); the explicit
-    # +/- split carries cost lam on each part so the objective sees |beta|
-    nv = 1 + 2 * p + m
-    c = np.concatenate([[0.0], np.full(2 * p, lam), weights / m])
-    free = np.zeros(nv, dtype=bool)
-    free[0] = True
-    G = np.zeros((m, nv))
-    G[:, 0] = labels
-    lx = labels[:, None] * X
-    G[:, 1 : 1 + p] = lx
-    G[:, 1 + p : 1 + 2 * p] = -lx
-    G[np.arange(m), 1 + 2 * p + np.arange(m)] = 1.0
-    lp = LinearProgram(c=c, G=G, h=np.ones(m), senses=(">=",) * m, free=free)
-    sol = simplex_solve(lp)
-    beta0 = float(sol.x[0])
-    slopes = sol.x[1 : 1 + p] - sol.x[1 + p : 1 + 2 * p]
-    slopes[np.abs(slopes) <= COEF_SNAP] = 0.0
+    sol = l1_hinge_dual_solve(
+        sub.features[keep], sub.labels[keep], sub.weights[keep], lam
+    )
+    slopes = np.where(np.abs(sol.slopes) <= COEF_SNAP, 0.0, sol.slopes)
     selected = tuple(int(j) for j in np.flatnonzero(slopes))
-    return SparseLinearRule(intercept=beta0, slopes=slopes, selected_features=selected)
+    return SparseLinearRule(
+        intercept=sol.intercept, slopes=slopes, selected_features=selected
+    )
 
 
 def lambda_max(sub: BinarySubproblem) -> float:

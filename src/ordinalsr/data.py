@@ -210,6 +210,17 @@ def compute_utility(benefit, risk, b):
     return np.asarray(benefit, dtype=float) - b * np.asarray(risk, dtype=float)
 
 
+_MAX_EXACT_INT = 2.0**53
+
+
+def _integer_field(raw, what):
+    """Parse an integer-valued CSV field; ValueError unless an integer below 2**53."""
+    value = float(raw)
+    if not abs(value) < _MAX_EXACT_INT or value != int(value):
+        raise ValueError(f"{what} {raw!r} is not an integer below 2**53")
+    return int(value)
+
+
 def load_csv(path, k_arms=None, reverse_arms=False) -> TrialDataset:
     """Read the canonical trial CSV.
 
@@ -237,18 +248,12 @@ def load_csv(path, k_arms=None, reverse_arms=False) -> TrialDataset:
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
                 rows_x.append([float(row[i]) for i in feat_cols])
-                a_raw = float(row[col["a"]])
-                if a_raw != int(a_raw):
-                    raise ValueError("non-integer treatment")
-                rows_a.append(int(a_raw))
+                rows_a.append(_integer_field(row[col["a"]], "treatment"))
                 rows_y.append(float(row[col["y"]]))
                 if "prop" in col:
                     rows_p.append(float(row[col["prop"]]))
                 if "d_star" in col:
-                    d_raw = float(row[col["d_star"]])
-                    if d_raw != int(d_raw):
-                        raise ValueError("non-integer d_star")
-                    rows_d.append(int(d_raw))
+                    rows_d.append(_integer_field(row[col["d_star"]], "d_star"))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
     if not rows_a:

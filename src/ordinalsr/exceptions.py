@@ -17,7 +17,8 @@ class DegenerateStepError(OrdinalSRError):
 
 
 class ConvergenceError(OrdinalSRError):
-    """An iterative solver hit its iteration cap with too large a residual."""
+    """An iterative solver hit its iteration cap with too large a residual, or
+    an LP solve ended with a primal/dual objective gap above its tolerance."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

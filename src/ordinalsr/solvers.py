@@ -1,9 +1,10 @@
 """Core numerical workhorses.
 
-Contains the four optimizers everything else is built on: ordinary least
-squares (ridge-jittered normal equations), IRLS logistic regression, an
-SMO-style solver for the weighted hinge-loss dual, and a two-phase dense
-simplex with Bland's anti-cycling rule.
+Contains the optimizers everything else is built on: ordinary least squares
+(ridge-jittered normal equations), IRLS logistic regression, an SMO-style
+solver for the weighted hinge-loss dual, a bounded-variable revised simplex on
+the (1+2p)-row dual LP of the L1-penalized weighted hinge loss, and a general
+two-phase dense simplex with Bland's anti-cycling rule.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ __all__ = [
     "DualSolution",
     "LinearProgram",
     "LPSolution",
+    "HingeL1Solution",
     "ols_fit",
     "logistic_fit",
     "kernel_ridge_fit",
     "wsvm_dual_solve",
     "simplex_solve",
+    "l1_hinge_dual_solve",
 ]
 
 _OLS_JITTER = 1e-8
@@ -264,44 +267,46 @@ class LinearProgram:
 class LPSolution:
     x: np.ndarray
     objective: float
+    pivots: int  # tableau pivots over both phases, artificials driven out included
 
 
 _LP_TOL = 1e-9
 
 
+def _pivot(T, row, col):
+    """Rank-1 Gauss-Jordan update making column col the unit vector e_row."""
+    prow = T[row] / T[row, col]
+    T -= np.outer(T[:, col], prow)
+    T[row] = prow
+
+
 def _bland_pivot(T, basis, cost):
     """Pivot T (rows = equality constraints, b >= 0 maintained) to optimality.
 
-    cost is the full cost vector over tableau columns.  Entering variable is
-    the lowest-index negative reduced cost (Bland); leaving row is the min
-    ratio with ties broken toward the smallest basis index.
+    cost is the full cost vector over tableau columns; basis is an int array
+    updated in place.  Entering variable is the lowest-index negative reduced
+    cost (Bland); leaving row is the min ratio with ties broken toward the
+    smallest basis index.  Returns the number of pivots made.
     """
-    m = T.shape[0]
+    pivots = 0
     while True:
-        cb = cost[basis]
-        red = cost[:-1] - cb @ T[:, :-1]
-        enter = -1
-        for j in range(red.shape[0]):
-            if red[j] < -_LP_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return
-        ratios = np.full(m, np.inf)
+        red = cost[:-1] - cost[basis] @ T[:, :-1]
+        negative = np.flatnonzero(red < -_LP_TOL)
+        if not negative.size:
+            return pivots
+        enter = negative[0]
         col = T[:, enter]
         ok = col > _LP_TOL
+        ratios = np.full(T.shape[0], np.inf)
         ratios[ok] = T[ok, -1] / col[ok]
         best = np.min(ratios)
         if not np.isfinite(best):
             raise UnboundedLPError("LP objective unbounded below")
-        cand = [i for i in range(m) if ratios[i] <= best + _LP_TOL]
-        leave = min(cand, key=lambda i: basis[i])
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for r in range(m):
-            if r != leave:
-                T[r] -= T[r, enter] * T[leave]
+        cand = np.flatnonzero(ratios <= best + _LP_TOL)
+        leave = cand[np.argmin(basis[cand])]
+        _pivot(T, leave, enter)
         basis[leave] = enter
+        pivots += 1
 
 
 def simplex_solve(lp: LinearProgram) -> LPSolution:
@@ -341,7 +346,7 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
             art_rows.append(i)
     nslack = len(slack_cols)
     S = np.column_stack(slack_cols) if slack_cols else np.zeros((m, 0))
-    basis = [-1] * m
+    basis = np.full(m, -1)
     # slack columns with +1 coefficient start basic for their row
     scol = 0
     for i, s in enumerate(senses):
@@ -356,41 +361,180 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
         basis[i] = nstd + nslack + k
     T = np.column_stack([A, S, Art, b])
     ncols = T.shape[1]
+    pivots = 0
     if nart:
         cost1 = np.zeros(ncols)
         cost1[nstd + nslack : nstd + nslack + nart] = 1.0
-        _bland_pivot(T, basis, cost1)
+        pivots += _bland_pivot(T, basis, cost1)
         if cost1[basis] @ T[:, -1] > 1e-7:
             raise InfeasibleLPError("phase-1 objective positive: LP infeasible")
         # pivot lingering zero-level artificials out, or drop their rows
         keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= nstd + nslack:
-                piv_col = -1
-                for j in range(nstd + nslack):
-                    if abs(T[r, j]) > _LP_TOL:
-                        piv_col = j
-                        break
-                if piv_col < 0:
-                    keep[r] = False
-                    continue
-                piv = T[r, piv_col]
-                T[r] /= piv
-                for q in range(m):
-                    if q != r:
-                        T[q] -= T[q, piv_col] * T[r]
-                basis[r] = piv_col
+        for r in np.flatnonzero(basis >= nstd + nslack):
+            nonzero = np.flatnonzero(np.abs(T[r, : nstd + nslack]) > _LP_TOL)
+            if not nonzero.size:
+                keep[r] = False
+                continue
+            _pivot(T, r, nonzero[0])
+            basis[r] = nonzero[0]
+            pivots += 1
         T = np.delete(T[keep], np.s_[nstd + nslack : nstd + nslack + nart], axis=1)
-        basis = [bidx for bidx, k in zip(basis, keep) if k]
+        basis = basis[keep]
         ncols = T.shape[1]
     cost2 = np.zeros(ncols)
     cost2[:nstd] = costs
-    _bland_pivot(T, basis, cost2)
+    pivots += _bland_pivot(T, basis, cost2)
     xstd = np.zeros(nstd + nslack)
-    for r, bidx in enumerate(basis):
-        if bidx < nstd + nslack:
-            xstd[bidx] = T[r, -1]
+    xstd[basis] = T[:, -1]
     x = np.zeros(nv)
     for val, (j, sign) in zip(xstd[:nstd], back):
         x[j] += sign * val
-    return LPSolution(x=x, objective=float(lp.c @ x))
+    return LPSolution(x=x, objective=float(lp.c @ x), pivots=pivots)
+
+
+@dataclass(frozen=True)
+class HingeL1Solution:
+    """Minimizer of (1/m) sum w_i max(0, 1 - y_i (b0 + x_i'b)) + lam ||b||_1.
+
+    objective is that primal value at (intercept, slopes); duality_gap is it
+    minus the dual value sum(u).  pivots counts simplex iterations: basis
+    changes plus bound flips.
+    """
+
+    intercept: float
+    slopes: np.ndarray
+    objective: float
+    duality_gap: float
+    pivots: int
+
+
+_GAP_RTOL = 1e-9
+_DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes over
+
+
+def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
+    """L1-penalized weighted hinge loss through its (1+2p)-row dual LP.
+
+    The dual (Zhu, Rosset, Hastie & Tibshirani, "1-norm Support Vector
+    Machines", 2003) is max sum(u) s.t. sum(u_i y_i) = 0,
+    |sum(u_i y_i x_ij)| <= lam and 0 <= u_i <= w_i/m.  It is solved as
+    min -sum(u) over [u, s+, s-] with rows
+
+        y'u = 0,   (y*x_j)'u + s+_j = lam,   -(y*x_j)'u + s-_j = lam,
+
+    by a bounded-variable revised simplex.  The start basis {u_0 in row 0 at
+    value 0, every slack at lam} is feasible, so there is no phase 1.  The
+    (1+2p)^2 basis inverse gets a rank-1 update when the basis changes; a
+    bound flip (a u_i moving between 0 and w_i/m) keeps it.  Pricing is
+    Dantzig's largest reduced cost until a run of degenerate pivots, then
+    Bland's smallest index until the objective moves again, which rules out
+    cycling.  The primal comes from the dual prices pi of the final basis:
+    b0 = -pi_0 and b_j = pi-_j - pi+_j.  ConvergenceError is raised when the
+    primal and dual objectives differ by more than 1e-9 * max(1, |objective|).
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(labels, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    m, p = X.shape
+    if y.shape != (m,) or w.shape != (m,):
+        raise DataError("l1_hinge_dual_solve shape mismatch")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(w))):
+        raise DataError("l1_hinge_dual_solve requires finite inputs")
+    if np.any(np.abs(y) != 1.0) or np.unique(y).size < 2:
+        raise DataError("labels must be +-1 with both classes present")
+    if np.any(w <= 0):
+        raise DataError("weights must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise DataError("lambda must be finite and positive")
+    rows = 1 + 2 * p
+    yx = (y[:, None] * X).T
+    A = np.zeros((rows, m + 2 * p))
+    A[0, :m] = y
+    A[1 : 1 + p, :m] = yx
+    A[1 + p :, :m] = -yx
+    A[1:, m:] = np.eye(2 * p)
+    cost = np.concatenate([-np.ones(m), np.zeros(2 * p)])
+    upper = np.concatenate([w / m, np.full(2 * p, np.inf)])
+    rhs = np.concatenate([[0.0], np.full(2 * p, float(lam))])
+    basis = np.concatenate([[0], m + np.arange(2 * p)])
+    nonbasic = np.ones(m + 2 * p, dtype=bool)
+    nonbasic[basis] = False
+    at_upper = np.zeros(m + 2 * p, dtype=bool)
+    Binv = np.linalg.inv(A[:, basis])
+    xB = Binv @ rhs
+    pivots = degenerate_run = 0
+    while True:
+        d = cost - (cost[basis] @ Binv) @ A
+        gain = np.where(at_upper, d, -d)  # objective decrease per unit step
+        gain[~nonbasic] = 0.0
+        bland = degenerate_run >= _DEGENERATE_RUN
+        if bland:
+            improving = np.flatnonzero(gain > _LP_TOL)
+            if not improving.size:
+                break
+            enter = int(improving[0])
+        else:
+            enter = int(np.argmax(gain))
+            if gain[enter] <= _LP_TOL:
+                break
+        pivots += 1
+        # x_B moves by -t * delta as the entering variable leaves its bound
+        sign = -1.0 if at_upper[enter] else 1.0
+        alpha = Binv @ A[:, enter]
+        delta = sign * alpha
+        ratios = np.full(rows, np.inf)
+        down = delta > _LP_TOL
+        up = delta < -_LP_TOL
+        ratios[down] = np.maximum(xB[down], 0.0) / delta[down]
+        ratios[up] = np.maximum(upper[basis[up]] - xB[up], 0.0) / -delta[up]
+        step = float(np.min(ratios))
+        if not np.isfinite(min(step, upper[enter])):
+            raise ConvergenceError("L1 hinge dual simplex found an unbounded ray")
+        if upper[enter] <= step:
+            xB -= upper[enter] * delta
+            at_upper[enter] = not at_upper[enter]
+            degenerate_run = 0
+            continue
+        ties = np.flatnonzero(ratios <= step)
+        if bland:
+            r = int(ties[np.argmin(basis[ties])])
+        else:
+            r = int(ties[np.argmax(np.abs(alpha[ties]))])
+        leave = basis[r]
+        entering_value = (upper[enter] if at_upper[enter] else 0.0) + sign * step
+        xB -= step * delta
+        xB[r] = entering_value
+        at_upper[leave] = delta[r] < 0
+        at_upper[enter] = False
+        nonbasic[leave] = True
+        nonbasic[enter] = False
+        basis[r] = enter
+        prow = Binv[r] / alpha[r]
+        Binv -= np.outer(alpha, prow)
+        Binv[r] = prow
+        degenerate_run = degenerate_run + 1 if step <= _LP_TOL else 0
+    # read the final vertex and prices from the basis itself, not the updates
+    B = A[:, basis]
+    u = np.where(at_upper, upper, 0.0)
+    u[basis] = np.linalg.solve(B, rhs - A[:, at_upper] @ upper[at_upper])
+    pi = np.linalg.solve(B.T, cost[basis])
+    intercept = float(-pi[0])
+    slopes = pi[1 + p :] - pi[1 : 1 + p]
+    margins = y * (intercept + X @ slopes)
+    objective = float(
+        np.mean(w * np.maximum(0.0, 1.0 - margins)) + lam * np.sum(np.abs(slopes))
+    )
+    gap = objective - float(np.sum(u[:m]))
+    sol = HingeL1Solution(
+        intercept=intercept,
+        slopes=slopes,
+        objective=objective,
+        duality_gap=gap,
+        pivots=pivots,
+    )
+    if abs(gap) > _GAP_RTOL * max(1.0, abs(objective)):
+        raise ConvergenceError(
+            f"L1 hinge dual simplex: duality gap {gap:.3g} after {pivots} pivots",
+            best=sol,
+        )
+    return sol

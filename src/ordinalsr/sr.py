@@ -66,6 +66,12 @@ class SRConfig:
             raise DataError("lambda grid must be non-empty")
         if self.cv_folds < 2:
             raise DataError("cv_folds must be >= 2")
+        if self.residual_model not in ("ols", "kernel_ridge"):
+            raise DataError(f"unknown residual model {self.residual_model!r}")
+        if self.propensity_mode not in ("known", "logistic"):
+            raise DataError(f"unknown propensity mode {self.propensity_mode!r}")
+        if self.cv_criterion not in ("value", "weighted_misclass"):
+            raise DataError(f"unknown CV criterion {self.cv_criterion!r}")
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         if self.sigma_grid is not None:
             object.__setattr__(self, "sigma_grid", tuple(float(v) for v in self.sigma_grid))
@@ -442,15 +448,27 @@ def _parse_rule(lines, i):
     return tag, rule, i + 1
 
 
+def _expect(lines, i, section):
+    if lines[i] != section:
+        raise ValueError(f"line {i + 1}: expected {section!r}")
+    return i + 1
+
+
 def load_model(path) -> SRModel:
+    """Read a model file; DataError if it is not one, or is truncated or malformed."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MODEL_HEADER:
         raise DataError(f"{path}: not an ordinalsr model file")
+    try:
+        return _parse_model(lines)
+    except (IndexError, KeyError, ValueError) as exc:
+        raise DataError(f"{path}: truncated or malformed model file ({exc!r})") from None
+
+
+def _parse_model(lines) -> SRModel:
     k_arms = int(lines[1].split()[1])
-    i = 2
-    assert lines[i] == "config"
-    i += 1
+    i = _expect(lines, 2, "config")
     cfg = {}
     while lines[i] != "end":
         key, _, rest = lines[i].partition(" ")
@@ -476,8 +494,7 @@ def load_model(path) -> SRModel:
         use_r_steps=bool(int(cfg["use_r_steps"])),
         cv_criterion=cfg["cv_criterion"],
     )
-    assert lines[i] == "scaling"
-    i += 1
+    i = _expect(lines, i, "scaling")
     mins, maxs = [], []
     while lines[i] != "end":
         lo, hi = lines[i].split()

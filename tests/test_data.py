@@ -158,6 +158,16 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError):
             load_csv(path)
 
+    @pytest.mark.parametrize("column", ["a", "d_star"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e300", "2.5"])
+    def test_nonfinite_or_huge_labels_raise_data_error(self, tmp_path, column, value):
+        row = {"a": "1", "d_star": "2"}
+        row[column] = value
+        path = tmp_path / "t.csv"
+        path.write_text(f"x1,a,y,d_star\n0.1,{row['a']},2.0,{row['d_star']}\n")
+        with pytest.raises(DataError):
+            load_csv(path)
+
     def test_reverse_arms_flag(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,a,y\n0.1,1,2.0\n0.2,3,1.0\n")

@@ -1,15 +1,24 @@
-"""Tests for the numerical workhorses: OLS, logistic IRLS, SMO dual, simplex."""
+"""Tests for the numerical workhorses: OLS, logistic IRLS, SMO dual, simplex,
+and the dual simplex for the L1 hinge fit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordinalsr.exceptions import DataError, InfeasibleLPError, UnboundedLPError
+from _oracles import l1_aol_lp_encoding
+from ordinalsr import solvers
+from ordinalsr.exceptions import (
+    ConvergenceError,
+    DataError,
+    InfeasibleLPError,
+    UnboundedLPError,
+)
 from ordinalsr.kernels import KernelSpec
 from ordinalsr.solvers import (
     LinearProgram,
     kernel_ridge_fit,
+    l1_hinge_dual_solve,
     logistic_fit,
     ols_fit,
     simplex_solve,
@@ -159,6 +168,7 @@ class TestSimplex:
         )
         sol = simplex_solve(lp)
         assert sol.objective == pytest.approx(-1.0, abs=1e-9)
+        assert sol.pivots == 1
 
     def test_equality_and_ge_senses(self):
         # min x1 + 2 x2 s.t. x1 + x2 = 2, x1 >= 0.5 -> x = (2, 0), obj 2
@@ -219,6 +229,17 @@ class TestSimplex:
         sol = simplex_solve(lp)
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
 
+    def test_rank1_pivot_equals_row_loop(self, rng):
+        # the row-by-row Gauss-Jordan update the rank-1 form replaced
+        T = rng.normal(size=(6, 9))
+        expected = T.copy()
+        expected[2] /= expected[2, 4]
+        for r in range(6):
+            if r != 2:
+                expected[r] -= expected[r, 4] * expected[2]
+        solvers._pivot(T, 2, 4)
+        np.testing.assert_array_equal(T, expected)
+
     def test_dimension_validation(self):
         with pytest.raises(DataError):
             LinearProgram(
@@ -264,3 +285,107 @@ class TestSimplex:
             if np.all(x >= -1e-9) and np.all(G @ x <= h + 1e-9):
                 best = min(best, float(c @ x))
         assert sol.objective == pytest.approx(best, abs=1e-8)
+
+
+def _primal_l1_fit(X, labels, weights, lam):
+    """The L1 hinge fit as its m-row primal LP, solved by the general simplex."""
+    p = X.shape[1]
+    c, G, h, senses, free = l1_aol_lp_encoding(X, labels, weights, lam)
+    sol = simplex_solve(LinearProgram(c=c, G=G, h=h, senses=senses, free=free))
+    return sol.x[0], sol.x[1 : 1 + p] - sol.x[1 + p : 1 + 2 * p], sol.objective
+
+
+def _hinge_objective(X, labels, weights, lam, b0, slopes):
+    margins = labels * (b0 + X @ slopes)
+    return float(
+        np.mean(weights * np.maximum(0.0, 1.0 - margins)) + lam * np.sum(np.abs(slopes))
+    )
+
+
+class TestL1HingeDual:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_primal_simplex_on_random_subproblems(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(20, 301))
+        p = int(rng.integers(1, 11))
+        X = rng.uniform(-1, 1, size=(m, p))
+        labels = np.where(X[:, 0] + rng.normal(scale=0.7, size=m) > 0, 1.0, -1.0)
+        weights = rng.uniform(0.05, 3.0, size=m)
+        lam = float(rng.uniform(0.002, 0.3))
+        b0, slopes, objective = _primal_l1_fit(X, labels, weights, lam)
+        sol = l1_hinge_dual_solve(X, labels, weights, lam)
+        assert sol.objective == pytest.approx(objective, abs=1e-8)
+        assert sol.intercept == pytest.approx(b0, abs=1e-8)
+        np.testing.assert_allclose(sol.slopes, slopes, atol=1e-8)
+        assert abs(sol.duality_gap) <= 1e-9 * max(1.0, sol.objective)
+        assert sol.pivots > 0
+
+    def test_duplicated_rows_and_tied_weights(self, rng):
+        base = rng.uniform(-1, 1, size=(12, 3))
+        X = np.vstack([base, base, base])
+        labels = np.tile(np.where(base[:, 1] > 0, 1.0, -1.0), 3)
+        labels[:4] = -labels[:4]  # overlap so the hinge cannot reach zero
+        weights = np.ones(36)
+        for lam in (0.001, 0.03, 0.3):
+            sol = l1_hinge_dual_solve(X, labels, weights, lam)
+            _, _, objective = _primal_l1_fit(X, labels, weights, lam)
+            assert sol.objective == pytest.approx(objective, abs=1e-8)
+            recomputed = _hinge_objective(
+                X, labels, weights, lam, sol.intercept, sol.slopes
+            )
+            assert recomputed == pytest.approx(sol.objective, abs=1e-12)
+
+    def test_bland_rule_alone_reaches_the_same_optimum(self, monkeypatch, rng):
+        # a degenerate-run threshold of 0 prices every pivot by Bland's rule
+        X = rng.integers(-1, 2, size=(60, 4)).astype(float)
+        labels = np.where(X[:, 0] + rng.normal(scale=0.8, size=60) > 0, 1.0, -1.0)
+        weights = rng.integers(1, 4, size=60).astype(float)
+        dantzig = l1_hinge_dual_solve(X, labels, weights, 0.02)
+        monkeypatch.setattr(solvers, "_DEGENERATE_RUN", 0)
+        bland = l1_hinge_dual_solve(X, labels, weights, 0.02)
+        assert bland.objective == pytest.approx(dantzig.objective, abs=1e-10)
+        assert bland.pivots != dantzig.pivots
+
+    def test_one_row_per_class(self):
+        X = np.array([[0.5, -1.0], [-0.25, 0.75]])
+        labels = np.array([1.0, -1.0])
+        for lam in (0.01, 0.5, 5.0):
+            weights = np.array([2.0, 1.0])
+            sol = l1_hinge_dual_solve(X, labels, weights, lam)
+            _, _, objective = _primal_l1_fit(X, labels, weights, lam)
+            assert sol.objective == pytest.approx(objective, abs=1e-10)
+
+    @pytest.mark.parametrize("heavier", [1.0, -1.0])
+    def test_large_lambda_gives_zero_slopes_and_majority_intercept(self, rng, heavier):
+        # at lam >= sum(w)/m * max|x|, beta = 0 and the intercept minimizes the
+        # weighted hinge alone: +1 when the positive class weighs more, else -1
+        X = rng.uniform(-1, 1, size=(40, 4))
+        labels = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+        weights = np.where(labels == heavier, 1.5, 1.0)
+        lam = 2.0 * weights.mean() * np.max(np.abs(X))
+        sol = l1_hinge_dual_solve(X, labels, weights, lam)
+        np.testing.assert_allclose(sol.slopes, 0.0, atol=1e-12)
+        assert sol.intercept == pytest.approx(heavier, abs=1e-12)
+        minority = weights[labels != heavier].sum() / 40
+        assert sol.objective == pytest.approx(2.0 * minority, abs=1e-12)
+
+    def test_duality_gap_check_raises_with_best_iterate(self, monkeypatch, rng):
+        # pricing that stops far from optimal leaves a primal/dual gap
+        X = rng.uniform(-1, 1, size=(30, 2))
+        labels = np.where(X[:, 0] > 0, 1.0, -1.0)
+        weights = rng.uniform(0.5, 1.5, size=30)
+        monkeypatch.setattr(solvers, "_LP_TOL", 0.5)
+        with pytest.raises(ConvergenceError) as info:
+            l1_hinge_dual_solve(X, labels, weights, 0.05)
+        assert info.value.best.duality_gap > 1e-9
+
+    def test_input_validation(self):
+        X = np.zeros((3, 1))
+        with pytest.raises(DataError):
+            l1_hinge_dual_solve(X, np.array([1.0, 1.0, 1.0]), np.ones(3), 0.1)
+        with pytest.raises(DataError):
+            l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.ones(3), 0.0)
+        with pytest.raises(DataError):
+            l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.zeros(3), 0.1)
+        with pytest.raises(DataError):
+            l1_hinge_dual_solve(X, np.array([1.0, -1.0]), np.ones(3), 0.1)

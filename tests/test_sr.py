@@ -4,8 +4,10 @@ ensembling, and the plain-text model format."""
 import numpy as np
 import pytest
 
+from ordinalsr.aol import KernelExpansionRule, SparseLinearRule
 from ordinalsr.data import ScalingParams, TrialDataset
 from ordinalsr.exceptions import DataError
+from ordinalsr.kernels import KernelSpec
 from ordinalsr.simgen import SETTINGS, generate
 from ordinalsr.sr import (
     ConstantRule,
@@ -195,6 +197,13 @@ class TestConfigValidation:
         with pytest.raises(DataError):
             SRConfig(kernel_kind="cubic")
 
+    @pytest.mark.parametrize(
+        "field", ["cv_criterion", "residual_model", "propensity_mode"]
+    )
+    def test_unknown_mode_strings_rejected(self, field):
+        with pytest.raises(DataError, match="unknown"):
+            SRConfig(**{field: "bogus"})
+
     def test_fitter_resolution(self):
         assert SRConfig().fitter == "l2"
         assert SRConfig(penalty="l1linear").fitter == "l1linear"
@@ -246,6 +255,34 @@ class TestModelFile:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a model\n")
+        with pytest.raises(DataError):
+            load_model(path)
+
+    @pytest.mark.parametrize("cut", ["third", "half", "end-20"])
+    def test_truncated_file_raises_data_error(self, tmp_path, cut):
+        kernel = KernelSpec("gaussian", 0.7)
+        model = SRModel(
+            k_arms=3,
+            sequential_rules=(
+                SparseLinearRule(intercept=0.25, slopes=np.array([1.5, 0.0])),
+                KernelExpansionRule(
+                    points=np.array([[0.1, -0.2], [0.3, 0.4]]),
+                    coefs=np.array([0.5, -0.5]),
+                    intercept=-0.125,
+                    kernel=kernel,
+                    n_features=2,
+                ),
+            ),
+            reestimation_rules=(ConstantRule(decision=1, reason="stub"),),
+            scaling=_unit_scaling(2),
+            config=SRConfig(kernel_kind="gaussian", sigma_grid=(0.7,)),
+        )
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        load_model(path)
+        text = path.read_bytes()
+        keep = {"third": len(text) // 3, "half": len(text) // 2, "end-20": len(text) - 20}
+        path.write_bytes(text[: keep[cut]])
         with pytest.raises(DataError):
             load_model(path)
 
