@@ -215,14 +215,15 @@ def _active(sub):
     return keep
 
 
-def fit_l2_from_gram(labels, weights, gram, lam, tol=1e-5):
+def fit_l2_from_gram(labels, weights, gram, lam, tol=1e-5, init=None):
     """Shared core of fit_aol_l2: returns (coefs = alpha*label, intercept).
 
     Caps follow C_i = w_i / (2 lambda m) with m the active sample count.
+    gram must be symmetric; init is an optional feasible start for alpha.
     """
     m = labels.shape[0]
     caps = weights / (2.0 * lam * m)
-    sol = wsvm_dual_solve(gram, labels, caps, tol=tol)
+    sol = wsvm_dual_solve(gram, labels, caps, tol=tol, init=init)
     return sol.alphas * labels, sol.intercept
 
 

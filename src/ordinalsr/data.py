@@ -8,6 +8,7 @@ intensive (reference) arm.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,6 +181,19 @@ def apply_scaling(params: ScalingParams, features) -> np.ndarray:
     return out
 
 
+def _read_text(path, newline=None):
+    """The whole file as a string; DataError if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return io.StringIO(text, newline=newline)
+
+
 def save_scaling(params: ScalingParams, path, feature_names=None):
     names = feature_names or [f"x{j + 1}" for j in range(params.p)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -190,7 +204,7 @@ def save_scaling(params: ScalingParams, path, feature_names=None):
 
 def load_scaling(path) -> ScalingParams:
     mins, maxs = [], []
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         header = fh.readline().strip()
         if header != "feature,min,max":
             raise DataError(f"bad scaling file header: {header!r}")
@@ -228,7 +242,7 @@ def load_csv(path, k_arms=None, reverse_arms=False) -> TrialDataset:
     file order), a, y, optional prop, optional d_star.  K defaults to the
     largest observed treatment label.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with _read_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -187,7 +187,10 @@ def cv_tune(
 
     Ties break toward larger lambda, then larger sigma (simpler rules).  For
     the two-stage fitter the stage-1 screen is computed once on the full
-    subproblem and held fixed across folds and grid points.
+    subproblem and held fixed across folds and grid points.  The L2 fits of
+    one fold walk the lambda grid in order, each starting from the previous
+    alpha times lambda_prev / lambda: the caps C_i = w_i / (2 lambda m) scale
+    the same way, so that start is feasible.
     """
     if sub.m < 2 * folds:
         folds = max(2, sub.m // 2)
@@ -208,28 +211,39 @@ def cv_tune(
         gram_full = None
         if fitter in ("l2", "two-stage"):
             gram_full = gram_matrix(kernel, features, features)
-        for lam in lambda_grid:
-            scores = []
-            for f in range(folds):
-                te = np.flatnonzero(assign == f)
-                tr = np.flatnonzero(assign != f)
-                if fitter == "l1linear":
-                    rule = fit_aol_l1_linear(sub.subset(tr), lam)
-                    pred = rule.predict(features[te])
-                else:
-                    active = tr[sub.weights[tr] > 0]
-                    coefs, b0 = fit_l2_from_gram(
-                        sub.labels[active],
-                        sub.weights[active],
-                        gram_full[np.ix_(active, active)],
-                        lam,
-                        tol=cv_tol,
-                    )
-                    fvals = gram_full[np.ix_(te, active)] @ coefs + b0
-                    pred = np.where(fvals > 0, 1, -1)
-                scores.append(_holdout_score(pred, sub, te, criterion))
-            mean_score = float(np.nanmean(scores)) if not all(
-                math.isnan(s) for s in scores
+        scores = [[] for _ in lambda_grid]
+        for f in range(folds):
+            te = np.flatnonzero(assign == f)
+            tr = np.flatnonzero(assign != f)
+            if fitter == "l1linear":
+                train, X_te = sub.subset(tr), features[te]
+                for lam, fold_scores in zip(lambda_grid, scores):
+                    pred = fit_aol_l1_linear(train, lam).predict(X_te)
+                    fold_scores.append(_holdout_score(pred, sub, te, criterion))
+                continue
+            active = tr[sub.weights[tr] > 0]
+            labels = sub.labels[active]
+            weights = sub.weights[active]
+            gram_tr = gram_full[np.ix_(active, active)]
+            fits = []
+            alpha = lam_prev = None
+            for lam in lambda_grid:
+                init = None if alpha is None else alpha * (lam_prev / lam)
+                coefs, b0 = fit_l2_from_gram(
+                    labels, weights, gram_tr, lam, tol=cv_tol, init=init
+                )
+                alpha, lam_prev = coefs * labels, lam
+                fits.append((coefs, b0))
+            # score after the fits, so the two blocks are never held at once
+            gram_tr = None
+            gram_te = gram_full[np.ix_(te, active)]
+            for (coefs, b0), fold_scores in zip(fits, scores):
+                pred = np.where(gram_te @ coefs + b0 > 0, 1, -1)
+                fold_scores.append(_holdout_score(pred, sub, te, criterion))
+            gram_te = None
+        for lam, fold_scores in zip(lambda_grid, scores):
+            mean_score = float(np.nanmean(fold_scores)) if not all(
+                math.isnan(s) for s in fold_scores
             ) else float("-inf")
             table.append((float(lam), sigma, mean_score))
     best = None

@@ -149,20 +149,47 @@ def logistic_fit(X, labels, max_iter=_LOGISTIC_MAXIT, weights=None) -> LogisticM
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Solution of max sum(a) - 1/2 a'Qa s.t. 0 <= alpha <= C, sum(alpha*label) = 0."""
+    """Solution of max sum(a) - 1/2 a'Qa s.t. 0 <= alpha <= C, sum(alpha*label) = 0.
+
+    updates counts the SMO pair updates made.
+    """
 
     alphas: np.ndarray
     intercept: float
     objective: float
     kkt_violation: float
+    updates: int
 
 
-def wsvm_dual_solve(gram, labels, caps, tol=1e-5, max_updates=1_000_000) -> DualSolution:
+_INIT_RTOL = 1e-9  # slack allowed on a start's box and equality before clipping
+
+
+def _feasible_start(init, labels, caps):
+    """init clipped into the box; DataError unless it is feasible to _INIT_RTOL."""
+    alpha = np.array(init, dtype=float)
+    if alpha.shape != caps.shape or not np.all(np.isfinite(alpha)):
+        raise DataError("init must be a finite vector with one entry per sample")
+    if np.any(alpha < -_INIT_RTOL * caps) or np.any(alpha > caps * (1.0 + _INIT_RTOL)):
+        raise DataError("init must satisfy 0 <= alpha <= caps")
+    if abs(float(alpha @ labels)) > _INIT_RTOL * max(1.0, float(np.sum(caps))):
+        raise DataError("init must satisfy sum(alpha * labels) = 0")
+    return np.clip(alpha, 0.0, caps)
+
+
+def wsvm_dual_solve(
+    gram, labels, caps, tol=1e-5, max_updates=1_000_000, init=None
+) -> DualSolution:
     """SMO on the weighted hinge-loss dual, maximal-KKT-violating pair selection.
 
-    gram is the kernel matrix; caps are the per-sample box bounds C_i.  The
-    recovered intercept averages over free support vectors, falling back to
-    the midpoint of the feasible interval.
+    gram is the kernel matrix and must be symmetric: the solver reads its rows
+    where the gradient update needs columns.  caps are the per-sample box
+    bounds C_i.  init is a feasible start (0 <= alpha <= C, sum(alpha*label)
+    = 0), zero when None; an infeasible one raises DataError.
+
+    The state is vals = -label * gradient; a pair step of length t moves it by
+    -t * (K[i] - K[j]) since label^2 = 1, and the two-variable step itself runs
+    on Python floats.  The recovered intercept averages over free support
+    vectors, falling back to the midpoint of the feasible interval.
     """
     K = np.asarray(gram, dtype=float)
     a = np.asarray(labels, dtype=float)
@@ -173,37 +200,57 @@ def wsvm_dual_solve(gram, labels, caps, tol=1e-5, max_updates=1_000_000) -> Dual
     if np.any(C <= 0) or not np.all(np.isfinite(C)):
         raise DataError("caps must be finite and positive")
     eps = 1e-12
-    alpha = np.zeros(m)
-    grad = -np.ones(m)  # gradient of (1/2 a'Qa - sum a)
     pos = a > 0
+    if init is None:
+        alpha = np.zeros(m)
+        vals = a.copy()
+    else:
+        alpha = _feasible_start(init, a, C)
+        vals = a - K @ (alpha * a)
+    # index k may be the "up" end of a pair when up_pen[k] = 0 (else -inf) and
+    # the "low" end when low_pen[k] = 0 (else +inf)
+    rise = alpha < C - eps
+    fall = alpha > eps
+    up_pen = np.where(np.where(pos, rise, fall), 0.0, -np.inf)
+    low_pen = np.where(np.where(pos, fall, rise), 0.0, np.inf)
+    alpha_l = alpha.tolist()
+    cap_l = C.tolist()
+    pos_l = pos.tolist()
+    diag_l = np.diagonal(K).tolist()
+    vu = np.empty(m)
+    vl = np.empty(m)
+    delta = np.empty(m)
     updates = 0
-    viol = np.inf
     while True:
-        up = (pos & (alpha < C - eps)) | (~pos & (alpha > eps))
-        low = (~pos & (alpha < C - eps)) | (pos & (alpha > eps))
-        vals = -a * grad
-        if not up.any() or not low.any():
+        np.add(vals, up_pen, out=vu)
+        np.add(vals, low_pen, out=vl)
+        i = int(vu.argmax())
+        j = int(vl.argmin())
+        viol = vu.item(i) - vl.item(j)
+        if viol == -np.inf:  # no index can be the up end, or none the low end
             viol = 0.0
-            break
-        vu = np.where(up, vals, -np.inf)
-        vl = np.where(low, vals, np.inf)
-        i = int(np.argmax(vu))
-        j = int(np.argmin(vl))
-        viol = vu[i] - vl[j]
-        if viol < tol:
-            break
-        if updates >= max_updates:
+        if viol < tol or updates >= max_updates:
             break
         # feasible step along alpha_i += a_i*t, alpha_j -= a_j*t (t > 0)
-        hi_i = (C[i] - alpha[i]) if pos[i] else alpha[i]
-        hi_j = alpha[j] if pos[j] else (C[j] - alpha[j])
-        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        ai, ci, aj, cj = alpha_l[i], cap_l[i], alpha_l[j], cap_l[j]
+        Ki, Kj = K[i], K[j]
+        quad = diag_l[i] + diag_l[j] - 2.0 * Ki.item(j)
         t = viol / quad if quad > 1e-12 else np.inf
-        t = min(t, hi_i, hi_j)
-        alpha[i] = np.clip(alpha[i] + a[i] * t, 0.0, C[i])
-        alpha[j] = np.clip(alpha[j] - a[j] * t, 0.0, C[j])
-        grad += t * a * (K[:, i] - K[:, j])
+        t = min(t, ci - ai if pos_l[i] else ai, aj if pos_l[j] else cj - aj)
+        ai = min(ai + t, ci) if pos_l[i] else max(ai - t, 0.0)
+        aj = max(aj - t, 0.0) if pos_l[j] else min(aj + t, cj)
+        alpha_l[i], alpha_l[j] = ai, aj
+        np.subtract(Ki, Kj, out=delta)
+        delta *= t
+        vals -= delta
+        for k, ak, ck in ((i, ai, ci), (j, aj, cj)):
+            rises, falls = ak < ck - eps, ak > eps
+            if not pos_l[k]:
+                rises, falls = falls, rises
+            up_pen[k] = 0.0 if rises else -np.inf
+            low_pen[k] = 0.0 if falls else np.inf
         updates += 1
+    alpha = np.array(alpha_l)
     coef = alpha * a
     fx = K @ coef
     free = (alpha > 1e-8 * C) & (alpha < C * (1 - 1e-8))
@@ -225,7 +272,11 @@ def wsvm_dual_solve(gram, labels, caps, tol=1e-5, max_updates=1_000_000) -> Dual
             b0 = 0.0
     objective = float(np.sum(alpha) - 0.5 * coef @ fx)
     sol = DualSolution(
-        alphas=alpha, intercept=b0, objective=objective, kkt_violation=float(viol)
+        alphas=alpha,
+        intercept=b0,
+        objective=objective,
+        kkt_violation=float(viol),
+        updates=updates,
     )
     if updates >= max_updates and viol > 10 * tol:
         raise ConvergenceError(

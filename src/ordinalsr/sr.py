@@ -9,12 +9,14 @@ the final call to the matching re-estimation rule.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .aol import KernelExpansionRule, SparseLinearRule, build_subproblem, fit_aol_l2, fit_aol_l1_linear
-from .data import ScalingParams, TrialDataset, apply_scaling, fit_scaling
+from .data import ScalingParams, TrialDataset, _read_text, apply_scaling, fit_scaling
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, median_bandwidth
 from .solvers import kernel_ridge_fit, ols_fit
@@ -33,6 +35,19 @@ __all__ = [
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.05, 0.25)
 DEFAULT_SIGMA_SCALES = (0.5, 1.0, 2.0)
+
+
+def _positive_grid(name, values):
+    """values as a non-empty tuple of finite positive floats, else DataError."""
+    try:
+        grid = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise DataError(f"{name} must be a sequence of numbers") from None
+    if not grid:
+        raise DataError(f"{name} must be non-empty")
+    if not all(math.isfinite(v) and v > 0 for v in grid):
+        raise DataError(f"{name} entries must be finite and positive: {grid}")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -62,8 +77,10 @@ class SRConfig:
             raise DataError("embedded L1 selection requires the linear kernel")
         if self.penalty == "l1linear" and self.kernel_kind != "linear":
             raise DataError("the L1 penalty applies to linear rules only")
-        if not self.lambda_grid:
-            raise DataError("lambda grid must be non-empty")
+        if not isinstance(self.cv_folds, numbers.Integral) or isinstance(
+            self.cv_folds, bool
+        ):
+            raise DataError(f"cv_folds must be an integer, not {self.cv_folds!r}")
         if self.cv_folds < 2:
             raise DataError("cv_folds must be >= 2")
         if self.residual_model not in ("ols", "kernel_ridge"):
@@ -72,10 +89,10 @@ class SRConfig:
             raise DataError(f"unknown propensity mode {self.propensity_mode!r}")
         if self.cv_criterion not in ("value", "weighted_misclass"):
             raise DataError(f"unknown CV criterion {self.cv_criterion!r}")
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
+        object.__setattr__(self, "lambda_grid", _positive_grid("lambda_grid", self.lambda_grid))
         if self.sigma_grid is not None:
-            object.__setattr__(self, "sigma_grid", tuple(float(v) for v in self.sigma_grid))
-        object.__setattr__(self, "sigma_scales", tuple(float(v) for v in self.sigma_scales))
+            object.__setattr__(self, "sigma_grid", _positive_grid("sigma_grid", self.sigma_grid))
+        object.__setattr__(self, "sigma_scales", _positive_grid("sigma_scales", self.sigma_scales))
 
     @property
     def fitter(self):
@@ -456,7 +473,7 @@ def _expect(lines, i, section):
 
 def load_model(path) -> SRModel:
     """Read a model file; DataError if it is not one, or is truncated or malformed."""
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _MODEL_HEADER:
         raise DataError(f"{path}: not an ordinalsr model file")

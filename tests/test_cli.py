@@ -99,6 +99,25 @@ class TestFitPredictEvaluate:
              "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o.csv")]
         ) == 1
 
+    def test_non_utf8_csv_exits_one(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x1,a,y\n\xff,1,2.0\n")
+        assert run(["fit", "--data", str(path), "--out", str(tmp_path / "m.txt")]) == 1
+
+    def test_non_utf8_model_exits_one(self, tmp_path, trial_csv):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"ordinalsr-model v1\n\xff\xfe\n")
+        assert run(
+            ["predict", "--model", str(path), "--data", str(trial_csv),
+             "--out", str(tmp_path / "o.csv")]
+        ) == 1
+
+    def test_nonpositive_lambda_exits_one(self, tmp_path, trial_csv):
+        assert run(
+            ["fit", "--data", str(trial_csv), "--out", str(tmp_path / "m.txt"),
+             "--lambdas", "0.1,-0.1"]
+        ) == 1
+
 
 class TestBenchmark:
     def test_outputs_written(self, tmp_path):

@@ -158,6 +158,19 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError):
             load_csv(path)
 
+    def test_non_utf8_field_raises_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x1,a,y\n\xff,1,2.0\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_csv(path)
+
+    def test_crlf_line_endings_still_read(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x1,a,y\r\n0.5,1,2.0\r\n0.25,3,1.0\r\n")
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.features[:, 0], [0.5, 0.25])
+        np.testing.assert_array_equal(data.treatment, [1, 3])
+
     @pytest.mark.parametrize("column", ["a", "d_star"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e300", "2.5"])
     def test_nonfinite_or_huge_labels_raise_data_error(self, tmp_path, column, value):
@@ -226,6 +239,12 @@ class TestScaling:
         np.testing.assert_array_equal(back.mins, params.mins)
         np.testing.assert_array_equal(back.maxs, params.maxs)
         assert "np.float64" not in path.read_text()
+
+    def test_non_utf8_scaling_file_raises_data_error(self, tmp_path):
+        path = tmp_path / "scaling.csv"
+        path.write_bytes(b"feature,min,max\nx\xff,0.0,1.0\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_scaling(path)
 
 
 class TestUtility:

@@ -20,8 +20,12 @@ from ordinalsr.evaluate import (
     write_rows_csv,
     write_summary_csv,
 )
+from ordinalsr.aol import build_subproblem, fit_l2_from_gram
+from ordinalsr.evaluate import _holdout_score, _stratified_folds
 from ordinalsr.exceptions import DataError, UndefinedMetricError
+from ordinalsr.kernels import KernelSpec, gram_matrix
 from ordinalsr.simgen import SETTINGS, generate
+from ordinalsr.solvers import ols_fit
 
 
 def _observational(pred_match_mask, outcomes, k=3, prop=None):
@@ -136,6 +140,36 @@ class TestCvTune:
         best_score = scores[cv.best_lambda]
         tied = [lam for lam, s in scores.items() if s == best_score]
         assert cv.best_lambda == max(tied)
+
+
+    def test_warm_started_table_matches_cold_reference(self):
+        data = generate(SETTINGS["N8"], 150, seed=5)
+        sub = build_subproblem(
+            data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
+        )
+        lambdas, sigmas, folds, seed = (0.01, 0.05, 0.25), (0.5, 1.0), 3, 2
+        cv = cv_tune(
+            sub, lambdas, sigma_grid=sigmas, folds=folds, seed=seed, cv_tol=1e-9
+        )
+        assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
+        reference = []
+        for sigma in sigmas:
+            K = gram_matrix(KernelSpec("gaussian", sigma), sub.features, sub.features)
+            for lam in lambdas:
+                scores = []
+                for f in range(folds):
+                    te = np.flatnonzero(assign == f)
+                    tr = np.flatnonzero((assign != f) & (sub.weights > 0))
+                    coefs, b0 = fit_l2_from_gram(
+                        sub.labels[tr], sub.weights[tr], K[np.ix_(tr, tr)], lam, tol=1e-9
+                    )
+                    pred = np.where(K[np.ix_(te, tr)] @ coefs + b0 > 0, 1, -1)
+                    scores.append(_holdout_score(pred, sub, te, "value"))
+                reference.append((lam, sigma, float(np.mean(scores))))
+        assert [row[:2] for row in cv.table] == [row[:2] for row in reference]
+        np.testing.assert_allclose(
+            [row[2] for row in cv.table], [row[2] for row in reference], rtol=0, atol=1e-9
+        )
 
 
 class TestBenchmark:

@@ -14,7 +14,7 @@ from ordinalsr.exceptions import (
     InfeasibleLPError,
     UnboundedLPError,
 )
-from ordinalsr.kernels import KernelSpec
+from ordinalsr.kernels import KernelSpec, gram_matrix
 from ordinalsr.solvers import (
     LinearProgram,
     kernel_ridge_fit,
@@ -155,6 +155,109 @@ class TestWsvmDual:
             wsvm_dual_solve(np.eye(3), np.ones(2), np.ones(3))
         with pytest.raises(DataError):
             wsvm_dual_solve(np.eye(2), np.array([1.0, -1.0]), np.array([1.0, 0.0]))
+
+    def test_updates_counts_pair_steps(self):
+        K = self.FROZEN_X @ self.FROZEN_X.T
+        sol = wsvm_dual_solve(K, self.FROZEN_LABELS, self.FROZEN_CAPS, tol=1e-8)
+        assert sol.updates > 1
+        with pytest.raises(ConvergenceError) as exc:
+            wsvm_dual_solve(
+                K, self.FROZEN_LABELS, self.FROZEN_CAPS, tol=1e-8, max_updates=1
+            )
+        assert exc.value.best.updates == 1
+
+
+def _svm_problem(seed, m, kind):
+    """Random gram, +-1 labels with both classes, and weights for caps w/(2 lam m)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, 2))
+    labels = np.where(X[:, 0] + 0.7 * rng.normal(size=m) > 0, 1.0, -1.0)
+    labels[:2] = [1.0, -1.0]
+    if kind == "linear":
+        K = gram_matrix(KernelSpec("linear"), X, X)
+    else:
+        K = gram_matrix(KernelSpec("gaussian", 0.8), X, X)
+    return K, labels, rng.uniform(0.1, 2.0, size=m)
+
+
+def _caps(weights, lam):
+    return weights / (2.0 * lam * weights.shape[0])
+
+
+class TestWsvmWarmStart:
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    @pytest.mark.parametrize("m", [5, 50, 300])
+    def test_warm_and_cold_starts_reach_the_same_objective(self, m, kind):
+        K, labels, w = _svm_problem(m, m, kind)
+        lam_prev, lam = 0.05, 0.2
+        prev = wsvm_dual_solve(K, labels, _caps(w, lam_prev), tol=1e-9)
+        warm = wsvm_dual_solve(
+            K, labels, _caps(w, lam), tol=1e-9, init=prev.alphas * (lam_prev / lam)
+        )
+        cold = wsvm_dual_solve(K, labels, _caps(w, lam), tol=1e-9)
+        assert abs(warm.objective - cold.objective) <= 1e-8
+        assert warm.kkt_violation < 1e-9
+
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_init_start_keeps_box_and_equality(self, kind):
+        K, labels, w = _svm_problem(7, 60, kind)
+        caps = _caps(w, 0.1)
+        # a feasible start with free, zero and capped entries
+        init = np.zeros(60)
+        pos, neg = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
+        init[pos[:3]] = caps[pos[:3]]
+        share = caps[pos[:3]].sum() / caps[neg].sum()
+        assert share < 1.0
+        init[neg] = share * caps[neg]
+        sol = wsvm_dual_solve(K, labels, caps, tol=1e-9, init=init)
+        assert np.all(sol.alphas >= 0.0) and np.all(sol.alphas <= caps)
+        assert abs(float(labels @ sol.alphas)) < 1e-10
+        cold = wsvm_dual_solve(K, labels, caps, tol=1e-9)
+        assert sol.objective == pytest.approx(cold.objective, abs=1e-8)
+
+    def test_optimal_init_needs_no_updates(self):
+        K, labels, w = _svm_problem(3, 40, "gaussian")
+        caps = _caps(w, 0.1)
+        sol = wsvm_dual_solve(K, labels, caps, tol=1e-9)
+        again = wsvm_dual_solve(K, labels, caps, tol=1e-6, init=sol.alphas)
+        assert again.updates == 0
+        np.testing.assert_array_equal(again.alphas, sol.alphas)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["above_box", "below_box", "unbalanced", "wrong_shape", "nan"],
+    )
+    def test_infeasible_init_raises(self, bad):
+        K, labels, w = _svm_problem(4, 10, "linear")
+        caps = _caps(w, 0.1)
+        i, j = int(np.flatnonzero(labels > 0)[0]), int(np.flatnonzero(labels < 0)[0])
+        init = np.zeros(10)
+        if bad == "above_box":
+            init[i] = init[j] = 2.0 * max(caps[i], caps[j])
+        elif bad == "below_box":
+            init[i] = init[j] = -0.5 * min(caps[i], caps[j])
+        elif bad == "unbalanced":
+            init[i] = 0.5 * caps[i]
+        elif bad == "wrong_shape":
+            init = np.zeros(9)
+        else:
+            init[i] = np.nan
+        with pytest.raises(DataError):
+            wsvm_dual_solve(K, labels, caps, init=init)
+
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_warm_path_makes_fewer_updates(self, kind):
+        K, labels, w = _svm_problem(11, 200, kind)
+        cold_updates = warm_updates = 0
+        alpha = lam_prev = None
+        for lam in (0.01, 0.05, 0.25):
+            init = None if alpha is None else alpha * (lam_prev / lam)
+            warm = wsvm_dual_solve(K, labels, _caps(w, lam), tol=1e-3, init=init)
+            cold = wsvm_dual_solve(K, labels, _caps(w, lam), tol=1e-3)
+            alpha, lam_prev = warm.alphas, lam
+            warm_updates += warm.updates
+            cold_updates += cold.updates
+        assert warm_updates < cold_updates
 
 
 class TestSimplex:

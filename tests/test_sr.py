@@ -197,6 +197,28 @@ class TestConfigValidation:
         with pytest.raises(DataError):
             SRConfig(kernel_kind="cubic")
 
+    @pytest.mark.parametrize("folds", [2.5, 3.0, "3", True, None])
+    def test_non_integer_cv_folds_rejected(self, folds):
+        with pytest.raises(DataError, match="cv_folds"):
+            SRConfig(cv_folds=folds)
+
+    def test_integer_cv_folds_accepted(self):
+        assert SRConfig(cv_folds=np.int64(3)).cv_folds == 3
+
+    @pytest.mark.parametrize("field", ["lambda_grid", "sigma_grid", "sigma_scales"])
+    @pytest.mark.parametrize(
+        "grid", [(-0.1,), (0.0,), (float("nan"),), (float("inf"),), (0.1, -1.0), ("x",), ()]
+    )
+    def test_grids_need_finite_positive_entries(self, field, grid):
+        with pytest.raises(DataError, match=field):
+            SRConfig(kernel_kind="gaussian", **{field: grid})
+
+    def test_grids_become_float_tuples(self):
+        config = SRConfig(lambda_grid=[1, 2], sigma_grid=[3], sigma_scales=[0.5])
+        assert config.lambda_grid == (1.0, 2.0)
+        assert config.sigma_grid == (3.0,)
+        assert config.sigma_scales == (0.5,)
+
     @pytest.mark.parametrize(
         "field", ["cv_criterion", "residual_model", "propensity_mode"]
     )
@@ -251,6 +273,12 @@ class TestModelFile:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert "np.float64" not in p1.read_text()
+
+    def test_non_utf8_file_raises_data_error(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"ordinalsr-model v1\n\xff\xfe\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_model(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
