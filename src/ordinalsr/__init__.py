@@ -10,7 +10,7 @@ from .data import (
     load_csv,
     save_csv,
 )
-from .kernels import KernelSpec, gram_matrix, kernel_eval, median_bandwidth
+from .kernels import KernelSpec, gram_matrix, median_bandwidth
 from .aol import (
     BinarySubproblem,
     KernelExpansionRule,
@@ -18,7 +18,6 @@ from .aol import (
     build_subproblem,
     fit_aol_l1_linear,
     fit_aol_l2,
-    predict_binary,
 )
 from .sr import (
     ConstantRule,

@@ -9,7 +9,7 @@ fit solved through the (1+2p)-row dual of its linear program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,6 @@ __all__ = [
     "build_subproblem",
     "fit_aol_l2",
     "fit_aol_l1_linear",
-    "predict_binary",
-    "lambda_max",
 ]
 
 PROPENSITY_FLOOR = 0.01
@@ -132,11 +130,6 @@ class KernelExpansionRule:
 def _sign_tie_negative(f):
     """+1 where f > 0, else -1 (ties at 0 go to the less intensive side)."""
     return np.where(np.asarray(f) > 0, 1, -1)
-
-
-def predict_binary(rule, x):
-    """Single-subject +-1 decision; exposed for symmetry with the batch .predict."""
-    return int(rule.predict(np.atleast_2d(x))[0])
 
 
 def build_subproblem(
@@ -267,12 +260,3 @@ def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
     return SparseLinearRule(
         intercept=sol.intercept, slopes=slopes, selected_features=selected
     )
-
-
-def lambda_max(sub: BinarySubproblem) -> float:
-    """Smallest L1 penalty level at which every slope is zero (grid upper end)."""
-    keep = sub.weights > 0
-    X = sub.features[keep]
-    wl = sub.weights[keep] * sub.labels[keep]
-    m = X.shape[0]
-    return float(np.max(np.abs(wl @ X)) / m)

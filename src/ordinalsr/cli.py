@@ -13,8 +13,6 @@ import csv
 import os
 import sys
 
-import numpy as np
-
 from . import evaluate as ev
 from .data import load_csv, save_csv
 from .exceptions import ConvergenceError, OrdinalSRError
@@ -59,9 +57,11 @@ def _config_from_args(args, parser):
         parser.error("--select embedded requires --kernel linear")
     if args.penalty == "l1" and args.kernel != "linear":
         parser.error("--penalty l1 requires --kernel linear")
+    if args.penalty == "l1" and args.select == "two-stage":
+        parser.error("--select two-stage requires --penalty l2")
     kwargs = dict(
         kernel_kind=args.kernel,
-        penalty="l1linear" if (args.penalty == "l1" or args.select == "embedded") else "l2",
+        penalty="l1linear" if args.penalty == "l1" else "l2",
         selection=args.select,
         cv_folds=args.cv,
         seed=args.seed,

@@ -22,8 +22,6 @@ __all__ = [
     "save_csv",
     "fit_scaling",
     "apply_scaling",
-    "save_scaling",
-    "load_scaling",
     "compute_utility",
 ]
 
@@ -192,29 +190,6 @@ def _read_text(path, newline=None):
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
     return io.StringIO(text, newline=newline)
-
-
-def save_scaling(params: ScalingParams, path, feature_names=None):
-    names = feature_names or [f"x{j + 1}" for j in range(params.p)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("feature,min,max\n")
-        for name, lo, hi in zip(names, params.mins, params.maxs):
-            fh.write(f"{name},{float(lo)!r},{float(hi)!r}\n")
-
-
-def load_scaling(path) -> ScalingParams:
-    mins, maxs = [], []
-    with _read_text(path) as fh:
-        header = fh.readline().strip()
-        if header != "feature,min,max":
-            raise DataError(f"bad scaling file header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            _, lo, hi = line.strip().split(",")
-            mins.append(float(lo))
-            maxs.append(float(hi))
-    return ScalingParams(mins=np.array(mins), maxs=np.array(maxs))
 
 
 def compute_utility(benefit, risk, b):

@@ -158,12 +158,8 @@ def _stratified_folds(labels, weights, folds, seed, redraws=20):
     raise DegenerateStepError("could not build two-class CV folds")
 
 
-def _holdout_score(pred, sub, rows, criterion):
-    b = sub.arm_labels[rows]
-    if criterion == "weighted_misclass":
-        miss = pred != sub.labels[rows]
-        return -float(np.mean(miss * sub.weights[rows]))
-    matched = pred == b
+def _holdout_score(pred, sub, rows):
+    matched = pred == sub.arm_labels[rows]
     if not matched.any():
         return float("nan")
     invp = 1.0 / sub.propensities[rows]
@@ -178,48 +174,42 @@ def cv_tune(
     sigma_grid=(None,),
     folds=5,
     seed=0,
-    fitter="l2",
-    criterion="value",
-    screen=None,
+    penalty="l2",
     cv_tol=1e-3,
 ) -> CVResult:
     """Grid search maximizing the held-out binary IPW value (ratio form).
 
-    Ties break toward larger lambda, then larger sigma (simpler rules).  For
-    the two-stage fitter the stage-1 screen is computed once on the full
-    subproblem and held fixed across folds and grid points.  The L2 fits of
-    one fold walk the lambda grid in order, each starting from the previous
-    alpha times lambda_prev / lambda: the caps C_i = w_i / (2 lambda m) scale
-    the same way, so that start is feasible.
+    penalty "l2" fits the kernel rule of each sigma in sigma_grid (None means
+    the linear kernel); "l1linear" fits the L1 linear rule, whose callers pass
+    sigma_grid=(None,).  A screened step arrives with its features already
+    masked (see varselect.screen_mask).  Ties break toward larger lambda,
+    then larger sigma (simpler rules).  The L2 fits of one fold walk the
+    lambda grid in order, each starting from the previous alpha times
+    lambda_prev / lambda: the caps C_i = w_i / (2 lambda m) scale the same
+    way, so that start is feasible.
     """
+    if penalty not in ("l2", "l1linear"):
+        raise DataError(f"unknown penalty {penalty!r}")
     if sub.m < 2 * folds:
         folds = max(2, sub.m // 2)
     if sub.m < 4:
         raise DegenerateStepError(f"{sub.step_id}: too few subjects for CV")
     assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
-    features = sub.features
-    if fitter == "two-stage":
-        from .varselect import mask_features, screen_for_subproblem
-
-        if screen is None:
-            screen = screen_for_subproblem(sub)
-        if screen.selected_covariates:
-            features = mask_features(features, screen.selected_covariates, sub.p)
     table = []
     for sigma in sigma_grid:
         kernel = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
         gram_full = None
-        if fitter in ("l2", "two-stage"):
-            gram_full = gram_matrix(kernel, features, features)
+        if penalty == "l2":
+            gram_full = gram_matrix(kernel, sub.features, sub.features)
         scores = [[] for _ in lambda_grid]
         for f in range(folds):
             te = np.flatnonzero(assign == f)
             tr = np.flatnonzero(assign != f)
-            if fitter == "l1linear":
-                train, X_te = sub.subset(tr), features[te]
+            if penalty == "l1linear":
+                train, X_te = sub.subset(tr), sub.features[te]
                 for lam, fold_scores in zip(lambda_grid, scores):
                     pred = fit_aol_l1_linear(train, lam).predict(X_te)
-                    fold_scores.append(_holdout_score(pred, sub, te, criterion))
+                    fold_scores.append(_holdout_score(pred, sub, te))
                 continue
             active = tr[sub.weights[tr] > 0]
             labels = sub.labels[active]
@@ -239,7 +229,7 @@ def cv_tune(
             gram_te = gram_full[np.ix_(te, active)]
             for (coefs, b0), fold_scores in zip(fits, scores):
                 pred = np.where(gram_te @ coefs + b0 > 0, 1, -1)
-                fold_scores.append(_holdout_score(pred, sub, te, criterion))
+                fold_scores.append(_holdout_score(pred, sub, te))
             gram_te = None
         for lam, fold_scores in zip(lambda_grid, scores):
             mean_score = float(np.nanmean(fold_scores)) if not all(

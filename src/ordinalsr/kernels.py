@@ -8,7 +8,7 @@ import numpy as np
 
 from .exceptions import DataError
 
-__all__ = ["KernelSpec", "kernel_eval", "gram_matrix", "median_bandwidth"]
+__all__ = ["KernelSpec", "gram_matrix", "median_bandwidth"]
 
 MEDIAN_SUBSAMPLE_CAP = 1000
 
@@ -26,20 +26,6 @@ class KernelSpec:
         if self.kind == "gaussian":
             if self.bandwidth is None or self.bandwidth <= 0:
                 raise DataError("gaussian kernel requires bandwidth > 0")
-
-    def with_bandwidth(self, sigma):
-        return KernelSpec(self.kind, float(sigma))
-
-
-def kernel_eval(spec: KernelSpec, u, v) -> float:
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
-        raise DataError("kernel arguments must have equal dimension")
-    if spec.kind == "linear":
-        return float(u @ v)
-    d2 = float(np.sum((u - v) ** 2))
-    return float(np.exp(-d2 / (2.0 * spec.bandwidth**2)))
 
 
 def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:

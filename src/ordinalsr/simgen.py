@@ -25,7 +25,6 @@ __all__ = [
     "loss",
     "mean_effect",
     "generate",
-    "validate_setting",
 ]
 
 
@@ -149,16 +148,3 @@ def generate(spec: SettingSpec, n, seed) -> TrialDataset:
         propensity=np.full(n, 1.0 / spec.k_arms),
         true_optimal=d_star,
     )
-
-
-def validate_setting(spec: SettingSpec, draws=100_000, seed=20_260_824, min_freq=0.01):
-    """Monte Carlo check that every class occupies >= 1% of covariate space."""
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, size=(draws, spec.p))
-    d = true_optimal(spec, X)
-    freqs = np.bincount(d, minlength=spec.k_arms + 1)[1:] / draws
-    if np.any(freqs < min_freq):
-        raise DataError(
-            f"{spec.id}: class frequencies {freqs.round(4).tolist()} below {min_freq}"
-        )
-    return freqs

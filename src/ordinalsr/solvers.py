@@ -23,14 +23,12 @@ from .exceptions import (
 __all__ = [
     "LinearModel",
     "LogisticModel",
-    "KernelRidgeModel",
     "DualSolution",
     "LinearProgram",
     "LPSolution",
     "HingeL1Solution",
     "ols_fit",
     "logistic_fit",
-    "kernel_ridge_fit",
     "wsvm_dual_solve",
     "simplex_solve",
     "l1_hinge_dual_solve",
@@ -70,20 +68,6 @@ class LogisticModel:
         return 1.0 / (1.0 + np.exp(-np.clip(self.decision_value(X), -35, 35)))
 
 
-@dataclass(frozen=True)
-class KernelRidgeModel:
-    points: np.ndarray
-    coefs: np.ndarray
-    intercept: float
-    kernel: object
-
-    def predict(self, X):
-        from .kernels import gram_matrix
-
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self.intercept + gram_matrix(self.kernel, X, self.points) @ self.coefs
-
-
 def ols_fit(X, y) -> LinearModel:
     """Least squares of y on [1, X] with a 1e-8 ridge jitter for rank safety."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -96,20 +80,29 @@ def ols_fit(X, y) -> LinearModel:
     return LinearModel(intercept=float(beta[0]), slopes=beta[1:])
 
 
-def kernel_ridge_fit(X, y, kernel, ridge=1e-3) -> KernelRidgeModel:
-    """Centered kernel ridge regression; used as the residual model m-hat."""
-    from .kernels import gram_matrix
+def _irls(A, y, max_iter, gtol):
+    """Ridge-damped Newton ascent on the Bernoulli log-likelihood of y on A.
 
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    ybar = float(np.mean(y))
-    K = gram_matrix(kernel, X, X)
-    coefs = np.linalg.solve(K + ridge * X.shape[0] * np.eye(X.shape[0]), y - ybar)
-    return KernelRidgeModel(points=X, coefs=coefs, intercept=ybar, kernel=kernel)
+    The Hessian gets a 1e-6 ridge and every step is clipped to |coef| <= 30.
+    Returns (beta, iterations, whether the gradient norm fell below gtol).
+    """
+    d = A.shape[1]
+    ridge = _LOGISTIC_RIDGE * np.eye(d)
+    beta = np.zeros(d)
+    for it in range(1, max_iter + 1):
+        eta = np.clip(A @ beta, -35, 35)
+        p = 1.0 / (1.0 + np.exp(-eta))
+        grad = A.T @ (y - p)
+        if np.linalg.norm(grad) < gtol:
+            return beta, it, True
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        H = (A * w[:, None]).T @ A + ridge
+        beta = np.clip(beta + np.linalg.solve(H, grad), -_COEF_CAP, _COEF_CAP)
+    return beta, max_iter, False
 
 
-def logistic_fit(X, labels, max_iter=_LOGISTIC_MAXIT, weights=None) -> LogisticModel:
-    """IRLS maximization of the (optionally weighted) Bernoulli log-likelihood.
+def logistic_fit(X, labels, max_iter=_LOGISTIC_MAXIT) -> LogisticModel:
+    """IRLS maximization of the Bernoulli log-likelihood.
 
     Hessian gets a 1e-6 ridge; stops at gradient norm < 1e-8.  Separated data
     does not error: coefficients are capped at |coef| <= 30 and the model is
@@ -123,23 +116,8 @@ def logistic_fit(X, labels, max_iter=_LOGISTIC_MAXIT, weights=None) -> LogisticM
         raise DataError("labels must be 0/1")
     if np.unique(y).size < 2:
         raise DataError("logistic_fit needs both classes present")
-    n = X.shape[0]
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    A = np.column_stack([np.ones(n), X])
-    d = A.shape[1]
-    beta = np.zeros(d)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        eta = np.clip(A @ beta, -35, 35)
-        p = 1.0 / (1.0 + np.exp(-eta))
-        grad = A.T @ (w * (y - p))
-        if np.linalg.norm(grad) < _LOGISTIC_GTOL:
-            converged = True
-            break
-        wirls = np.maximum(w * p * (1.0 - p), 1e-10)
-        H = (A * wirls[:, None]).T @ A + _LOGISTIC_RIDGE * np.eye(d)
-        beta = np.clip(beta + np.linalg.solve(H, grad), -_COEF_CAP, _COEF_CAP)
+    A = np.column_stack([np.ones(X.shape[0]), X])
+    beta, it, converged = _irls(A, y, max_iter, _LOGISTIC_GTOL)
     if np.any(np.abs(beta) >= _COEF_CAP - 1e-12):
         converged = False
     return LogisticModel(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .aol import KernelExpansionRule, SparseLinearRule, build_subproblem, fit_ao
 from .data import ScalingParams, TrialDataset, _read_text, apply_scaling, fit_scaling
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, median_bandwidth
-from .solvers import kernel_ridge_fit, ols_fit
+from .solvers import ols_fit
 
 __all__ = [
     "SRConfig",
@@ -61,10 +61,8 @@ class SRConfig:
     cv_folds: int = 5
     min_step_size: int = 10
     seed: int = 0
-    residual_model: str = "ols"
     propensity_mode: str = "known"
     use_r_steps: bool = True
-    cv_criterion: str = "value"
 
     def __post_init__(self):
         if self.kernel_kind not in ("linear", "gaussian"):
@@ -75,32 +73,28 @@ class SRConfig:
             raise DataError(f"unknown selection mode {self.selection!r}")
         if self.selection == "embedded" and self.kernel_kind != "linear":
             raise DataError("embedded L1 selection requires the linear kernel")
+        if self.selection == "embedded":
+            # embedded selection is the L1 penalty's own sparsity
+            object.__setattr__(self, "penalty", "l1linear")
         if self.penalty == "l1linear" and self.kernel_kind != "linear":
             raise DataError("the L1 penalty applies to linear rules only")
+        if self.penalty == "l1linear" and self.selection == "two-stage":
+            raise DataError(
+                "two-stage selection screens for an L2 fit; the L1 penalty "
+                "selects by itself (selection='embedded')"
+            )
         if not isinstance(self.cv_folds, numbers.Integral) or isinstance(
             self.cv_folds, bool
         ):
             raise DataError(f"cv_folds must be an integer, not {self.cv_folds!r}")
         if self.cv_folds < 2:
             raise DataError("cv_folds must be >= 2")
-        if self.residual_model not in ("ols", "kernel_ridge"):
-            raise DataError(f"unknown residual model {self.residual_model!r}")
         if self.propensity_mode not in ("known", "logistic"):
             raise DataError(f"unknown propensity mode {self.propensity_mode!r}")
-        if self.cv_criterion not in ("value", "weighted_misclass"):
-            raise DataError(f"unknown CV criterion {self.cv_criterion!r}")
         object.__setattr__(self, "lambda_grid", _positive_grid("lambda_grid", self.lambda_grid))
         if self.sigma_grid is not None:
             object.__setattr__(self, "sigma_grid", _positive_grid("sigma_grid", self.sigma_grid))
         object.__setattr__(self, "sigma_scales", _positive_grid("sigma_scales", self.sigma_scales))
-
-    @property
-    def fitter(self):
-        if self.selection == "two-stage":
-            return "two-stage"
-        if self.selection == "embedded" or self.penalty == "l1linear":
-            return "l1linear"
-        return "l2"
 
 
 @dataclass(frozen=True)
@@ -176,16 +170,6 @@ def _majority_rule(data, eligible, negative_arms, positive_arms, reason) -> Cons
     return ConstantRule(decision=1 if mass_pos > mass_neg else -1, reason=reason)
 
 
-def _fit_residual_model(config, X, y, seed):
-    if config.residual_model == "kernel_ridge" and config.kernel_kind == "gaussian":
-        try:
-            sigma = median_bandwidth(X, seed=seed)
-        except DataError:
-            sigma = 1.0
-        return kernel_ridge_fit(X, y, KernelSpec("gaussian", sigma), ridge=1e-3)
-    return ols_fit(X, y)
-
-
 def _resolve_sigma_grid(config, features, seed):
     if config.kernel_kind != "gaussian":
         return (None,)
@@ -199,65 +183,42 @@ def _resolve_sigma_grid(config, features, seed):
 
 
 def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible, seed):
-    """Build, tune, and fit one binary step; ConstantRule on degeneracy."""
+    """Build, tune, and fit one binary step; ConstantRule on degeneracy.
+
+    Two-stage selection masks the step's features once, up front, so the
+    sigma grid, CV and final fit all see an ordinary L2 subproblem.
+    """
     from .evaluate import cv_tune
-    from .varselect import fit_two_stage, screen_for_subproblem
+    from .varselect import screen_mask
 
     try:
-        resid = _fit_residual_model(
-            config, Xs[eligible], data.outcome[eligible], seed=seed
-        )
         sub = build_subproblem(
             data,
             negative_arms,
             positive_arms,
             eligible,
-            resid,
+            ols_fit(Xs[eligible], data.outcome[eligible]),
             propensity_mode=config.propensity_mode,
             step_id=step_id,
             min_size=config.min_step_size,
             features=Xs,
         )
-        screen = None
-        if config.fitter == "two-stage":
-            try:
-                screen = screen_for_subproblem(sub)
-            except DataError:
-                # steps too small (or single-class) to screen fall back to the
-                # full covariate set, mirroring the empty-screen fallback
-                from .varselect import ScreenResult
-
-                screen = ScreenResult((), (), (("skipped", None, float("nan")),))
-        sigma_source = sub.features
-        if screen is not None and screen.selected_covariates:
-            from .varselect import mask_features
-
-            sigma_source = mask_features(
-                sub.features, screen.selected_covariates, sub.p
-            )
-        sigma_grid = _resolve_sigma_grid(config, sigma_source, seed)
+        screened = config.selection == "two-stage"
+        if screened:
+            sub, selected, fallback = screen_mask(sub)
         cv = cv_tune(
             sub,
             lambda_grid=config.lambda_grid,
-            sigma_grid=sigma_grid,
+            sigma_grid=_resolve_sigma_grid(config, sub.features, seed),
             folds=config.cv_folds,
             seed=seed,
-            fitter=config.fitter,
-            criterion=config.cv_criterion,
-            screen=screen,
+            penalty=config.penalty,
         )
-        if config.fitter == "l1linear":
-            rule = fit_aol_l1_linear(sub, cv.best_lambda)
-        elif config.fitter == "two-stage":
-            kernel = KernelSpec(config.kernel_kind, cv.best_sigma)
-            rule = fit_two_stage(sub, kernel, cv.best_lambda, screen=screen)
-        else:
-            kernel = (
-                KernelSpec("linear")
-                if config.kernel_kind == "linear"
-                else KernelSpec("gaussian", cv.best_sigma)
-            )
-            rule = fit_aol_l2(sub, kernel, cv.best_lambda)
+        if config.penalty == "l1linear":
+            return fit_aol_l1_linear(sub, cv.best_lambda), cv
+        rule = fit_aol_l2(sub, KernelSpec(config.kernel_kind, cv.best_sigma), cv.best_lambda)
+        if screened:
+            rule = replace(rule, selected_features=selected, selection_fallback=fallback)
         return rule, cv
     except DegenerateStepError as exc:
         return (
@@ -353,6 +314,19 @@ def predict_ordinal(model: SRModel, features) -> np.ndarray:
 
 _MODEL_HEADER = "ordinalsr-model v1"
 
+# (write, read) of each SRConfig field type; a None field is left out
+_CONFIG_CODECS = {
+    "str": (str, str),
+    "int": (str, int),
+    "bool": (lambda v: str(int(v)), lambda text: bool(int(text))),
+    "tuple": (
+        lambda v: " ".join(repr(float(x)) for x in v),
+        lambda text: tuple(float(x) for x in text.split()),
+    ),
+}
+# config lines of options since removed, with the one value they could take
+_RETIRED_CONFIG = {"residual_model": "ols", "cv_criterion": "value"}
+
 
 def _write_rule(fh, tag, rule):
     if isinstance(rule, ConstantRule):
@@ -388,20 +362,10 @@ def save_model(model: SRModel, path):
         fh.write(_MODEL_HEADER + "\n")
         fh.write(f"k_arms {model.k_arms}\n")
         fh.write("config\n")
-        fh.write(f"kernel_kind {cfg.kernel_kind}\n")
-        fh.write(f"penalty {cfg.penalty}\n")
-        fh.write(f"selection {cfg.selection}\n")
-        fh.write("lambda_grid " + " ".join(repr(float(v)) for v in cfg.lambda_grid) + "\n")
-        if cfg.sigma_grid is not None:
-            fh.write("sigma_grid " + " ".join(repr(float(v)) for v in cfg.sigma_grid) + "\n")
-        fh.write("sigma_scales " + " ".join(repr(float(v)) for v in cfg.sigma_scales) + "\n")
-        fh.write(f"cv_folds {cfg.cv_folds}\n")
-        fh.write(f"min_step_size {cfg.min_step_size}\n")
-        fh.write(f"seed {cfg.seed}\n")
-        fh.write(f"residual_model {cfg.residual_model}\n")
-        fh.write(f"propensity_mode {cfg.propensity_mode}\n")
-        fh.write(f"use_r_steps {int(cfg.use_r_steps)}\n")
-        fh.write(f"cv_criterion {cfg.cv_criterion}\n")
+        for f in fields(SRConfig):
+            value = getattr(cfg, f.name)
+            if value is not None:
+                fh.write(f"{f.name} {_CONFIG_CODECS[f.type][0](value)}\n")
         fh.write("end\n")
         fh.write("scaling\n")
         for lo, hi in zip(model.scaling.mins, model.scaling.maxs):
@@ -489,28 +453,21 @@ def _parse_model(lines) -> SRModel:
     cfg = {}
     while lines[i] != "end":
         key, _, rest = lines[i].partition(" ")
+        if key in cfg:
+            raise DataError(f"config key {key!r} given twice")
         cfg[key] = rest
         i += 1
     i += 1
-    config = SRConfig(
-        kernel_kind=cfg["kernel_kind"],
-        penalty=cfg["penalty"],
-        selection=cfg["selection"],
-        lambda_grid=tuple(float(v) for v in cfg["lambda_grid"].split()),
-        sigma_grid=(
-            tuple(float(v) for v in cfg["sigma_grid"].split())
-            if "sigma_grid" in cfg
-            else None
-        ),
-        sigma_scales=tuple(float(v) for v in cfg["sigma_scales"].split()),
-        cv_folds=int(cfg["cv_folds"]),
-        min_step_size=int(cfg["min_step_size"]),
-        seed=int(cfg["seed"]),
-        residual_model=cfg["residual_model"],
-        propensity_mode=cfg["propensity_mode"],
-        use_r_steps=bool(int(cfg["use_r_steps"])),
-        cv_criterion=cfg["cv_criterion"],
-    )
+    for key, only in _RETIRED_CONFIG.items():
+        if cfg.pop(key, only) != only:
+            raise DataError(f"config {key} must be {only!r}; its other values were removed")
+    kwargs = {}
+    for f in fields(SRConfig):
+        if f.name in cfg or f.default is not None:
+            kwargs[f.name] = _CONFIG_CODECS[f.type][1](cfg.pop(f.name))
+    if cfg:
+        raise DataError(f"unknown config keys {sorted(cfg)}")
+    config = SRConfig(**kwargs)
     i = _expect(lines, i, "scaling")
     mins, maxs = [], []
     while lines[i] != "end":

@@ -15,12 +15,14 @@ import numpy as np
 
 from .aol import BinarySubproblem, fit_aol_l2
 from .exceptions import DataError
+from .solvers import _irls
 
 __all__ = [
     "ScreenResult",
     "expand_second_order",
     "screen_stepwise",
     "screen_for_subproblem",
+    "screen_mask",
     "fit_two_stage",
 ]
 
@@ -58,19 +60,9 @@ def expand_second_order(X):
     return np.column_stack(cols), tuple(desc)
 
 
-def _loglik_newton(A, y, iters=_NEWTON_ITERS):
-    """Bernoulli log-likelihood of y on design A (ridge-damped Newton)."""
-    n, d = A.shape
-    beta = np.zeros(d)
-    for _ in range(iters):
-        eta = np.clip(A @ beta, -35, 35)
-        p = 1.0 / (1.0 + np.exp(-eta))
-        grad = A.T @ (y - p)
-        if np.linalg.norm(grad) < _NEWTON_GTOL:
-            break
-        w = np.maximum(p * (1.0 - p), 1e-10)
-        H = (A * w[:, None]).T @ A + 1e-6 * np.eye(d)
-        beta = np.clip(beta + np.linalg.solve(H, grad), -30.0, 30.0)
+def _loglik(A, y):
+    """Bernoulli log-likelihood of y on design A at its IRLS fit."""
+    beta, _, _ = _irls(A, y, _NEWTON_ITERS, _NEWTON_GTOL)
     eta = np.clip(A @ beta, -35, 35)
     return float(y @ eta - np.sum(np.log1p(np.exp(eta))))
 
@@ -85,12 +77,12 @@ def _ebic(ll, k_terms, n, n_candidates, gamma=EBIC_GAMMA):
     return -2.0 * ll + penalty + 2.0 * gamma * choose
 
 
-def screen_stepwise(X_aug, labels, descriptors=None, weights=None, gamma=EBIC_GAMMA):
+def screen_stepwise(X_aug, labels, descriptors=None, gamma=EBIC_GAMMA):
     """Forward-backward stepwise logistic screening scored by EBIC.
 
     X_aug columns are monomials (see expand_second_order); columns are
-    standardized internally so the screen is scale-invariant.  Unweighted by
-    default; AOL weights are accepted but off unless passed explicitly.
+    standardized internally so the screen is scale-invariant.  The
+    likelihood is unweighted.
     """
     X_aug = np.atleast_2d(np.asarray(X_aug, dtype=float))
     y = np.asarray(labels, dtype=float)
@@ -106,20 +98,10 @@ def screen_stepwise(X_aug, labels, descriptors=None, weights=None, gamma=EBIC_GA
     usable = sd > 1e-12
     Z = np.zeros_like(X_aug)
     Z[:, usable] = (X_aug[:, usable] - mu[usable]) / sd[usable]
-    if weights is not None:
-        # weighted screening is an opt-in variant; fold weights in via
-        # replication-style sqrt scaling of the design is not equivalent for
-        # logistic, so we simply pass them through to the likelihood
-        w = np.asarray(weights, dtype=float)
-    else:
-        w = None
     ones = np.ones((n, 1))
 
     def model_ll(cols):
-        A = np.column_stack([ones, Z[:, cols]]) if cols else ones
-        if w is None:
-            return _loglik_newton(A, y)
-        return _wloglik_newton(A, y, w)
+        return _loglik(np.column_stack([ones, Z[:, cols]]) if cols else ones, y)
 
     cap = int(min(n / 5, 50))
     selected = []
@@ -162,21 +144,6 @@ def screen_stepwise(X_aug, labels, descriptors=None, weights=None, gamma=EBIC_GA
     )
 
 
-def _wloglik_newton(A, y, w, iters=_NEWTON_ITERS):
-    beta = np.zeros(A.shape[1])
-    for _ in range(iters):
-        eta = np.clip(A @ beta, -35, 35)
-        p = 1.0 / (1.0 + np.exp(-eta))
-        grad = A.T @ (w * (y - p))
-        if np.linalg.norm(grad) < _NEWTON_GTOL:
-            break
-        wi = np.maximum(w * p * (1.0 - p), 1e-10)
-        H = (A * wi[:, None]).T @ A + 1e-6 * np.eye(A.shape[1])
-        beta = np.clip(beta + np.linalg.solve(H, grad), -30.0, 30.0)
-    eta = np.clip(A @ beta, -35, 35)
-    return float((w * y) @ eta - w @ np.log1p(np.exp(eta)))
-
-
 def screen_for_subproblem(sub: BinarySubproblem) -> ScreenResult:
     """Stage-1 screen on a binary step: labels A*sign(e) rescaled to {0, 1}."""
     X_aug, desc = expand_second_order(sub.features)
@@ -191,21 +158,29 @@ def mask_features(features, selected, p):
     return out
 
 
-def fit_two_stage(sub: BinarySubproblem, kernel, lam, screen=None, tol=1e-5):
-    """Screen-then-refit: kernel fit on covariates kept by the stage-1 screen.
+def screen_mask(sub: BinarySubproblem, screen=None):
+    """The stage-1 screen as a fixed feature mask on a binary step.
 
-    Unselected covariates are zeroed (fixed diagonal mask) rather than
-    dropped so rule dimensions stay stable.  An empty screen falls back to
-    the full covariate set with the fallback flag raised.
+    Returns (sub with unselected covariates zeroed, kept covariates, fallback
+    flag).  Zeroing rather than dropping keeps rule dimensions stable.  An
+    empty screen, or a step too small or single-class to screen, keeps every
+    covariate with the fallback flag raised.
     """
     if screen is None:
-        screen = screen_for_subproblem(sub)
+        try:
+            screen = screen_for_subproblem(sub)
+        except DataError:
+            screen = ScreenResult((), (), ())
     selected = screen.selected_covariates
-    fallback = len(selected) == 0
+    fallback = not selected
     if fallback:
         selected = tuple(range(sub.p))
     masked = replace(sub, features=mask_features(sub.features, selected, sub.p))
+    return masked, selected, fallback
+
+
+def fit_two_stage(sub: BinarySubproblem, kernel, lam, screen=None, tol=1e-5):
+    """Screen-then-refit: the L2 fit on the screen_mask of sub."""
+    masked, selected, fallback = screen_mask(sub, screen)
     rule = fit_aol_l2(masked, kernel, lam, tol=tol)
-    return replace(
-        rule, selected_features=tuple(selected), selection_fallback=fallback
-    )
+    return replace(rule, selected_features=selected, selection_fallback=fallback)

@@ -4,12 +4,17 @@ These deliberately avoid the package's own solvers: the quadratic-program
 oracle enumerates active sets of the box-and-hyperplane feasible region, and
 the linear-program oracle enumerates basic feasible points (vertices).  Both
 are exponential and only suitable for the tiny instances the acceptance
-criteria prescribe.
+criteria prescribe.  The module also keeps small reference helpers for the
+unit tests: a direct kernel evaluation, the L1 zero-slope penalty level and a
+Monte Carlo check of the simulation settings.
 """
 
 import itertools
 
 import numpy as np
+
+from ordinalsr.exceptions import DataError
+from ordinalsr.simgen import true_optimal
 
 
 def svm_dual_oracle(gram, labels, caps):
@@ -132,3 +137,37 @@ def l1_aol_lp_encoding(X, labels, weights, lam):
     free = np.zeros(nv, dtype=bool)
     free[0] = True
     return c, G, np.ones(m), (">=",) * m, free
+
+
+def kernel_eval(spec, u, v) -> float:
+    """One kernel value k(u, v), computed directly; gram_matrix is checked against it."""
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    if u.shape != v.shape:
+        raise DataError("kernel arguments must have equal dimension")
+    if spec.kind == "linear":
+        return float(u @ v)
+    d2 = float(np.sum((u - v) ** 2))
+    return float(np.exp(-d2 / (2.0 * spec.bandwidth**2)))
+
+
+def lambda_max(sub) -> float:
+    """Smallest L1 penalty level at which every slope of the L1 rule is zero."""
+    keep = sub.weights > 0
+    X = sub.features[keep]
+    wl = sub.weights[keep] * sub.labels[keep]
+    m = X.shape[0]
+    return float(np.max(np.abs(wl @ X)) / m)
+
+
+def validate_setting(spec, draws=100_000, seed=20_260_824, min_freq=0.01):
+    """Monte Carlo check that every class occupies >= 1% of covariate space."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(draws, spec.p))
+    d = true_optimal(spec, X)
+    freqs = np.bincount(d, minlength=spec.k_arms + 1)[1:] / draws
+    if np.any(freqs < min_freq):
+        raise DataError(
+            f"{spec.id}: class frequencies {freqs.round(4).tolist()} below {min_freq}"
+        )
+    return freqs

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from _oracles import lambda_max
 from conftest import make_subproblem
 from ordinalsr.aol import (
     build_subproblem,
     fit_aol_l1_linear,
     fit_aol_l2,
-    lambda_max,
-    predict_binary,
 )
 from ordinalsr.data import TrialDataset
 from ordinalsr.exceptions import DataError, DegenerateStepError
@@ -139,8 +138,7 @@ class TestL2Fit:
             KernelSpec("linear"),
             lam=0.01,
         )
-        assert predict_binary(rule, [0.5, 0.0]) == 1
-        assert predict_binary(rule, [-0.5, 0.0]) == -1
+        np.testing.assert_array_equal(rule.predict([[0.5, 0.0], [-0.5, 0.0]]), [1, -1])
 
     def test_invalid_lambda(self):
         sub = make_subproblem(np.zeros((4, 1)), [1, -1, 1, -1], np.ones(4))

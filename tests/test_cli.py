@@ -93,6 +93,15 @@ class TestFitPredictEvaluate:
             )
         assert exc.value.code == 2
 
+    def test_l1_with_two_stage_exits_two(self, tmp_path, trial_csv):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                ["fit", "--data", str(trial_csv), "--out", str(tmp_path / "m.txt"),
+                 "--penalty", "l1", "--select", "two-stage"]
+            )
+        assert exc.value.code == 2
+        assert not (tmp_path / "m.txt").exists()
+
     def test_missing_data_exits_one(self, tmp_path):
         assert run(
             ["predict", "--model", str(tmp_path / "none.txt"),

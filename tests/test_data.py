@@ -12,9 +12,7 @@ from ordinalsr.data import (
     compute_utility,
     fit_scaling,
     load_csv,
-    load_scaling,
     save_csv,
-    save_scaling,
 )
 from ordinalsr.exceptions import DataError
 
@@ -230,21 +228,6 @@ class TestScaling:
         span = params.maxs[0] - params.mins[0]
         back = (Z[:, 0] + 1.0) / 2.0 * span + params.mins[0]
         np.testing.assert_allclose(back, X[:, 0], rtol=1e-9, atol=1e-6)
-
-    def test_scaling_file_round_trip(self, tmp_path):
-        params = fit_scaling(np.random.default_rng(0).normal(size=(5, 3)))
-        path = tmp_path / "scaling.csv"
-        save_scaling(params, path)
-        back = load_scaling(path)
-        np.testing.assert_array_equal(back.mins, params.mins)
-        np.testing.assert_array_equal(back.maxs, params.maxs)
-        assert "np.float64" not in path.read_text()
-
-    def test_non_utf8_scaling_file_raises_data_error(self, tmp_path):
-        path = tmp_path / "scaling.csv"
-        path.write_bytes(b"feature,min,max\nx\xff,0.0,1.0\n")
-        with pytest.raises(DataError, match="UTF-8"):
-            load_scaling(path)
 
 
 class TestUtility:

@@ -164,7 +164,7 @@ class TestCvTune:
                         sub.labels[tr], sub.weights[tr], K[np.ix_(tr, tr)], lam, tol=1e-9
                     )
                     pred = np.where(K[np.ix_(te, tr)] @ coefs + b0 > 0, 1, -1)
-                    scores.append(_holdout_score(pred, sub, te, "value"))
+                    scores.append(_holdout_score(pred, sub, te))
                 reference.append((lam, sigma, float(np.mean(scores))))
         assert [row[:2] for row in cv.table] == [row[:2] for row in reference]
         np.testing.assert_allclose(

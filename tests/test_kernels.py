@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _oracles import kernel_eval
 from ordinalsr.exceptions import DataError
-from ordinalsr.kernels import KernelSpec, gram_matrix, kernel_eval, median_bandwidth
+from ordinalsr.kernels import KernelSpec, gram_matrix, median_bandwidth
 
 finite_matrix = arrays(
     dtype=float,
@@ -26,10 +27,6 @@ class TestKernelSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError):
             KernelSpec("polynomial")
-
-    def test_with_bandwidth(self):
-        spec = KernelSpec("gaussian", 1.0).with_bandwidth(2.5)
-        assert spec.bandwidth == 2.5
 
 
 class TestKernelEval:

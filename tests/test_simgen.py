@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import validate_setting
 from ordinalsr.exceptions import DataError
 from ordinalsr.simgen import (
     SETTINGS,
@@ -11,7 +12,6 @@ from ordinalsr.simgen import (
     loss,
     mean_effect,
     true_optimal,
-    validate_setting,
 )
 
 ALL_IDS = sorted(SETTINGS)

@@ -17,7 +17,6 @@ from ordinalsr.exceptions import (
 from ordinalsr.kernels import KernelSpec, gram_matrix
 from ordinalsr.solvers import (
     LinearProgram,
-    kernel_ridge_fit,
     l1_hinge_dual_solve,
     logistic_fit,
     ols_fit,
@@ -72,26 +71,6 @@ class TestLogistic:
     def test_non_binary_labels_rejected(self):
         with pytest.raises(DataError):
             logistic_fit(np.zeros((3, 1)), np.array([0, 1, 2]))
-
-    def test_weights_shift_fit(self):
-        X = np.array([[-1.0], [-0.5], [0.5], [1.0]])
-        y = np.array([0, 1, 0, 1])
-        up_late = logistic_fit(X, y, weights=np.array([1.0, 1.0, 1.0, 10.0]))
-        up_early = logistic_fit(X, y, weights=np.array([10.0, 1.0, 1.0, 1.0]))
-        assert up_late.predict_proba([[1.0]])[0] > up_early.predict_proba([[1.0]])[0]
-
-
-class TestKernelRidge:
-    def test_interpolates_smooth_function(self, rng):
-        X = rng.uniform(-1, 1, size=(60, 1))
-        y = np.sin(3 * X[:, 0])
-        model = kernel_ridge_fit(X, y, KernelSpec("gaussian", 0.5), ridge=1e-6)
-        np.testing.assert_allclose(model.predict(X), y, atol=1e-2)
-
-    def test_constant_target_gives_intercept(self, rng):
-        X = rng.normal(size=(10, 2))
-        model = kernel_ridge_fit(X, np.full(10, 3.25), KernelSpec("gaussian", 1.0))
-        np.testing.assert_allclose(model.predict(X), 3.25, atol=1e-8)
 
 
 class TestWsvmDual:

@@ -1,14 +1,20 @@
 """Tests for the sequential re-estimation cascade: eligibility, fitting,
 ensembling, and the plain-text model format."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ordinalsr.sr as sr_module
 from ordinalsr.aol import KernelExpansionRule, SparseLinearRule
 from ordinalsr.data import ScalingParams, TrialDataset
 from ordinalsr.exceptions import DataError
 from ordinalsr.kernels import KernelSpec
-from ordinalsr.simgen import SETTINGS, generate
+from ordinalsr.simgen import SETTINGS, generate, get_setting
 from ordinalsr.sr import (
     ConstantRule,
     SRConfig,
@@ -26,7 +32,7 @@ def _unit_scaling(p):
     return ScalingParams(mins=-np.ones(p), maxs=np.ones(p))
 
 
-def _stub_model(k_arms, s_decisions, r_decisions, use_r_steps=True):
+def _stub_model(k_arms, s_decisions, r_decisions, use_r_steps=True, config=None):
     """SRModel whose binary rules are constants; for ensembling logic tests."""
     return SRModel(
         k_arms=k_arms,
@@ -37,7 +43,7 @@ def _stub_model(k_arms, s_decisions, r_decisions, use_r_steps=True):
             ConstantRule(decision=d, reason="stub") for d in r_decisions
         ),
         scaling=_unit_scaling(2),
-        config=SRConfig(use_r_steps=use_r_steps),
+        config=config or SRConfig(use_r_steps=use_r_steps),
     )
 
 
@@ -219,24 +225,180 @@ class TestConfigValidation:
         assert config.sigma_grid == (3.0,)
         assert config.sigma_scales == (0.5,)
 
-    @pytest.mark.parametrize(
-        "field", ["cv_criterion", "residual_model", "propensity_mode"]
-    )
+    @pytest.mark.parametrize("field", ["propensity_mode"])
     def test_unknown_mode_strings_rejected(self, field):
         with pytest.raises(DataError, match="unknown"):
             SRConfig(**{field: "bogus"})
 
-    def test_fitter_resolution(self):
-        assert SRConfig().fitter == "l2"
-        assert SRConfig(penalty="l1linear").fitter == "l1linear"
-        assert SRConfig(selection="embedded", penalty="l1linear").fitter == "l1linear"
-        assert (
-            SRConfig(kernel_kind="gaussian", selection="two-stage").fitter
-            == "two-stage"
-        )
+    def test_fitter_resolution(self, monkeypatch):
+        """The penalty alone picks the rule fitter; a two-stage step is an L2
+        fit on masked features that carries the screen's selection."""
+        calls = []
+        for name in ("fit_aol_l2", "fit_aol_l1_linear"):
+            fitter = getattr(sr_module, name)
+
+            def recorded(*args, _name=name, _fitter=fitter, **kwargs):
+                calls.append(_name)
+                return _fitter(*args, **kwargs)
+
+            monkeypatch.setattr(sr_module, name, recorded)
+        data = generate(get_setting("N8", p=6), 120, seed=5)
+        fast = dict(lambda_grid=(0.05,), cv_folds=2)
+        cases = [
+            (SRConfig(**fast), "fit_aol_l2"),
+            (SRConfig(penalty="l1linear", **fast), "fit_aol_l1_linear"),
+            (SRConfig(selection="embedded", **fast), "fit_aol_l1_linear"),
+            (
+                SRConfig(
+                    kernel_kind="gaussian", selection="two-stage", sigma_grid=(0.6,), **fast
+                ),
+                "fit_aol_l2",
+            ),
+        ]
+        for config, expected in cases:
+            calls.clear()
+            model = fit_sr(data, config)
+            rules = model.sequential_rules + model.reestimation_rules
+            fitted = [r for r in rules if not isinstance(r, ConstantRule)]
+            assert fitted and calls == [expected] * len(fitted)
+        screened = [r for r in fitted if not r.selection_fallback]
+        assert screened and all(len(r.selected_features) < data.p for r in screened)
+
+    def test_embedded_selection_records_the_l1_penalty(self, tmp_path):
+        config = SRConfig(selection="embedded")
+        assert config.penalty == "l1linear"
+        assert SRConfig(selection="embedded", penalty="l2") == config
+        path = tmp_path / "model.txt"
+        save_model(_stub_model(3, (-1, 1), (1,), config=config), path)
+        assert "penalty l1linear\n" in path.read_text()
+
+    def test_l1_penalty_with_two_stage_selection_rejected(self):
+        with pytest.raises(DataError, match="two-stage"):
+            SRConfig(penalty="l1linear", selection="two-stage")
+
+
+# A model file written before the residual_model and cv_criterion options were
+# removed: its config block still carries a line for each.
+PARENT_FORMAT_MODEL = """\
+ordinalsr-model v1
+k_arms 3
+config
+kernel_kind gaussian
+penalty l2
+selection two-stage
+lambda_grid 0.01 0.05
+sigma_grid 0.7
+sigma_scales 0.5 1.0 2.0
+cv_folds 5
+min_step_size 10
+seed 7
+residual_model ols
+propensity_mode known
+use_r_steps 1
+cv_criterion value
+end
+scaling
+-2.0 2.0
+0.0 10.0
+end
+rule S1 sparse_linear
+intercept 0.25
+slopes 1.5 0.0
+selected 0
+fallback 0
+end
+rule S2 kernel_expansion
+kernel gaussian 0.7
+intercept -0.125
+n_features 2
+selected 0
+fallback 0
+point 1.0 0.5 0.0
+point -0.75 -0.3 0.0
+end
+rule R1 constant
+decision -1
+reason R1: only 4 eligible subjects
+end
+"""
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False)
+_grid = st.lists(_positive, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def _sr_configs(draw):
+    kernel_kind = draw(st.sampled_from(["linear", "gaussian"]))
+    selections = ["none", "two-stage"] + (["embedded"] if kernel_kind == "linear" else [])
+    selection = draw(st.sampled_from(selections))
+    penalties = ["l2"] + (["l1linear"] if (kernel_kind, selection) == ("linear", "none") else [])
+    return SRConfig(
+        kernel_kind=kernel_kind,
+        penalty=draw(st.sampled_from(penalties)),
+        selection=selection,
+        lambda_grid=draw(_grid),
+        sigma_grid=draw(st.none() | _grid),
+        sigma_scales=draw(_grid),
+        cv_folds=draw(st.integers(2, 100)),
+        min_step_size=draw(st.integers(0, 10**6)),
+        seed=draw(st.integers(-(2**63), 2**63)),
+        propensity_mode=draw(st.sampled_from(["known", "logistic"])),
+        use_r_steps=draw(st.booleans()),
+    )
 
 
 class TestModelFile:
+    @settings(max_examples=60, deadline=None)
+    @given(_sr_configs())
+    def test_every_config_field_round_trips(self, config):
+        model = _stub_model(3, (-1, 1), (1,), config=config)
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+            save_model(model, p1)
+            back = load_model(p1)
+            save_model(back, p2)
+            assert back.config == config
+            assert p1.read_bytes() == p2.read_bytes()
+
+    def test_parent_format_file_loads_and_predicts(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(PARENT_FORMAT_MODEL)
+        model = load_model(path)
+        assert model.config == SRConfig(
+            kernel_kind="gaussian",
+            selection="two-stage",
+            lambda_grid=(0.01, 0.05),
+            sigma_grid=(0.7,),
+            seed=7,
+        )
+        X = np.array([[-2.0, 5.0], [-0.5, 1.0], [0.0, 0.0], [0.4, 9.0], [1.0, 3.0], [2.0, 10.0]])
+        np.testing.assert_array_equal(predict_ordinal(model, X), [1, 1, 2, 3, 3, 3])
+        again = tmp_path / "again.txt"
+        save_model(model, again)
+        dropped = ("residual_model ols\n", "cv_criterion value\n")
+        expected = "".join(
+            line for line in PARENT_FORMAT_MODEL.splitlines(keepends=True)
+            if line not in dropped
+        )
+        assert again.read_text() == expected
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("residual_model ols\n", "residual_model kernel_ridge\n"),
+            ("cv_criterion value\n", "cv_criterion weighted_misclass\n"),
+            ("seed 7\n", "seed 7\nbogus_key 1\n"),
+            ("seed 7\n", "seed 7\nseed 8\n"),
+            ("seed 7\n", ""),
+        ],
+        ids=["kernel_ridge", "weighted_misclass", "unknown_key", "repeated_key", "missing_key"],
+    )
+    def test_retired_values_and_unknown_keys_raise_data_error(self, tmp_path, old, new):
+        path = tmp_path / "model.txt"
+        path.write_text(PARENT_FORMAT_MODEL.replace(old, new))
+        with pytest.raises(DataError):
+            load_model(path)
+
     def _configs(self):
         return [
             SRConfig(kernel_kind="linear", lambda_grid=(0.05,), seed=2),
