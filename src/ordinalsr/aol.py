@@ -76,10 +76,7 @@ class SparseLinearRule:
     selection_fallback: bool = False
 
     def __post_init__(self):
-        if self.selected_features is None:
-            object.__setattr__(
-                self, "selected_features", tuple(range(self.slopes.shape[0]))
-            )
+        _set_selection(self, self.slopes.shape[0])
 
     def decision_value(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -108,8 +105,9 @@ class KernelExpansionRule:
     selection_fallback: bool = False
 
     def __post_init__(self):
-        if self.selected_features is None:
-            object.__setattr__(self, "selected_features", tuple(range(self.n_features)))
+        if self.points.shape != (self.coefs.shape[0], self.n_features):
+            raise DataError("expansion points do not match the coefficients and n_features")
+        _set_selection(self, self.n_features)
 
     def decision_value(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -125,6 +123,14 @@ class KernelExpansionRule:
 
     def predict(self, X):
         return _sign_tie_negative(self.decision_value(X))
+
+
+def _set_selection(rule, p):
+    """Default selected_features to all p features; DataError unless increasing in 0..p-1."""
+    selected = tuple(range(p)) if rule.selected_features is None else rule.selected_features
+    if list(selected) != sorted(set(selected) & set(range(p))):
+        raise DataError(f"selected features {selected} are not increasing indices below {p}")
+    object.__setattr__(rule, "selected_features", selected)
 
 
 def _sign_tie_negative(f):

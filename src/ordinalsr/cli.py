@@ -9,12 +9,11 @@ Every run echoes its fully-resolved configuration into a sidecar
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 from . import evaluate as ev
-from .data import load_csv, save_csv
+from .data import _write_csv, load_csv, save_csv
 from .exceptions import ConvergenceError, OrdinalSRError
 from .simgen import generate, get_setting
 from .sr import SRConfig, fit_sr, load_model, predict_ordinal, save_model
@@ -106,19 +105,16 @@ def cmd_fit(args, parser):
     resolved.update({"data": args.data, "n": data.n, "k_arms": data.k_arms})
     _write_manifest(args.out, "fit", resolved)
     if args.cv_trace:
-        with open(args.cv_trace, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["step", "lambda", "sigma", "mean_value", "selected"])
-            for step, cv in model.cv_trace:
-                if cv is None:
-                    writer.writerow([step, "", "", "", "degenerate"])
-                    continue
-                for lam, sigma, score in cv.table:
-                    chosen = lam == cv.best_lambda and sigma == cv.best_sigma
-                    writer.writerow(
-                        [step, repr(lam), "" if sigma is None else repr(sigma),
-                         repr(score), int(chosen)]
-                    )
+        rows = []
+        for step, cv in model.cv_trace:
+            if cv is None:
+                rows.append([step, None, None, None, "degenerate"])
+                continue
+            for lam, sigma, score in cv.table:
+                chosen = lam == cv.best_lambda and sigma == cv.best_sigma
+                rows.append([step, lam, sigma, score, int(chosen)])
+        header = ["step", "lambda", "sigma", "mean_value", "selected"]
+        _write_csv(args.cv_trace, header, rows)
     return EXIT_OK
 
 
@@ -126,10 +122,7 @@ def cmd_predict(args, parser):
     model = load_model(args.model)
     data = load_csv(args.data, k_arms=model.k_arms)
     pred = predict_ordinal(model, data.features)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("row,pred\n")
-        for i, v in enumerate(pred):
-            fh.write(f"{i},{int(v)}\n")
+    _write_csv(args.out, ["row", "pred"], enumerate(pred.tolist()))
     _write_manifest(args.out, "predict", {"model": args.model, "data": args.data, "n": data.n})
     return EXIT_OK
 
@@ -139,19 +132,12 @@ def cmd_evaluate(args, parser):
     data = load_csv(args.data, k_arms=model.k_arms)
     pred = predict_ordinal(model, data.features)
     report = ev.evaluate_rule(pred, data)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["n_test", "value", "itr_effect"] + [
-            f"prop_{k}" for k in range(1, data.k_arms + 1)
-        ]
-        row = [report.n_test, repr(float(report.value)), repr(float(report.itr_effect))] + [
-            repr(float(v)) for v in report.assignment_proportions
-        ]
-        if report.misclassification is not None:
-            header += ["misclass", "disagreement"]
-            row += [repr(float(report.misclassification)), repr(float(report.disagreement))]
-        writer.writerow(header)
-        writer.writerow(row)
+    header = ["n_test", "value", "itr_effect"] + [f"prop_{k}" for k in range(1, data.k_arms + 1)]
+    row = [report.n_test, report.value, report.itr_effect, *report.assignment_proportions]
+    if report.misclassification is not None:
+        header += ["misclass", "disagreement"]
+        row += [report.misclassification, report.disagreement]
+    _write_csv(args.out, header, [row])
     _write_manifest(args.out, "evaluate", {"model": args.model, "data": args.data})
     return EXIT_OK
 
@@ -187,11 +173,9 @@ def cmd_benchmark(args, parser):
         p=args.p,
     )
     if failures:
-        with open(args.out_prefix + "_failures.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["setting", "n", "method", "replicate", "error"])
-            for f in failures:
-                writer.writerow([f["setting"], f["n"], f["method"], f["replicate"], f["error"]])
+        header = ["setting", "n", "method", "replicate", "error"]
+        rows = ([f[c] for c in header] for f in failures)
+        _write_csv(args.out_prefix + "_failures.csv", header, rows)
     return EXIT_OK
 
 

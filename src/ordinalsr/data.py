@@ -265,19 +265,20 @@ def load_csv(path, k_arms=None, reverse_arms=False) -> TrialDataset:
 
 def save_csv(data: TrialDataset, path):
     """Write a TrialDataset back to the canonical CSV layout (repr round-trip exact)."""
+    columns = {"a": data.treatment, "y": data.outcome, "prop": data.propensity,
+               "d_star": data.true_optimal}
+    columns = {name: col.tolist() for name, col in columns.items() if col is not None}
+    rows = ([*x, *rest] for x, *rest in zip(data.features.tolist(), *columns.values()))
+    _write_csv(path, [*data.feature_names, *columns], rows)
+
+
+def _write_csv(path, header, rows):
+    """One CSV table: floats as repr(float(v)), None as an empty field."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        cols = list(data.feature_names) + ["a", "y"]
-        if data.propensity is not None:
-            cols.append("prop")
-        if data.true_optimal is not None:
-            cols.append("d_star")
-        fh.write(",".join(cols) + "\n")
-        for i in range(data.n):
-            parts = [repr(float(v)) for v in data.features[i]]
-            parts.append(str(int(data.treatment[i])))
-            parts.append(repr(float(data.outcome[i])))
-            if data.propensity is not None:
-                parts.append(repr(float(data.propensity[i])))
-            if data.true_optimal is not None:
-                parts.append(str(int(data.true_optimal[i])))
-            fh.write(",".join(parts) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                "" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                for v in row
+            )

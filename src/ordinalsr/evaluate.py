@@ -7,13 +7,13 @@ observed arm matches the rule.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aol import fit_aol_l1_linear, fit_l2_from_gram
+from .data import _write_csv
 from .exceptions import (
     DataError,
     DegenerateStepError,
@@ -393,36 +393,22 @@ def summarize(rows):
 
 
 def write_rows_csv(rows, path, k_arms):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["setting", "n", "method", "replicate", "misclass", "value", "itr_effect"]
-            + [f"prop_{k}" for k in range(1, k_arms + 1)]
-            + ["seed"]
-        )
-        for r in rows:
-            misc = "" if r["misclass"] is None else repr(float(r["misclass"]))
-            writer.writerow(
-                [r["setting"], r["n"], r["method"], r["replicate"], misc,
-                 repr(float(r["value"])), repr(float(r["itr_effect"]))]
-                + [repr(float(v)) for v in r["props"]]
-                + [r["seed"]]
-            )
+    _write_csv(
+        path,
+        ["setting", "n", "method", "replicate", "misclass", "value", "itr_effect"]
+        + [f"prop_{k}" for k in range(1, k_arms + 1)]
+        + ["seed"],
+        ([r["setting"], r["n"], r["method"], r["replicate"], r["misclass"], r["value"],
+          r["itr_effect"], *r["props"], r["seed"]] for r in rows),
+    )
+
+
+_SUMMARY_COLUMNS = ("setting", "n", "method", "replicates",
+                    "misclass_mean", "misclass_sd", "value_mean", "value_sd")
 
 
 def write_summary_csv(summary, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["setting", "n", "method", "replicates",
-             "misclass_mean", "misclass_sd", "value_mean", "value_sd"]
-        )
-        for s in summary:
-            writer.writerow(
-                [s["setting"], s["n"], s["method"], s["replicates"],
-                 repr(s["misclass_mean"]), repr(s["misclass_sd"]),
-                 repr(s["value_mean"]), repr(s["value_sd"])]
-            )
+    _write_csv(path, _SUMMARY_COLUMNS, ([s[c] for c in _SUMMARY_COLUMNS] for s in summary))
 
 
 def write_manifest(path, settings, n_list, replicates, methods, seed, test_size, p=None):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,10 @@ class KernelSpec:
         if self.kind not in ("linear", "gaussian"):
             raise DataError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise DataError("gaussian kernel requires bandwidth > 0")
+            # gram_matrix divides by 2 * bandwidth**2, which must be finite and nonzero
+            bw = self.bandwidth
+            if bw is None or not (bw > 0 and 0 < 2.0 * bw * bw < math.inf):
+                raise DataError(f"gaussian bandwidth must be > 0, with a finite square: {bw!r}")
 
 
 def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:

@@ -83,12 +83,12 @@ class SRConfig:
                 "two-stage selection screens for an L2 fit; the L1 penalty "
                 "selects by itself (selection='embedded')"
             )
-        if not isinstance(self.cv_folds, numbers.Integral) or isinstance(
-            self.cv_folds, bool
-        ):
-            raise DataError(f"cv_folds must be an integer, not {self.cv_folds!r}")
-        if self.cv_folds < 2:
-            raise DataError("cv_folds must be >= 2")
+        for name, low in (("cv_folds", 2), ("min_step_size", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+                raise DataError(f"{name} must be an integer >= {low}, not {value!r}")
+        if not isinstance(self.use_r_steps, bool):
+            raise DataError(f"use_r_steps must be a bool, not {self.use_r_steps!r}")
         if self.propensity_mode not in ("known", "logistic"):
             raise DataError(f"unknown propensity mode {self.propensity_mode!r}")
         object.__setattr__(self, "lambda_grid", _positive_grid("lambda_grid", self.lambda_grid))
@@ -104,6 +104,10 @@ class ConstantRule:
     decision: int
     reason: str
     selected_features: tuple = ()
+
+    def __post_init__(self):
+        if self.decision not in (-1, 1):
+            raise DataError(f"a constant rule decides -1 or 1, not {self.decision!r}")
 
     def decision_value(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -310,129 +314,128 @@ def predict_ordinal(model: SRModel, features) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# model file format (versioned plain text; repr round-trips floats exactly)
+# model file format v1 (plain text; repr round-trips floats exactly): a header,
+# "k_arms K", a config block (one "<field> <value>" line per SRConfig field
+# that is not None), a scaling block (one "<min> <max>" line per feature) and
+# one block per rule, tagged S1..S{K-1} then R1..R{K-2}.  Every block ends with
+# "end".  save_model and load_model both run off the field tables below.
 
 _MODEL_HEADER = "ordinalsr-model v1"
 
-# (write, read) of each SRConfig field type; a None field is left out
-_CONFIG_CODECS = {
+
+def _join_floats(values):
+    return " ".join(repr(float(v)) for v in values)
+
+
+def _floats(text):
+    values = tuple(float(v) for v in text.split())
+    if not all(math.isfinite(v) for v in values):
+        raise DataError(f"non-finite number in {text!r}")
+    return values
+
+
+def _float(text):
+    (value,) = _floats(text)
+    return value
+
+
+def _read_kernel(text):
+    kind, *bandwidth = text.split(" ")
+    if (kind, len(bandwidth)) not in (("linear", 0), ("gaussian", 1)):
+        raise DataError(f"unknown kernel {text!r}")
+    return KernelSpec(kind, *map(_float, bandwidth))
+
+
+# codec name -> (write, read); an SRConfig field's codec is its type
+_CODECS = {
     "str": (str, str),
     "int": (str, int),
-    "bool": (lambda v: str(int(v)), lambda text: bool(int(text))),
-    "tuple": (
-        lambda v: " ".join(repr(float(x)) for x in v),
-        lambda text: tuple(float(x) for x in text.split()),
+    "bool": (lambda v: str(int(v)), {"0": False, "1": True}.__getitem__),
+    "tuple": (_join_floats, _floats),
+    "array": (_join_floats, lambda text: np.array(_floats(text))),
+    "float": (lambda v: repr(float(v)), _float),
+    "ints": (lambda v: " ".join(map(str, v)), lambda text: tuple(map(int, text.split()))),
+    "kernel": (
+        lambda k: "linear" if k.kind == "linear" else f"gaussian {float(k.bandwidth)!r}",
+        _read_kernel,
     ),
 }
-# config lines of options since removed, with the one value they could take
-_RETIRED_CONFIG = {"residual_model": "ols", "cv_criterion": "value"}
+_CONFIG_FIELDS = tuple((f.name, f.name, f.type) for f in fields(SRConfig))
+_OPTIONAL_CONFIG = tuple(f.name for f in fields(SRConfig) if f.default is None)
+# config lines of options since removed, at the one value they could take
+_RETIRED_CONFIG = ("residual_model ols", "cv_criterion value")
+_INTERCEPT = ("intercept", "intercept", "float")
+_SELECTION = (("selected", "selected_features", "ints"), ("fallback", "selection_fallback", "bool"))
+# rule kind -> (class, (file key, attribute, codec) per line); a kernel rule's
+# block also has one "point <coef> <x...>" line per expansion point
+_RULE_FIELDS = {
+    "constant": (ConstantRule, (("decision", "decision", "int"), ("reason", "reason", "str"))),
+    "sparse_linear": (SparseLinearRule, (_INTERCEPT, ("slopes", "slopes", "array"), *_SELECTION)),
+    "kernel_expansion": (KernelExpansionRule, (("kernel", "kernel", "kernel"), _INTERCEPT,
+                                               ("n_features", "n_features", "int"), *_SELECTION)),
+}
+_RULE_KINDS = {cls: kind for kind, (cls, _) in _RULE_FIELDS.items()}
 
 
-def _write_rule(fh, tag, rule):
-    if isinstance(rule, ConstantRule):
-        fh.write(f"rule {tag} constant\n")
-        fh.write(f"decision {rule.decision}\n")
-        fh.write(f"reason {rule.reason}\n")
-    elif isinstance(rule, SparseLinearRule):
-        fh.write(f"rule {tag} sparse_linear\n")
-        fh.write(f"intercept {float(rule.intercept)!r}\n")
-        fh.write("slopes " + " ".join(repr(float(v)) for v in rule.slopes) + "\n")
-        fh.write("selected " + " ".join(str(j) for j in rule.selected_features) + "\n")
-        fh.write(f"fallback {int(rule.selection_fallback)}\n")
-    elif isinstance(rule, KernelExpansionRule):
-        fh.write(f"rule {tag} kernel_expansion\n")
-        if rule.kernel.kind == "gaussian":
-            fh.write(f"kernel gaussian {float(rule.kernel.bandwidth)!r}\n")
-        else:
-            fh.write("kernel linear\n")
-        fh.write(f"intercept {float(rule.intercept)!r}\n")
-        fh.write(f"n_features {rule.n_features}\n")
-        fh.write("selected " + " ".join(str(j) for j in rule.selected_features) + "\n")
-        fh.write(f"fallback {int(rule.selection_fallback)}\n")
-        for coef, pt in zip(rule.coefs, rule.points):
-            fh.write("point " + repr(float(coef)) + " " + " ".join(repr(float(v)) for v in pt) + "\n")
-    else:
-        raise DataError(f"cannot serialize rule type {type(rule).__name__}")
+def _rule_tags(k_arms):
+    yield from (f"S{k}" for k in range(1, k_arms))
+    yield from (f"R{k}" for k in range(1, k_arms - 1))
+
+
+def _write_block(fh, head, obj, table, rows=()):
+    fh.write(head + "\n")
+    for key, attr, codec in table:
+        value = getattr(obj, attr)
+        if value is not None:
+            fh.write(f"{key} {_CODECS[codec][0](value)}\n")
+    for row in rows:
+        fh.write(row + "\n")
     fh.write("end\n")
 
 
 def save_model(model: SRModel, path):
-    cfg = model.config
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_MODEL_HEADER + "\n")
-        fh.write(f"k_arms {model.k_arms}\n")
-        fh.write("config\n")
-        for f in fields(SRConfig):
-            value = getattr(cfg, f.name)
-            if value is not None:
-                fh.write(f"{f.name} {_CONFIG_CODECS[f.type][0](value)}\n")
-        fh.write("end\n")
-        fh.write("scaling\n")
-        for lo, hi in zip(model.scaling.mins, model.scaling.maxs):
-            fh.write(f"{float(lo)!r} {float(hi)!r}\n")
-        fh.write("end\n")
-        for k, rule in enumerate(model.sequential_rules, start=1):
-            _write_rule(fh, f"S{k}", rule)
-        for k, rule in enumerate(model.reestimation_rules, start=1):
-            _write_rule(fh, f"R{k}", rule)
+        fh.write(f"{_MODEL_HEADER}\nk_arms {model.k_arms}\n")
+        _write_block(fh, "config", model.config, _CONFIG_FIELDS)
+        bounds = zip(model.scaling.mins, model.scaling.maxs)
+        _write_block(fh, "scaling", None, (), map(_join_floats, bounds))
+        rules = model.sequential_rules + model.reestimation_rules
+        for tag, rule in zip(_rule_tags(model.k_arms), rules):
+            kind = _RULE_KINDS.get(type(rule))
+            if kind is None:
+                raise DataError(f"cannot serialize rule type {type(rule).__name__}")
+            points = zip(rule.coefs, rule.points) if kind == "kernel_expansion" else ()
+            rows = (f"point {_join_floats((c, *x))}" for c, x in points)
+            _write_block(fh, f"rule {tag} {kind}", rule, _RULE_FIELDS[kind][1], rows)
 
 
-def _parse_rule(lines, i):
-    head = lines[i].split()
-    tag, kind = head[1], head[2]
-    i += 1
-    fields = {}
-    points = []
-    while lines[i] != "end":
-        key, _, rest = lines[i].partition(" ")
-        if key == "point":
-            points.append(rest)
-        else:
-            fields[key] = rest
-        i += 1
-    if kind == "constant":
-        rule = ConstantRule(decision=int(fields["decision"]), reason=fields.get("reason", ""))
-    elif kind == "sparse_linear":
-        slopes = np.array([float(v) for v in fields["slopes"].split()])
-        sel = tuple(int(v) for v in fields["selected"].split()) if fields["selected"] else ()
-        rule = SparseLinearRule(
-            intercept=float(fields["intercept"]),
-            slopes=slopes,
-            selected_features=sel,
-            selection_fallback=bool(int(fields.get("fallback", "0"))),
-        )
-    elif kind == "kernel_expansion":
-        kparts = fields["kernel"].split()
-        kernel = (
-            KernelSpec("linear")
-            if kparts[0] == "linear"
-            else KernelSpec("gaussian", float(kparts[1]))
-        )
-        coefs, pts = [], []
-        for rec in points:
-            vals = rec.split()
-            coefs.append(float(vals[0]))
-            pts.append([float(v) for v in vals[1:]])
-        nf = int(fields["n_features"])
-        sel = tuple(int(v) for v in fields["selected"].split()) if fields["selected"] else ()
-        rule = KernelExpansionRule(
-            points=np.array(pts).reshape(len(points), nf),
-            coefs=np.array(coefs),
-            intercept=float(fields["intercept"]),
-            kernel=kernel,
-            n_features=nf,
-            selected_features=sel,
-            selection_fallback=bool(int(fields.get("fallback", "0"))),
-        )
-    else:
-        raise DataError(f"unknown rule kind {kind!r} in model file")
-    return tag, rule, i + 1
+def _read_block(lines, i, head, table=(), rows_key=None, optional=(), skip=()):
+    """Read the block that opens at line i with head, passing over skip lines.
 
-
-def _expect(lines, i, section):
-    if lines[i] != section:
-        raise ValueError(f"line {i + 1}: expected {section!r}")
-    return i + 1
+    Returns ({attribute: value} per table entry, [rest of each line that starts
+    with rows_key], index after the block's "end"); DataError on a wrong head or
+    on a missing, unknown or repeated key."""
+    if lines[i] != head:
+        raise DataError(f"line {i + 1}: expected {head!r}")
+    end = lines.index("end", i + 1)
+    given, rows = {}, []
+    for line in lines[i + 1 : end]:
+        if rows_key is not None and line.startswith(rows_key):
+            rows.append(line[len(rows_key) :])
+        elif line not in skip:
+            key, _, text = line.partition(" ")
+            if key in given:
+                raise DataError(f"key {key!r} given twice")
+            given[key] = text
+    values = {}
+    for key, attr, codec in table:
+        if key in given:
+            values[attr] = _CODECS[codec][1](given.pop(key))
+        elif key not in optional:
+            raise DataError(f"missing key {key!r}")
+    if given:
+        raise DataError(f"unknown keys {sorted(given)}")
+    return values, rows, end + 1
 
 
 def load_model(path) -> SRModel:
@@ -442,49 +445,35 @@ def load_model(path) -> SRModel:
     if not lines or lines[0] != _MODEL_HEADER:
         raise DataError(f"{path}: not an ordinalsr model file")
     try:
-        return _parse_model(lines)
-    except (IndexError, KeyError, ValueError) as exc:
+        if not lines[1].startswith("k_arms "):
+            raise DataError("line 2: expected 'k_arms <K>'")
+        k_arms = int(lines[1][len("k_arms ") :])
+        config, _, i = _read_block(
+            lines, 2, "config", _CONFIG_FIELDS, None, _OPTIONAL_CONFIG, _RETIRED_CONFIG
+        )
+        _, bounds, i = _read_block(lines, i, "scaling", rows_key="")
+        bounds = np.array([_floats(row) for row in bounds]).reshape(len(bounds), 2)
+        rules = []
+        for tag in _rule_tags(k_arms):
+            kind = lines[i].removeprefix(f"rule {tag} ")
+            if kind not in _RULE_FIELDS:
+                raise DataError(f"line {i + 1}: expected a rule {tag} block")
+            cls, table = _RULE_FIELDS[kind]
+            rows_key = "point " if cls is KernelExpansionRule else None
+            values, rows, i = _read_block(lines, i, f"rule {tag} {kind}", table, rows_key)
+            if rows_key:
+                grid = np.array([_floats(row) for row in rows])
+                grid = grid.reshape(len(rows), values["n_features"] + 1)
+                values.update(coefs=grid[:, 0], points=grid[:, 1:])
+            rules.append(cls(**values))
+        if i != len(lines):
+            raise DataError(f"line {i + 1}: text after the last rule")
+        return SRModel(
+            k_arms=k_arms,
+            sequential_rules=tuple(rules[: k_arms - 1]),
+            reestimation_rules=tuple(rules[k_arms - 1 :]),
+            scaling=ScalingParams(mins=bounds[:, 0], maxs=bounds[:, 1]),
+            config=SRConfig(**config),
+        )
+    except (IndexError, KeyError, ValueError, DataError) as exc:
         raise DataError(f"{path}: truncated or malformed model file ({exc!r})") from None
-
-
-def _parse_model(lines) -> SRModel:
-    k_arms = int(lines[1].split()[1])
-    i = _expect(lines, 2, "config")
-    cfg = {}
-    while lines[i] != "end":
-        key, _, rest = lines[i].partition(" ")
-        if key in cfg:
-            raise DataError(f"config key {key!r} given twice")
-        cfg[key] = rest
-        i += 1
-    i += 1
-    for key, only in _RETIRED_CONFIG.items():
-        if cfg.pop(key, only) != only:
-            raise DataError(f"config {key} must be {only!r}; its other values were removed")
-    kwargs = {}
-    for f in fields(SRConfig):
-        if f.name in cfg or f.default is not None:
-            kwargs[f.name] = _CONFIG_CODECS[f.type][1](cfg.pop(f.name))
-    if cfg:
-        raise DataError(f"unknown config keys {sorted(cfg)}")
-    config = SRConfig(**kwargs)
-    i = _expect(lines, i, "scaling")
-    mins, maxs = [], []
-    while lines[i] != "end":
-        lo, hi = lines[i].split()
-        mins.append(float(lo))
-        maxs.append(float(hi))
-        i += 1
-    i += 1
-    scaling = ScalingParams(mins=np.array(mins), maxs=np.array(maxs))
-    seq, re_ = {}, {}
-    while i < len(lines) and lines[i].startswith("rule "):
-        tag, rule, i = _parse_rule(lines, i)
-        (seq if tag.startswith("S") else re_)[int(tag[1:])] = rule
-    return SRModel(
-        k_arms=k_arms,
-        sequential_rules=tuple(seq[k] for k in sorted(seq)),
-        reestimation_rules=tuple(re_[k] for k in sorted(re_)),
-        scaling=scaling,
-        config=config,
-    )

@@ -22,47 +22,53 @@ def svm_dual_oracle(gram, labels, caps):
 
     Feasible set: 0 <= alpha <= C, sum(alpha * y) = 0.  Every candidate active
     set (each coordinate at its lower bound, upper bound, or free) yields one
-    stationary candidate; the optimum is the best feasible candidate.
+    stationary candidate; the optimum is the best feasible candidate.  The
+    candidates are enumerated by free set: for each of the 2^m free sets, one
+    least-squares call solves the stationarity system for every 0/C pattern of
+    the fixed coordinates at once, one right-hand side per pattern.
     """
     K = np.asarray(gram, dtype=float)
     y = np.asarray(labels, dtype=float)
     C = np.asarray(caps, dtype=float)
     m = y.shape[0]
     Q = np.outer(y, y) * K
-
-    def objective(alpha):
-        return float(np.sum(alpha) - 0.5 * alpha @ Q @ alpha)
-
     best = -np.inf
     best_alpha = None
-    for combo in itertools.product((0, 1, 2), repeat=m):
-        alpha = np.zeros(m)
-        fixed_mask = np.array([c != 2 for c in combo])
-        alpha[np.array(combo) == 1] = C[np.array(combo) == 1]
-        free = np.flatnonzero(~fixed_mask)
-        if free.size:
+    for free_mask in itertools.product((False, True), repeat=m):
+        free = np.flatnonzero(free_mask)
+        fixed = np.flatnonzero(~np.array(free_mask))
+        nf = free.size
+        # one column per 0/C pattern of the fixed coordinates (bit k of the
+        # column index puts fixed coordinate k at its cap)
+        patterns = np.arange(2**fixed.size)
+        at_cap = (patterns >> np.arange(fixed.size)[:, None]) & 1
+        alpha = np.zeros((m, patterns.size))
+        alpha[fixed] = at_cap * C[fixed, None]
+        if nf:
             # stationarity on the free block with the hyperplane multiplier
-            nf = free.size
             A = np.zeros((nf + 1, nf + 1))
             A[:nf, :nf] = Q[np.ix_(free, free)]
             A[:nf, nf] = y[free]
             A[nf, :nf] = y[free]
-            rhs = np.empty(nf + 1)
-            fixed = np.flatnonzero(fixed_mask)
+            rhs = np.empty((nf + 1, alpha.shape[1]))
             rhs[:nf] = 1.0 - Q[np.ix_(free, fixed)] @ alpha[fixed]
-            rhs[nf] = -float(y[fixed] @ alpha[fixed])
+            rhs[nf] = -(y[fixed] @ alpha[fixed])
             sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            if np.linalg.norm(A @ sol - rhs) > 1e-8:
-                continue
+            solved = np.linalg.norm(A @ sol - rhs, axis=0) <= 1e-8
             alpha[free] = sol[:nf]
-        if np.any(alpha < -1e-10) or np.any(alpha > C + 1e-10):
-            continue
-        if abs(float(y @ alpha)) > 1e-8:
-            continue
-        val = objective(np.clip(alpha, 0.0, C))
-        if val > best:
-            best = val
-            best_alpha = np.clip(alpha, 0.0, C)
+            alpha = alpha[:, solved]
+        feasible = (
+            np.all(alpha >= -1e-10, axis=0)
+            & np.all(alpha <= C[:, None] + 1e-10, axis=0)
+            & (np.abs(y @ alpha) <= 1e-8)
+        )
+        clipped = np.clip(alpha[:, feasible], 0.0, C[:, None])
+        if clipped.shape[1]:
+            values = clipped.sum(axis=0) - 0.5 * np.einsum("ip,ij,jp->p", clipped, Q, clipped)
+            j = int(np.argmax(values))
+            if values[j] > best:
+                best = float(values[j])
+                best_alpha = clipped[:, j]
     return best, best_alpha
 
 

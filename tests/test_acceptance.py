@@ -216,14 +216,26 @@ def test_criterion_4_nonparallel_benchmark(bench_n8):
     assert means[800] <= 0.08
 
 
-def test_criterion_5_parallel_linear_benchmark():
-    """P1 (parallel linear boundaries), linear-kernel SR, 20 replicates: mean
-    misclassification at most 0.08 at n=400 and 0.06 at n=800."""
+@pytest.fixture(scope="module")
+def bench_p1_800():
+    """The P1 n=800 sr-linear rows that criteria 5 and 6 share."""
     rows, failures = run_benchmark(
-        ["P1"], [400, 800], BENCH_REPLICATES, ["sr-linear"],
+        ["P1"], [800], BENCH_REPLICATES, ["sr-linear"],
         seed=0, test_size=BENCH_TEST_SIZE, jobs=1,
     )
     assert not failures
+    return rows
+
+
+def test_criterion_5_parallel_linear_benchmark(bench_p1_800):
+    """P1 (parallel linear boundaries), linear-kernel SR, 20 replicates: mean
+    misclassification at most 0.08 at n=400 and 0.06 at n=800."""
+    rows, failures = run_benchmark(
+        ["P1"], [400], BENCH_REPLICATES, ["sr-linear"],
+        seed=0, test_size=BENCH_TEST_SIZE, jobs=1,
+    )
+    assert not failures
+    rows += bench_p1_800
     means = {}
     for n in (400, 800):
         vals = [r["misclass"] for r in rows if r["n"] == n]
@@ -240,15 +252,16 @@ def test_criterion_5_parallel_linear_benchmark():
     assert means[800] <= 0.06
 
 
-def test_criterion_6_reestimation_ablation():
+def test_criterion_6_reestimation_ablation(bench_p1_800):
     """Dropping the re-estimation rules must hurt: over 20 paired replicates
     of P1 at n=800, the full cascade has a mean misclassification no higher
     than the ablation, and is strictly lower in at least 70 percent."""
     rows, failures = run_benchmark(
-        ["P1"], [800], BENCH_REPLICATES, ["sr-linear", "sr-linear-no-r"],
+        ["P1"], [800], BENCH_REPLICATES, ["sr-linear-no-r"],
         seed=0, test_size=BENCH_TEST_SIZE, jobs=1,
     )
     assert not failures
+    rows += bench_p1_800
     with_r = {r["replicate"]: r["misclass"] for r in rows if r["method"] == "sr-linear"}
     without = {
         r["replicate"]: r["misclass"] for r in rows if r["method"] == "sr-linear-no-r"

@@ -127,6 +127,14 @@ class TestFitPredictEvaluate:
              "--lambdas", "0.1,-0.1"]
         ) == 1
 
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_negative_seed_exits_one(self, tmp_path, trial_csv, seed):
+        assert run(
+            ["fit", "--data", str(trial_csv), "--out", str(tmp_path / "m.txt"),
+             "--seed", seed]
+        ) == 1
+        assert not (tmp_path / "m.txt").exists()
+
 
 class TestBenchmark:
     def test_outputs_written(self, tmp_path):

@@ -121,6 +121,17 @@ class TestCsvRoundTrip:
         save_csv(load_csv(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_feature_names_with_commas_and_quotes_round_trip(self, tmp_path):
+        d = _toy(n=4, p=2, seed=5)
+        d = TrialDataset(d.features, d.treatment, d.outcome, d.k_arms,
+                         feature_names=("a,b", 'c"d'))
+        path = tmp_path / "t.csv"
+        save_csv(d, path)
+        back = load_csv(path)
+        assert back.feature_names == ("a,b", 'c"d')
+        np.testing.assert_array_equal(back.features, d.features)
+        assert path.read_text().splitlines()[0] == '"a,b","c""d",a,y'
+
     def test_no_numpy_reprs_in_file(self, tmp_path):
         d = _toy(n=4)
         path = tmp_path / "t.csv"

@@ -192,6 +192,13 @@ class TestBenchmark:
         assert not fails1
         assert [r["method"] for r in rows1] == ["oracle", "oracle", "sr-linear", "sr-linear"]
 
+    def test_process_pool_rows_match_serial_rows(self):
+        """jobs > 1 runs the cells in a process pool, as the CLI does by default."""
+        args = (["P1"], [80], 2, ["oracle", "sr-linear"])
+        serial = run_benchmark(*args, seed=7, test_size=300, jobs=1)
+        pooled = run_benchmark(*args, seed=7, test_size=300, jobs=2)
+        assert pooled == serial
+
     def test_oracle_has_zero_misclassification(self):
         rows, _ = run_benchmark(["N8"], [50], 2, ["oracle"], seed=1, test_size=400, jobs=1)
         assert all(r["misclass"] == 0.0 for r in rows)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ordinalsr.sr as sr_module
 from ordinalsr.aol import KernelExpansionRule, SparseLinearRule
 from ordinalsr.data import ScalingParams, TrialDataset
-from ordinalsr.exceptions import DataError
+from ordinalsr.exceptions import DataError, OrdinalSRError
 from ordinalsr.kernels import KernelSpec
 from ordinalsr.simgen import SETTINGS, generate, get_setting
 from ordinalsr.sr import (
@@ -230,6 +230,20 @@ class TestConfigValidation:
         with pytest.raises(DataError, match="unknown"):
             SRConfig(**{field: "bogus"})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -5), ("seed", 1.5), ("seed", True), ("seed", "3"), ("min_step_size", "10"),
+         ("min_step_size", -1), ("min_step_size", 2.0), ("use_r_steps", "no"),
+         ("use_r_steps", 1), ("use_r_steps", None)],
+    )
+    def test_seed_step_size_and_r_steps_checked(self, field, value):
+        with pytest.raises(DataError, match=field):
+            SRConfig(**{field: value})
+
+    def test_integer_seed_and_step_size_accepted(self):
+        config = SRConfig(seed=np.int64(3), min_step_size=0, use_r_steps=False)
+        assert (config.seed, config.min_step_size, config.use_r_steps) == (3, 0, False)
+
     def test_fitter_resolution(self, monkeypatch):
         """The penalty alone picks the rule fitter; a two-stage step is an L2
         fit on masked features that carries the screen's selection."""
@@ -322,6 +336,40 @@ reason R1: only 4 eligible subjects
 end
 """
 
+PARENT_FORMAT_ROWS = np.array(
+    [[-2.0, 5.0], [-0.5, 1.0], [0.0, 0.0], [0.4, 9.0], [1.0, 3.0], [2.0, 10.0]]
+)
+
+# replacement tokens for the fuzz test: numbers at and past the edges, and
+# words of the format in the wrong place
+_FUZZ_TOKENS = st.sampled_from(
+    ["", "0", "1", "-1", "2", "0.5", "-0.5", "1e308", "-1e308", "1e-320", "nan", "inf",
+     "-inf", "99999999999", "x", "end", "rule", "S1", "R1", "point", "config", "scaling",
+     "linear", "gaussian", "constant", "kernel_expansion"]
+) | st.text(max_size=6)
+
+
+@st.composite
+def _mutated_model_files(draw):
+    """PARENT_FORMAT_MODEL cut short, or with one line deleted, duplicated or
+    with one token replaced."""
+    text = PARENT_FORMAT_MODEL
+    lines = text.splitlines(keepends=True)
+    edit = draw(st.sampled_from(["truncate", "delete", "duplicate", "replace"]))
+    if edit == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    i = draw(st.integers(0, len(lines) - 1))
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        tokens = lines[i].rstrip("\n").split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_FUZZ_TOKENS)
+        lines[i] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False)
 _grid = st.lists(_positive, min_size=1, max_size=4).map(tuple)
 
@@ -341,7 +389,7 @@ def _sr_configs(draw):
         sigma_scales=draw(_grid),
         cv_folds=draw(st.integers(2, 100)),
         min_step_size=draw(st.integers(0, 10**6)),
-        seed=draw(st.integers(-(2**63), 2**63)),
+        seed=draw(st.integers(0, 2**63)),
         propensity_mode=draw(st.sampled_from(["known", "logistic"])),
         use_r_steps=draw(st.booleans()),
     )
@@ -371,8 +419,9 @@ class TestModelFile:
             sigma_grid=(0.7,),
             seed=7,
         )
-        X = np.array([[-2.0, 5.0], [-0.5, 1.0], [0.0, 0.0], [0.4, 9.0], [1.0, 3.0], [2.0, 10.0]])
-        np.testing.assert_array_equal(predict_ordinal(model, X), [1, 1, 2, 3, 3, 3])
+        np.testing.assert_array_equal(
+            predict_ordinal(model, PARENT_FORMAT_ROWS), [1, 1, 2, 3, 3, 3]
+        )
         again = tmp_path / "again.txt"
         save_model(model, again)
         dropped = ("residual_model ols\n", "cv_criterion value\n")
@@ -390,14 +439,45 @@ class TestModelFile:
             ("seed 7\n", "seed 7\nbogus_key 1\n"),
             ("seed 7\n", "seed 7\nseed 8\n"),
             ("seed 7\n", ""),
+            ("intercept 0.25\n", "intercept nan\n"),
+            ("slopes 1.5 0.0\n", "slopes inf 0.0\n"),
+            ("-2.0 2.0\n", "nan nan\n"),
+            ("subjects\nend\n", "subjects\nend\njunk\n"),
+            ("rule S1 sparse_linear\n", "rule S0 sparse_linear\n"),
+            ("fallback 0\nend\nrule S2", "fallback 0\nbogus 1\nend\nrule S2"),
+            ("intercept 0.25\n", "intercept 0.25\nintercept 0.25\n"),
+            ("fallback 0\nend\nrule S2", "fallback 2\nend\nrule S2"),
+            ("decision -1\n", "decision 0\n"),
         ],
-        ids=["kernel_ridge", "weighted_misclass", "unknown_key", "repeated_key", "missing_key"],
+        ids=["kernel_ridge", "weighted_misclass", "unknown_key", "repeated_key", "missing_key",
+             "nan_intercept", "inf_slope", "nan_scaling_row", "junk_after_last_rule", "tag_S0",
+             "unknown_rule_key", "repeated_rule_key", "fallback_2", "decision_0"],
     )
     def test_retired_values_and_unknown_keys_raise_data_error(self, tmp_path, old, new):
+        """Each edit of the parent-format file is malformed and raises DataError."""
+        assert PARENT_FORMAT_MODEL.count(old) == 1
         path = tmp_path / "model.txt"
         path.write_text(PARENT_FORMAT_MODEL.replace(old, new))
         with pytest.raises(DataError):
             load_model(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_mutated_model_files())
+    def test_mutated_files_load_or_raise_typed_errors(self, text):
+        """A damaged file either loads or raises an OrdinalSRError, and so does
+        predicting with whatever loads."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                model = load_model(path)
+            except OrdinalSRError:
+                return
+        try:
+            with np.errstate(all="ignore"):  # edited numbers may overflow
+                predict_ordinal(model, PARENT_FORMAT_ROWS)
+        except OrdinalSRError:
+            pass
 
     def _configs(self):
         return [
