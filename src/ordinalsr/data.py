@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,16 @@ __all__ = [
     "apply_scaling",
     "compute_utility",
 ]
+
+
+# load_csv reads these header names as the non-feature columns
+_RESERVED_COLUMNS = ("a", "y", "prop", "d_star")
+
+
+def _check_integer(name, value, low):
+    """DataError unless value is an integer >= low; bools are not integers here."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise DataError(f"{name} must be an integer >= {low}, not {value!r}")
 
 
 def _readonly(a):
@@ -89,6 +100,8 @@ class TrialDataset:
         )
         if len(names) != X.shape[1]:
             raise DataError("feature_names length mismatch")
+        if len(set(names)) != len(names) or set(names) & set(_RESERVED_COLUMNS):
+            raise DataError(f"feature names must be distinct and not in {_RESERVED_COLUMNS}: {names}")
         object.__setattr__(self, "features", _readonly(X))
         object.__setattr__(self, "treatment", _readonly(a))
         object.__setattr__(self, "outcome", _readonly(y))
@@ -214,8 +227,9 @@ def load_csv(path, k_arms=None, reverse_arms=False) -> TrialDataset:
     """Read the canonical trial CSV.
 
     Columns: x1..xp (any names not in {a, y, prop, d_star} are features, in
-    file order), a, y, optional prop, optional d_star.  K defaults to the
-    largest observed treatment label.
+    file order), a, y, optional prop, optional d_star.  Header names are
+    taken as written, surrounding spaces included.  K defaults to the largest
+    observed treatment label.
     """
     with _read_text(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -223,12 +237,10 @@ def load_csv(path, k_arms=None, reverse_arms=False) -> TrialDataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        special = {"a", "y", "prop", "d_star"}
-        feat_cols = [i for i, h in enumerate(header) if h not in special]
+        feat_cols = [i for i, h in enumerate(header) if h not in _RESERVED_COLUMNS]
         col = {h: i for i, h in enumerate(header)}
-        if "a" not in col or "y" not in col:
-            raise DataError(f"{path}: header must contain 'a' and 'y' columns")
+        if "a" not in col or "y" not in col or len(col) != len(header):
+            raise DataError(f"{path}: header must contain 'a' and 'y' and no name twice")
         rows_x, rows_a, rows_y, rows_p, rows_d = [], [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):

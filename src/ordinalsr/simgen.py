@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import TrialDataset
+from .data import TrialDataset, _check_integer
 from .exceptions import DataError
 
 __all__ = [
@@ -131,6 +131,7 @@ def generate(spec: SettingSpec, n, seed) -> TrialDataset:
     """Draw a fully reproducible trial of size n under uniform randomization."""
     if n < 1:
         raise DataError("n must be >= 1")
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(n, spec.p))
     A = rng.integers(1, spec.k_arms + 1, size=n)

@@ -80,25 +80,37 @@ def ols_fit(X, y) -> LinearModel:
     return LinearModel(intercept=float(beta[0]), slopes=beta[1:])
 
 
-def _irls(A, y, max_iter, gtol):
-    """Ridge-damped Newton ascent on the Bernoulli log-likelihood of y on A.
+def _irls(A, y, max_iter, gtol, beta=None):
+    """Ridge-damped Newton ascent on the Bernoulli log-likelihood of y, batched.
 
-    The Hessian gets a 1e-6 ridge and every step is clipped to |coef| <= 30.
-    Returns (beta, iterations, whether the gradient norm fell below gtol).
+    A stacks designs (B, n, d) and beta their starts (B, d), zero when None.
+    The Hessians get a 1e-6 ridge, weights a 1e-10 floor, and steps are clipped
+    to |coef| <= 30; a design stops once its gradient norm falls below gtol.
+    Each design's arithmetic is its own, whatever else is in the stack.
+    Returns (coefficients (B, d), iterations (B,), converged (B,)).
     """
-    d = A.shape[1]
+    B, _, d = A.shape
+    beta = np.zeros((B, d)) if beta is None else np.array(beta, dtype=float)
+    iterations = np.full(B, max_iter)
+    converged = np.zeros(B, dtype=bool)
     ridge = _LOGISTIC_RIDGE * np.eye(d)
-    beta = np.zeros(d)
+    active = np.arange(B)
     for it in range(1, max_iter + 1):
-        eta = np.clip(A @ beta, -35, 35)
+        eta = np.clip(np.matmul(A, beta[active, :, None])[..., 0], -35, 35)
         p = 1.0 / (1.0 + np.exp(-eta))
-        grad = A.T @ (y - p)
-        if np.linalg.norm(grad) < gtol:
-            return beta, it, True
+        grad = np.matmul((y - p)[:, None, :], A)[:, 0]
+        done = np.linalg.norm(grad, axis=1) < gtol
+        if done.any():
+            iterations[active[done]] = it
+            converged[active[done]] = True
+            active, A, p, grad = (v[~done] for v in (active, A, p, grad))
+            if not active.size:
+                break
         w = np.maximum(p * (1.0 - p), 1e-10)
-        H = (A * w[:, None]).T @ A + ridge
-        beta = np.clip(beta + np.linalg.solve(H, grad), -_COEF_CAP, _COEF_CAP)
-    return beta, max_iter, False
+        H = np.matmul(A.transpose(0, 2, 1) * w[:, None, :], A) + ridge
+        step = np.linalg.solve(H, grad[..., None])[..., 0]
+        beta[active] = np.clip(beta[active] + step, -_COEF_CAP, _COEF_CAP)
+    return beta, iterations, converged
 
 
 def logistic_fit(X, labels, max_iter=_LOGISTIC_MAXIT) -> LogisticModel:
@@ -117,11 +129,11 @@ def logistic_fit(X, labels, max_iter=_LOGISTIC_MAXIT) -> LogisticModel:
     if np.unique(y).size < 2:
         raise DataError("logistic_fit needs both classes present")
     A = np.column_stack([np.ones(X.shape[0]), X])
-    beta, it, converged = _irls(A, y, max_iter, _LOGISTIC_GTOL)
+    (beta,), (it,), (converged,) = _irls(A[None], y, max_iter, _LOGISTIC_GTOL)
     if np.any(np.abs(beta) >= _COEF_CAP - 1e-12):
         converged = False
     return LogisticModel(
-        intercept=float(beta[0]), slopes=beta[1:], converged=converged, iterations=it
+        intercept=float(beta[0]), slopes=beta[1:], converged=bool(converged), iterations=int(it)
     )
 
 

@@ -10,13 +10,12 @@ the final call to the matching re-estimation rule.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .aol import KernelExpansionRule, SparseLinearRule, build_subproblem, fit_aol_l2, fit_aol_l1_linear
-from .data import ScalingParams, TrialDataset, _read_text, apply_scaling, fit_scaling
+from .data import ScalingParams, TrialDataset, _check_integer, _read_text, apply_scaling, fit_scaling
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, median_bandwidth
 from .solvers import ols_fit
@@ -84,9 +83,7 @@ class SRConfig:
                 "selects by itself (selection='embedded')"
             )
         for name, low in (("cv_folds", 2), ("min_step_size", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-                raise DataError(f"{name} must be an integer >= {low}, not {value!r}")
+            _check_integer(name, getattr(self, name), low)
         if not isinstance(self.use_r_steps, bool):
             raise DataError(f"use_r_steps must be a bool, not {self.use_r_steps!r}")
         if self.propensity_mode not in ("known", "logistic"):

@@ -29,6 +29,7 @@ __all__ = [
 EBIC_GAMMA = 0.5
 _NEWTON_ITERS = 25
 _NEWTON_GTOL = 1e-6
+_CHUNK_BYTES = 32 * 2**20  # cap on one chunk of stacked candidate designs
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class ScreenResult:
     selected_monomials: tuple  # (j,) first-order or (j, k) second-order, 0-based
     selected_covariates: tuple  # union of covariate indices in the monomials
     trace: tuple  # (action, monomial, ebic) per accepted move
+    fits: int = 0  # candidate models fitted
+    newton_iterations: int = 0  # summed over those fits
 
 
 def expand_second_order(X):
@@ -60,13 +63,6 @@ def expand_second_order(X):
     return np.column_stack(cols), tuple(desc)
 
 
-def _loglik(A, y):
-    """Bernoulli log-likelihood of y on design A at its IRLS fit."""
-    beta, _, _ = _irls(A, y, _NEWTON_ITERS, _NEWTON_GTOL)
-    eta = np.clip(A @ beta, -35, 35)
-    return float(y @ eta - np.sum(np.log1p(np.exp(eta))))
-
-
 def _ebic(ll, k_terms, n, n_candidates, gamma=EBIC_GAMMA):
     penalty = (k_terms + 1) * math.log(n)
     choose = (
@@ -82,7 +78,11 @@ def screen_stepwise(X_aug, labels, descriptors=None, gamma=EBIC_GAMMA):
 
     X_aug columns are monomials (see expand_second_order); columns are
     standardized internally so the screen is scale-invariant.  The
-    likelihood is unweighted.
+    likelihood is unweighted.  Each pass fits all of its candidates together
+    in stacked Newton iterations: a forward candidate starts from the current
+    model's coefficients with a 0 appended, a backward one from them with the
+    dropped coefficient removed, which reaches the same maximum likelihood as
+    a cold start.
     """
     X_aug = np.atleast_2d(np.asarray(X_aug, dtype=float))
     y = np.asarray(labels, dtype=float)
@@ -98,50 +98,67 @@ def screen_stepwise(X_aug, labels, descriptors=None, gamma=EBIC_GAMMA):
     usable = sd > 1e-12
     Z = np.zeros_like(X_aug)
     Z[:, usable] = (X_aug[:, usable] - mu[usable]) / sd[usable]
-    ones = np.ones((n, 1))
-
-    def model_ll(cols):
-        return _loglik(np.column_stack([ones, Z[:, cols]]) if cols else ones, y)
-
+    D = np.column_stack([np.ones(n), Z])  # intercept, then monomial j in column 1 + j
     cap = int(min(n / 5, 50))
-    selected = []
-    current = _ebic(model_ll([]), 0, n, P, gamma)
-    trace = [("init", None, current)]
+    selected, fits, iterations, current = [], 0, 0, math.inf
+
+    def best_move(cols, starts, k_terms):
+        """Fit the candidate designs D[:, cols[i]] from starts[i], a chunk of
+        stacked designs at a time.  Returns the index of the candidate a scan
+        in candidate order accepts, each replacing the best so far when it
+        beats it by more than 1e-8 (-1 if none beats the current model), its
+        EBIC and every fit's coefficients."""
+        nonlocal fits, iterations
+        m, d = cols.shape
+        lls, betas = np.empty(m), np.empty((m, d))
+        chunk = max(1, _CHUNK_BYTES // (8 * n * d))
+        for rows in (slice(lo, lo + chunk) for lo in range(0, m, chunk)):
+            # a C-ordered gather keeps each design's BLAS calls chunk-independent
+            A = D[np.arange(n)[:, None], cols[rows, None, :]]
+            beta, its, converged = _irls(A, y, _NEWTON_ITERS, _NEWTON_GTOL, starts[rows])
+            iterations += int(its.sum())
+            # a likelihood with no maximum (separated classes) is scored where
+            # a cold start stops, not wherever this start reached by the cap
+            if not converged.all():
+                beta[~converged], its, _ = _irls(A[~converged], y, _NEWTON_ITERS, _NEWTON_GTOL)
+                iterations += int(its.sum())
+            eta = np.clip(np.matmul(A, beta[..., None])[..., 0], -35, 35)
+            lls[rows] = (eta * y).sum(axis=1) - np.log1p(np.exp(eta)).sum(axis=1)
+            betas[rows] = beta
+        fits += m
+        best, best_val = -1, current
+        for i, val in enumerate(_ebic(lls, k_terms, n, P, gamma)):
+            if val < best_val - 1e-8:
+                best, best_val = i, float(val)
+        return best, best_val, betas
+
+    _, current, betas = best_move(np.zeros((1, 1), dtype=int), np.zeros((1, 1)), 0)
+    beta, trace = betas[0], [("init", None, current)]
     improved = True
     while improved:
         improved = False
-        # forward
-        if len(selected) < cap:
-            best_j, best_val = -1, current
-            for j in range(P):
-                if j in selected or not usable[j]:
-                    continue
-                val = _ebic(model_ll(selected + [j]), len(selected) + 1, n, P, gamma)
-                if val < best_val - 1e-8:
-                    best_j, best_val = j, val
-            if best_j >= 0:
-                selected.append(best_j)
-                current = best_val
-                trace.append(("add", descriptors[best_j], current))
+        if len(selected) < cap:  # forward: one more usable monomial
+            cand = [j for j in range(P) if j not in selected and usable[j]]
+            cols = np.array([[0] + [1 + s for s in selected] + [1 + j] for j in cand], dtype=int)
+            starts = np.tile(np.append(beta, 0.0), (len(cand), 1))
+            best, value, betas = best_move(cols.reshape(starts.shape), starts, len(selected) + 1)
+            if best >= 0:
+                selected.append(cand[best])
+                beta, current = betas[best], value
+                trace.append(("add", descriptors[cand[best]], current))
                 improved = True
-        # backward
-        if len(selected) > 1:
-            best_j, best_val = -1, current
-            for j in selected:
-                rest = [s for s in selected if s != j]
-                val = _ebic(model_ll(rest), len(rest), n, P, gamma)
-                if val < best_val - 1e-8:
-                    best_j, best_val = j, val
-            if best_j >= 0:
-                selected.remove(best_j)
-                current = best_val
-                trace.append(("drop", descriptors[best_j], current))
+        if len(selected) > 1:  # backward: one selected monomial fewer
+            k = len(selected)
+            keep = np.array([[i for i in range(k + 1) if i != drop] for drop in range(1, k + 1)])
+            cols = np.array([0] + [1 + s for s in selected])[keep]
+            best, value, betas = best_move(cols, beta[keep], k - 1)
+            if best >= 0:
+                beta, current = betas[best], value
+                trace.append(("drop", descriptors[selected.pop(best)], current))
                 improved = True
     monomials = tuple(descriptors[j] for j in sorted(selected))
     covariates = tuple(sorted({idx for mono in monomials for idx in mono}))
-    return ScreenResult(
-        selected_monomials=monomials, selected_covariates=covariates, trace=tuple(trace)
-    )
+    return ScreenResult(monomials, covariates, tuple(trace), fits, iterations)
 
 
 def screen_for_subproblem(sub: BinarySubproblem) -> ScreenResult:

@@ -5,8 +5,9 @@ oracle enumerates active sets of the box-and-hyperplane feasible region, and
 the linear-program oracle enumerates basic feasible points (vertices).  Both
 are exponential and only suitable for the tiny instances the acceptance
 criteria prescribe.  The module also keeps small reference helpers for the
-unit tests: a direct kernel evaluation, the L1 zero-slope penalty level and a
-Monte Carlo check of the simulation settings.
+unit tests: a direct kernel evaluation, the L1 zero-slope penalty level, a
+Monte Carlo check of the simulation settings and the one-candidate-at-a-time
+stepwise screen the batched one is checked against.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 
 from ordinalsr.exceptions import DataError
 from ordinalsr.simgen import true_optimal
+from ordinalsr.varselect import EBIC_GAMMA, ScreenResult, _ebic
 
 
 def svm_dual_oracle(gram, labels, caps):
@@ -177,3 +179,97 @@ def validate_setting(spec, draws=100_000, seed=20_260_824, min_freq=0.01):
             f"{spec.id}: class frequencies {freqs.round(4).tolist()} below {min_freq}"
         )
     return freqs
+
+
+def _irls(A, y, max_iter, gtol):
+    """Ridge-damped Newton ascent on the Bernoulli log-likelihood of y on A.
+
+    The Hessian gets a 1e-6 ridge and every step is clipped to |coef| <= 30.
+    Returns (beta, iterations, whether the gradient norm fell below gtol).
+    """
+    d = A.shape[1]
+    ridge = 1e-6 * np.eye(d)
+    beta = np.zeros(d)
+    for it in range(1, max_iter + 1):
+        eta = np.clip(A @ beta, -35, 35)
+        p = 1.0 / (1.0 + np.exp(-eta))
+        grad = A.T @ (y - p)
+        if np.linalg.norm(grad) < gtol:
+            return beta, it, True
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        H = (A * w[:, None]).T @ A + ridge
+        beta = np.clip(beta + np.linalg.solve(H, grad), -30.0, 30.0)
+    return beta, max_iter, False
+
+
+def _loglik(A, y):
+    """Bernoulli log-likelihood of y on design A at its IRLS fit."""
+    beta, _, _ = _irls(A, y, 25, 1e-6)
+    eta = np.clip(A @ beta, -35, 35)
+    return float(y @ eta - np.sum(np.log1p(np.exp(eta))))
+
+
+def screen_stepwise_serial(X_aug, labels, descriptors=None, gamma=EBIC_GAMMA):
+    """Forward-backward stepwise logistic screening scored by EBIC.
+
+    The reference for varselect.screen_stepwise: every candidate model is
+    fitted on its own by a cold-started Newton loop.
+    """
+    X_aug = np.atleast_2d(np.asarray(X_aug, dtype=float))
+    y = np.asarray(labels, dtype=float)
+    n, P = X_aug.shape
+    if n < 20:
+        raise DataError("screen_stepwise needs n >= 20")
+    if np.unique(y).size < 2:
+        raise DataError("screen_stepwise needs both classes present")
+    if descriptors is None:
+        descriptors = tuple((j,) for j in range(P))
+    mu = X_aug.mean(axis=0)
+    sd = X_aug.std(axis=0)
+    usable = sd > 1e-12
+    Z = np.zeros_like(X_aug)
+    Z[:, usable] = (X_aug[:, usable] - mu[usable]) / sd[usable]
+    ones = np.ones((n, 1))
+
+    def model_ll(cols):
+        return _loglik(np.column_stack([ones, Z[:, cols]]) if cols else ones, y)
+
+    cap = int(min(n / 5, 50))
+    selected = []
+    current = _ebic(model_ll([]), 0, n, P, gamma)
+    trace = [("init", None, current)]
+    improved = True
+    while improved:
+        improved = False
+        # forward
+        if len(selected) < cap:
+            best_j, best_val = -1, current
+            for j in range(P):
+                if j in selected or not usable[j]:
+                    continue
+                val = _ebic(model_ll(selected + [j]), len(selected) + 1, n, P, gamma)
+                if val < best_val - 1e-8:
+                    best_j, best_val = j, val
+            if best_j >= 0:
+                selected.append(best_j)
+                current = best_val
+                trace.append(("add", descriptors[best_j], current))
+                improved = True
+        # backward
+        if len(selected) > 1:
+            best_j, best_val = -1, current
+            for j in selected:
+                rest = [s for s in selected if s != j]
+                val = _ebic(model_ll(rest), len(rest), n, P, gamma)
+                if val < best_val - 1e-8:
+                    best_j, best_val = j, val
+            if best_j >= 0:
+                selected.remove(best_j)
+                current = best_val
+                trace.append(("drop", descriptors[best_j], current))
+                improved = True
+    monomials = tuple(descriptors[j] for j in sorted(selected))
+    covariates = tuple(sorted({idx for mono in monomials for idx in mono}))
+    return ScreenResult(
+        selected_monomials=monomials, selected_covariates=covariates, trace=tuple(trace)
+    )

@@ -34,6 +34,13 @@ class TestSimgen:
         assert run(["simgen", "--setting", "N8", "--n", "30", "--p", "10", "--out", str(out)]) == 0
         assert load_csv(out).p == 10
 
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_negative_seed_exits_one(self, tmp_path, seed):
+        out = tmp_path / "d.csv"
+        assert run(["simgen", "--setting", "N8", "--n", "30", "--seed", seed,
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_unknown_setting_exits_one(self, tmp_path):
         out = tmp_path / "d.csv"
         assert run(["simgen", "--setting", "ZZ", "--n", "10", "--out", str(out)]) == 1
@@ -127,6 +134,11 @@ class TestFitPredictEvaluate:
              "--lambdas", "0.1,-0.1"]
         ) == 1
 
+    def test_repeated_feature_name_exits_one(self, tmp_path):
+        data = tmp_path / "dup.csv"
+        data.write_text("x,x,a,y\n" + "".join(f"0.{i},0.5,{1 + i % 3},1.0\n" for i in range(30)))
+        assert run(["fit", "--data", str(data), "--out", str(tmp_path / "m.txt")]) == 1
+
     @pytest.mark.parametrize("seed", ["-5", "-1"])
     def test_negative_seed_exits_one(self, tmp_path, trial_csv, seed):
         assert run(
@@ -151,6 +163,13 @@ class TestBenchmark:
         assert "oracle" in summary
         assert "effect_scale" in manifest
         assert "np.float64" not in rows + summary
+
+    def test_negative_seed_exits_one(self, tmp_path):
+        assert run(
+            ["benchmark", "--settings", "P1", "--n", "60", "--replicates", "2",
+             "--methods", "oracle", "--seed", "-1", "--test-size", "200",
+             "--jobs", "1", "--out-prefix", str(tmp_path / "bench")]
+        ) == 1
 
     def test_unknown_method_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

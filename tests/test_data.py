@@ -43,6 +43,13 @@ class TestTrialDataset:
         with pytest.raises(ValueError):
             d.treatment[0] = 2
 
+    @pytest.mark.parametrize(
+        "names", [("a", "y"), ("x1", "prop"), ("d_star", "x2"), ("x", "x")]
+    )
+    def test_reserved_or_repeated_feature_names_rejected(self, names):
+        with pytest.raises(DataError, match="feature names"):
+            TrialDataset(np.zeros((3, 2)), [1, 2, 3], np.zeros(3), 3, feature_names=names)
+
     def test_treatment_out_of_range_rejected(self):
         with pytest.raises(DataError):
             TrialDataset(
@@ -131,6 +138,23 @@ class TestCsvRoundTrip:
         assert back.feature_names == ("a,b", 'c"d')
         np.testing.assert_array_equal(back.features, d.features)
         assert path.read_text().splitlines()[0] == '"a,b","c""d",a,y'
+
+    def test_feature_names_with_surrounding_spaces_round_trip(self, tmp_path):
+        d = _toy(n=4, p=2, seed=6)
+        d = TrialDataset(d.features, d.treatment, d.outcome, d.k_arms,
+                         feature_names=(" x", "x "))
+        path = tmp_path / "t.csv"
+        save_csv(d, path)
+        back = load_csv(path)
+        assert back.feature_names == (" x", "x ")
+        np.testing.assert_array_equal(back.features, d.features)
+
+    @pytest.mark.parametrize("header", ["x,x,a,y", "x,a,a,y", "x,a,y,y"])
+    def test_repeated_header_name_raises_data_error(self, tmp_path, header):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n0.1,1,2,2.0\n0.3,2,1,1.0\n")
+        with pytest.raises(DataError, match="twice"):
+            load_csv(path)
 
     def test_no_numpy_reprs_in_file(self, tmp_path):
         d = _toy(n=4)

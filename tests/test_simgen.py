@@ -143,6 +143,15 @@ class TestGenerate:
         with pytest.raises(DataError):
             generate(SETTINGS["P1"], 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_invalid_seed(self, seed):
+        with pytest.raises(DataError, match="seed"):
+            generate(SETTINGS["P1"], 10, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = generate(SETTINGS["P1"], 10, np.int64(3))
+        np.testing.assert_array_equal(a.features, generate(SETTINGS["P1"], 10, 3).features)
+
     def test_padded_noise_is_uniform(self):
         d = generate(get_setting("N8", p=10), 5_000, seed=5)
         assert d.p == 10

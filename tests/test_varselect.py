@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import _oracles
 from conftest import make_subproblem
+from ordinalsr import varselect
 from ordinalsr.exceptions import DataError
 from ordinalsr.kernels import KernelSpec
+from ordinalsr.simgen import generate, get_setting
 from ordinalsr.varselect import (
     expand_second_order,
     fit_two_stage,
@@ -90,6 +93,58 @@ class TestScreenStepwise:
                                  1.0, 1.0, 1.0, 1.0])
         res2 = screen_stepwise(scaled, y, descriptors=desc)
         assert res1.selected_monomials == res2.selected_monomials
+
+
+def _n8_screen_problem(p, n, seed, noise=0.3, constant_column=None):
+    """Monomials of N8 covariates padded to p, labels from its inner circle plus noise."""
+    X = np.array(generate(get_setting("N8", p=p), n, seed).features)
+    if constant_column is not None:
+        X[:, constant_column] = 0.7
+    r2 = X[:, 0] ** 2 + X[:, 1] ** 2
+    y = (r2 + noise * np.random.default_rng(seed).normal(size=n) > 0.6).astype(int)
+    aug, desc = expand_second_order(X)
+    return aug, y, desc
+
+
+SCREEN_PROBLEMS = [
+    *[dict(p=p, n=n, seed=seed) for p in (2, 5, 20) for n in (40, 200) for seed in range(3)],
+    dict(p=5, n=200, seed=0, noise=0.02),  # near-separable: fits reach the Newton cap
+    dict(p=5, n=200, seed=1, constant_column=3),
+]
+
+
+class TestBatchedScreen:
+    """The batched, warm-started screen against the serial cold-start oracle."""
+
+    @pytest.mark.parametrize("problem", SCREEN_PROBLEMS, ids=str)
+    def test_same_moves_as_serial_oracle(self, problem, monkeypatch):
+        aug, y, desc = _n8_screen_problem(**problem)
+        serial_fits = []
+        irls = _oracles._irls
+
+        def counted_irls(*args):
+            serial_fits.append(1)
+            return irls(*args)
+
+        monkeypatch.setattr(_oracles, "_irls", counted_irls)
+        ref = _oracles.screen_stepwise_serial(aug, y, desc)
+        res = screen_stepwise(aug, y, desc)
+        assert res.selected_monomials == ref.selected_monomials
+        assert [t[:2] for t in res.trace] == [t[:2] for t in ref.trace]
+        np.testing.assert_allclose(
+            [t[2] for t in res.trace], [t[2] for t in ref.trace], rtol=0, atol=1e-8
+        )
+        assert res.fits == len(serial_fits)
+        assert res.newton_iterations >= res.fits
+
+    @pytest.mark.parametrize(
+        "problem", [dict(p=20, n=40, seed=2), dict(p=20, n=200, seed=1)], ids=str
+    )
+    def test_one_candidate_per_chunk_is_bit_identical(self, problem, monkeypatch):
+        aug, y, desc = _n8_screen_problem(**problem)
+        default = screen_stepwise(aug, y, desc)
+        monkeypatch.setattr(varselect, "_CHUNK_BYTES", 1)
+        assert screen_stepwise(aug, y, desc) == default
 
 
 class TestMaskFeatures:
