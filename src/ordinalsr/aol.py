@@ -9,7 +9,7 @@ fit solved through the (1+2p)-row dual of its linear program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class BinarySubproblem:
     propensities: np.ndarray  # P(side | X), floored
     step_id: str
     arm_map: dict
+    selected_features: tuple = None  # set by varselect.screen_mask; None means all
+    selection_fallback: bool = False
 
     @property
     def m(self):
@@ -55,17 +57,9 @@ class BinarySubproblem:
 
     def subset(self, rows):
         rows = np.asarray(rows)
-        return BinarySubproblem(
-            indices=self.indices[rows],
-            features=self.features[rows],
-            labels=self.labels[rows],
-            weights=self.weights[rows],
-            arm_labels=self.arm_labels[rows],
-            outcomes=self.outcomes[rows],
-            propensities=self.propensities[rows],
-            step_id=self.step_id,
-            arm_map=self.arm_map,
-        )
+        per_row = ("indices", "features", "labels", "weights", "arm_labels", "outcomes",
+                   "propensities")
+        return replace(self, **{name: getattr(self, name)[rows] for name in per_row})
 
 
 @dataclass(frozen=True)
@@ -227,17 +221,26 @@ def fit_l2_from_gram(labels, weights, gram, lam, tol=1e-5, init=None):
 
 
 def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam, tol=1e-5):
-    """Weighted hinge loss + lambda * ||f||^2, via the SMO dual solver."""
+    """Weighted hinge loss + lambda * ||f||^2, via the SMO dual solver; the rule
+    carries sub's selected_features and selection_fallback."""
+    return _fit_l2(sub, kernel, lam, None, tol)
+
+
+def _fit_l2(sub, kernel, lam, gram_full, tol=1e-5):
+    """fit_aol_l2, reading the active rows of gram_full (the kernel's Gram
+    matrix over all of sub's rows) when it is given."""
     if lam <= 0:
         raise DataError("lambda must be positive")
     keep = _active(sub)
     X = sub.features[keep]
-    labels = sub.labels[keep]
-    weights = sub.weights[keep]
-    gram = gram_matrix(kernel, X, X)
-    coefs, b0 = fit_l2_from_gram(labels, weights, gram, lam, tol=tol)
+    gram = gram_matrix(kernel, X, X) if gram_full is None else gram_full
+    if gram.shape[0] != X.shape[0]:  # gram_full has inactive rows; copy only then
+        gram = gram[np.ix_(keep, keep)]
+    coefs, b0 = fit_l2_from_gram(sub.labels[keep], sub.weights[keep], gram, lam, tol=tol)
+    selection = dict(selected_features=sub.selected_features,
+                     selection_fallback=sub.selection_fallback)
     if kernel.kind == "linear":
-        return SparseLinearRule(intercept=b0, slopes=X.T @ coefs)
+        return SparseLinearRule(intercept=b0, slopes=X.T @ coefs, **selection)
     support = np.abs(coefs) > SUPPORT_EPS
     return KernelExpansionRule(
         points=X[support],
@@ -245,6 +248,7 @@ def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam, tol=1e-5):
         intercept=b0,
         kernel=kernel,
         n_features=sub.p,
+        **selection,
     )
 
 

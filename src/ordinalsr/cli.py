@@ -35,6 +35,10 @@ def _csv_floats(text):
     return tuple(float(v) for v in text.split(","))
 
 
+def _csv_ints(text):
+    return tuple(int(v) for v in text.split(","))
+
+
 def _add_fit_flags(sp):
     sp.add_argument("--kernel", choices=["linear", "gaussian"], default="linear")
     sp.add_argument("--penalty", choices=["l2", "l1"], default="l2")
@@ -144,14 +148,13 @@ def cmd_evaluate(args, parser):
 
 def cmd_benchmark(args, parser):
     settings = args.settings.split(",")
-    n_list = [int(v) for v in args.n.split(",")]
     methods = args.methods.split(",")
     for m in methods:
         if m not in ev.METHOD_PRESETS:
             parser.error(f"unknown method {m!r}; presets: {sorted(ev.METHOD_PRESETS)}")
     rows, failures = ev.run_benchmark(
         settings,
-        n_list,
+        args.n,
         args.replicates,
         methods,
         seed=args.seed,
@@ -165,7 +168,7 @@ def cmd_benchmark(args, parser):
     ev.write_manifest(
         args.out_prefix + "_manifest.txt",
         settings,
-        n_list,
+        args.n,
         args.replicates,
         methods,
         args.seed,
@@ -212,7 +215,7 @@ def build_parser():
 
     sp = sub.add_parser("benchmark", help="replicated simulation benchmark")
     sp.add_argument("--settings", required=True, help="comma-separated setting ids")
-    sp.add_argument("--n", required=True, help="comma-separated training sizes")
+    sp.add_argument("--n", type=_csv_ints, required=True, help="comma-separated training sizes")
     sp.add_argument("--replicates", type=int, default=20)
     sp.add_argument("--methods", default="sr-linear,oracle")
     sp.add_argument("--seed", type=int, default=0)

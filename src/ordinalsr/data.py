@@ -84,7 +84,7 @@ class TrialDataset:
             prop = np.asarray(prop, dtype=float)
             if prop.shape != (n,):
                 raise DataError("propensity length mismatch")
-            if np.any(prop <= 0) or np.any(prop > 1):
+            if not np.all((prop > 0) & (prop <= 1)):  # NaN fails too
                 raise DataError("propensities must lie in (0, 1]")
             prop = _readonly(prop)
         opt = self.true_optimal
@@ -232,31 +232,32 @@ def load_csv(path, k_arms=None, reverse_arms=False) -> TrialDataset:
     observed treatment label.
     """
     with _read_text(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
+            header, *records = csv.reader(fh)
+        except ValueError:  # no header row to unpack
             raise DataError(f"{path}: empty file") from None
-        feat_cols = [i for i, h in enumerate(header) if h not in _RESERVED_COLUMNS]
-        col = {h: i for i, h in enumerate(header)}
-        if "a" not in col or "y" not in col or len(col) != len(header):
-            raise DataError(f"{path}: header must contain 'a' and 'y' and no name twice")
-        rows_x, rows_a, rows_y, rows_p, rows_d = [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                rows_x.append([float(row[i]) for i in feat_cols])
-                rows_a.append(_integer_field(row[col["a"]], "treatment"))
-                rows_y.append(float(row[col["y"]]))
-                if "prop" in col:
-                    rows_p.append(float(row[col["prop"]]))
-                if "d_star" in col:
-                    rows_d.append(_integer_field(row[col["d_star"]], "d_star"))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: unreadable CSV ({exc})") from None
+    feat_cols = [i for i, h in enumerate(header) if h not in _RESERVED_COLUMNS]
+    col = {h: i for i, h in enumerate(header)}
+    if "a" not in col or "y" not in col or len(col) != len(header):
+        raise DataError(f"{path}: header must contain 'a' and 'y' and no name twice")
+    rows_x, rows_a, rows_y, rows_p, rows_d = [], [], [], [], []
+    for lineno, row in enumerate(records, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+        try:
+            rows_x.append([float(row[i]) for i in feat_cols])
+            rows_a.append(_integer_field(row[col["a"]], "treatment"))
+            rows_y.append(float(row[col["y"]]))
+            if "prop" in col:
+                rows_p.append(float(row[col["prop"]]))
+            if "d_star" in col:
+                rows_d.append(_integer_field(row[col["d_star"]], "d_star"))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
     if not rows_a:
         raise DataError(f"{path}: no data rows")
     treatment = np.array(rows_a)

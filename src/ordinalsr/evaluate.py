@@ -8,11 +8,12 @@ observed arm matches the rule.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aol import fit_aol_l1_linear, fit_l2_from_gram
+from .aol import _fit_l2, fit_aol_l1_linear, fit_l2_from_gram
 from .data import _write_csv
 from .exceptions import (
     DataError,
@@ -77,6 +78,12 @@ def disagreement(pred, truth) -> float:
     return float(np.mean(np.abs(pred - truth)))
 
 
+def _ipw_mean(outcome, propensity, matched):
+    """Sum of y / propensity over the matched rows, over the sum of 1 / propensity."""
+    invp = 1.0 / propensity[matched]
+    return np.sum(outcome[matched] * invp) / np.sum(invp)
+
+
 def value_estimate(pred, data) -> float:
     """Self-normalized IPW value of an assignment vector against observed data."""
     pred = np.asarray(pred)
@@ -85,10 +92,7 @@ def value_estimate(pred, data) -> float:
     matched = pred == data.treatment
     if not matched.any():
         raise UndefinedMetricError("no subject's observed arm matches the rule")
-    invp = 1.0 / data.effective_propensity()
-    return float(
-        np.sum(data.outcome[matched] * invp[matched]) / np.sum(invp[matched])
-    )
+    return float(_ipw_mean(data.outcome, data.effective_propensity(), matched))
 
 
 def itr_effect(pred, data) -> float:
@@ -97,10 +101,8 @@ def itr_effect(pred, data) -> float:
     matched = pred == data.treatment
     if not matched.any() or matched.all():
         raise UndefinedMetricError("itr_effect needs matched and unmatched subjects")
-    invp = 1.0 / data.effective_propensity()
-    v_in = np.sum(data.outcome[matched] * invp[matched]) / np.sum(invp[matched])
-    v_out = np.sum(data.outcome[~matched] * invp[~matched]) / np.sum(invp[~matched])
-    return float(v_in - v_out)
+    prop = data.effective_propensity()
+    return float(_ipw_mean(data.outcome, prop, matched) - _ipw_mean(data.outcome, prop, ~matched))
 
 
 def assignment_proportions(pred, k_arms) -> tuple:
@@ -162,10 +164,7 @@ def _holdout_score(pred, sub, rows):
     matched = pred == sub.arm_labels[rows]
     if not matched.any():
         return float("nan")
-    invp = 1.0 / sub.propensities[rows]
-    return float(
-        np.sum(sub.outcomes[rows][matched] * invp[matched]) / np.sum(invp[matched])
-    )
+    return float(_ipw_mean(sub.outcomes[rows], sub.propensities[rows], matched))
 
 
 def cv_tune(
@@ -176,31 +175,35 @@ def cv_tune(
     seed=0,
     penalty="l2",
     cv_tol=1e-3,
-) -> CVResult:
-    """Grid search maximizing the held-out binary IPW value (ratio form).
+):
+    """Tune and fit one binary step: returns (rule, CVResult).
 
+    The grid search maximizes the held-out binary IPW value (ratio form).
     penalty "l2" fits the kernel rule of each sigma in sigma_grid (None means
     the linear kernel); "l1linear" fits the L1 linear rule, whose callers pass
     sigma_grid=(None,).  A screened step arrives with its features already
-    masked (see varselect.screen_mask).  Ties break toward larger lambda,
-    then larger sigma (simpler rules).  The L2 fits of one fold walk the
-    lambda grid in order, each starting from the previous alpha times
-    lambda_prev / lambda: the caps C_i = w_i / (2 lambda m) scale the same
-    way, so that start is feasible.
+    masked and its selection set (see varselect.screen_mask).  Ties break
+    toward larger lambda, then larger sigma (simpler rules).  The L2 fits of
+    one fold walk the lambda grid in order, each starting from the previous
+    alpha times lambda_prev / lambda: the caps C_i = w_i / (2 lambda m) scale
+    the same way, so that start is feasible.  The rule is then fitted on all
+    of sub at the chosen lambda/sigma, cold at tol 1e-5, an L2 rule reading
+    the chosen sigma's Gram matrix from the search.
     """
     if penalty not in ("l2", "l1linear"):
         raise DataError(f"unknown penalty {penalty!r}")
+    if not len(lambda_grid) or not len(sigma_grid):
+        raise DataError("cv_tune needs non-empty lambda and sigma grids")
     if sub.m < 2 * folds:
         folds = max(2, sub.m // 2)
     if sub.m < 4:
         raise DegenerateStepError(f"{sub.step_id}: too few subjects for CV")
     assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
     table = []
+    best = None  # (rank, lambda, kernel, gram_full) of the winner so far
     for sigma in sigma_grid:
         kernel = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
-        gram_full = None
-        if penalty == "l2":
-            gram_full = gram_matrix(kernel, sub.features, sub.features)
+        gram_full = gram_matrix(kernel, sub.features, sub.features) if penalty == "l2" else None
         scores = [[] for _ in lambda_grid]
         for f in range(folds):
             te = np.flatnonzero(assign == f)
@@ -236,15 +239,20 @@ def cv_tune(
                 math.isnan(s) for s in fold_scores
             ) else float("-inf")
             table.append((float(lam), sigma, mean_score))
-    best = None
-    for lam, sigma, score in sorted(
-        table, key=lambda t: (t[0], t[1] if t[1] is not None else 0.0)
-    ):
-        if best is None or score >= best[2]:
-            best = (lam, sigma, score)
-    return CVResult(
-        best_lambda=best[0], best_sigma=best[1], table=tuple(table), fold_seed=seed
+            # the last of the highest (score, lambda, sigma) wins
+            rank = (mean_score, float(lam), 0.0 if sigma is None else sigma)
+            if best is None or rank >= best[0]:
+                best = (rank, float(lam), kernel, gram_full)
+        gram_full = None  # only the winner's Gram matrix outlives its sigma
+    _, lam, kernel, gram_full = best
+    if penalty == "l1linear":
+        rule = fit_aol_l1_linear(sub, lam)
+    else:
+        rule = _fit_l2(sub, kernel, lam, gram_full)
+    cv = CVResult(
+        best_lambda=lam, best_sigma=kernel.bandwidth, table=tuple(table), fold_seed=seed
     )
+    return rule, cv
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +294,10 @@ def resolve_method(method):
     return name, method
 
 
-def _run_cell(spec, n, rep, methods, seed, test_size):
+def _run_cell(cell):
     from .sr import SRConfig, fit_sr, predict_ordinal
+
+    spec, n, rep, methods, seed, test_size = cell
 
     train_seed = seed + rep
     test_seed = seed + 100_000 + rep
@@ -336,31 +346,20 @@ def run_benchmark(
     methods within a (setting, n, replicate) cell.  Returns (rows, failures);
     rows are canonically sorted so output is independent of scheduling.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     if replicates < 1:
         raise DataError("replicates must be >= 1")
     specs = [get_setting(s, p=p) if isinstance(s, str) else s for s in settings]
-    tasks = [
-        (spec, n, rep)
+    cells = [
+        (spec, n, rep, methods, seed, test_size)
         for spec in specs
         for n in n_list
         for rep in range(replicates)
     ]
     rows, failures = [], []
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_cell, spec, n, rep, methods, seed, test_size)
-                for spec, n, rep in tasks
-            ]
-            for fut in futures:
-                r, f = fut.result()
-                rows.extend(r)
-                failures.extend(f)
-    else:
-        for spec, n, rep in tasks:
-            r, f = _run_cell(spec, n, rep, methods, seed, test_size)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for r, f in (map if pool is None else pool.map)(_run_cell, cells):
             rows.extend(r)
             failures.extend(f)
     order = {resolve_method(m)[0]: i for i, m in enumerate(methods)}

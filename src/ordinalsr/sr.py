@@ -10,15 +10,17 @@ the final call to the matching re-estimation rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .aol import KernelExpansionRule, SparseLinearRule, build_subproblem, fit_aol_l2, fit_aol_l1_linear
+from .aol import KernelExpansionRule, SparseLinearRule, build_subproblem
 from .data import ScalingParams, TrialDataset, _check_integer, _read_text, apply_scaling, fit_scaling
+from .evaluate import cv_tune
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, median_bandwidth
 from .solvers import ols_fit
+from .varselect import screen_mask
 
 __all__ = [
     "SRConfig",
@@ -105,6 +107,9 @@ class ConstantRule:
     def __post_init__(self):
         if self.decision not in (-1, 1):
             raise DataError(f"a constant rule decides -1 or 1, not {self.decision!r}")
+        if not isinstance(self.reason, str) or "\n" in self.reason or "\r" in self.reason:
+            # the model file keeps the reason on one line
+            raise DataError(f"a constant rule's reason is one line of text, not {self.reason!r}")
 
     def decision_value(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -184,14 +189,12 @@ def _resolve_sigma_grid(config, features, seed):
 
 
 def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible, seed):
-    """Build, tune, and fit one binary step; ConstantRule on degeneracy.
+    """Build, tune and fit one binary step: (rule, CVResult), or a ConstantRule
+    and None on degeneracy.
 
     Two-stage selection masks the step's features once, up front, so the
-    sigma grid, CV and final fit all see an ordinary L2 subproblem.
+    sigma grid and cv_tune see an ordinary L2 subproblem carrying its selection.
     """
-    from .evaluate import cv_tune
-    from .varselect import screen_mask
-
     try:
         sub = build_subproblem(
             data,
@@ -204,10 +207,9 @@ def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible,
             min_size=config.min_step_size,
             features=Xs,
         )
-        screened = config.selection == "two-stage"
-        if screened:
-            sub, selected, fallback = screen_mask(sub)
-        cv = cv_tune(
+        if config.selection == "two-stage":
+            sub = screen_mask(sub)
+        return cv_tune(
             sub,
             lambda_grid=config.lambda_grid,
             sigma_grid=_resolve_sigma_grid(config, sub.features, seed),
@@ -215,17 +217,8 @@ def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible,
             seed=seed,
             penalty=config.penalty,
         )
-        if config.penalty == "l1linear":
-            return fit_aol_l1_linear(sub, cv.best_lambda), cv
-        rule = fit_aol_l2(sub, KernelSpec(config.kernel_kind, cv.best_sigma), cv.best_lambda)
-        if screened:
-            rule = replace(rule, selected_features=selected, selection_fallback=fallback)
-        return rule, cv
     except DegenerateStepError as exc:
-        return (
-            _majority_rule(data, eligible, negative_arms, positive_arms, str(exc)),
-            None,
-        )
+        return _majority_rule(data, eligible, negative_arms, positive_arms, str(exc)), None
 
 
 def fit_sr(data: TrialDataset, config: SRConfig) -> SRModel:

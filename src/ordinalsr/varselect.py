@@ -175,12 +175,13 @@ def mask_features(features, selected, p):
     return out
 
 
-def screen_mask(sub: BinarySubproblem, screen=None):
+def screen_mask(sub: BinarySubproblem, screen=None) -> BinarySubproblem:
     """The stage-1 screen as a fixed feature mask on a binary step.
 
-    Returns (sub with unselected covariates zeroed, kept covariates, fallback
-    flag).  Zeroing rather than dropping keeps rule dimensions stable.  An
-    empty screen, or a step too small or single-class to screen, keeps every
+    Returns sub with its unselected covariates zeroed and selected_features
+    and selection_fallback set, which fit_aol_l2 copies onto its rule.
+    Zeroing rather than dropping keeps rule dimensions stable.  An empty
+    screen, or a step too small or single-class to screen, keeps every
     covariate with the fallback flag raised.
     """
     if screen is None:
@@ -192,12 +193,10 @@ def screen_mask(sub: BinarySubproblem, screen=None):
     fallback = not selected
     if fallback:
         selected = tuple(range(sub.p))
-    masked = replace(sub, features=mask_features(sub.features, selected, sub.p))
-    return masked, selected, fallback
+    masked = mask_features(sub.features, selected, sub.p)
+    return replace(sub, features=masked, selected_features=selected, selection_fallback=fallback)
 
 
 def fit_two_stage(sub: BinarySubproblem, kernel, lam, screen=None, tol=1e-5):
     """Screen-then-refit: the L2 fit on the screen_mask of sub."""
-    masked, selected, fallback = screen_mask(sub, screen)
-    rule = fit_aol_l2(masked, kernel, lam, tol=tol)
-    return replace(rule, selected_features=selected, selection_fallback=fallback)
+    return fit_aol_l2(screen_mask(sub, screen), kernel, lam, tol=tol)

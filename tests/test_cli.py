@@ -180,6 +180,16 @@ class TestBenchmark:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("n", ["abc", "1.5", "60,x"])
+    def test_non_integer_n_exits_two(self, tmp_path, n):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                ["benchmark", "--settings", "P1", "--n", n, "--methods", "oracle",
+                 "--out-prefix", str(tmp_path / "b")]
+            )
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
 class TestReverseArms:
     def test_reverse_flag_flips_labels(self, tmp_path, trial_csv):
         data = load_csv(trial_csv)

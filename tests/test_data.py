@@ -1,5 +1,8 @@
 """Tests for trial containers, CSV round-trips, and covariate scaling."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from ordinalsr.data import (
     load_csv,
     save_csv,
 )
-from ordinalsr.exceptions import DataError
+from ordinalsr.exceptions import DataError, OrdinalSRError
 
 
 def _toy(n=6, p=3, k=3, seed=0, with_prop=True, with_opt=True):
@@ -83,7 +86,7 @@ class TestTrialDataset:
             )
 
     def test_bad_propensity_rejected(self):
-        for bad in ([0.0, 0.5, 0.5], [0.5, 0.5, 1.5]):
+        for bad in ([0.0, 0.5, 0.5], [0.5, 0.5, 1.5], [np.nan, 0.5, 0.5]):
             with pytest.raises(DataError):
                 TrialDataset(
                     features=np.zeros((3, 1)),
@@ -107,6 +110,21 @@ class TestTrialDataset:
         d = _toy(k=3)
         rev = d.relabel_reversed()
         np.testing.assert_array_equal(rev.treatment, 4 - d.treatment)
+
+
+# CSV fields for the fuzz test: names of the format, numbers at and past the
+# edges, one past the csv module's field size limit, quotes and separators, and
+# free text
+_CSV_FIELDS = st.sampled_from(
+    ["a", "y", "prop", "d_star", "x1", "x2", "", " ", "0", "1", "2", "3", "-1", "0.5", "1.0",
+     "1e308", "1e400", "-0", "1e-320", "nan", "inf", "-inf", "2.5", "9007199254740993",
+     "1_0", '"', '""', '"1"', "\r", "\t", "\x00", "9" * 131_073]
+) | st.text(max_size=8)
+_CSV_TEXT = st.lists(st.lists(_CSV_FIELDS, max_size=6), max_size=8).flatmap(
+    lambda rows: st.sampled_from(["\n", "\r\n", "\r"]).map(
+        lambda eol: eol.join(",".join(row) for row in rows)
+    )
+) | st.text()
 
 
 class TestCsvRoundTrip:
@@ -212,6 +230,23 @@ class TestCsvRoundTrip:
         path = tmp_path / "t.csv"
         path.write_text(f"x1,a,y,d_star\n0.1,{row['a']},2.0,{row['d_star']}\n")
         with pytest.raises(DataError):
+            load_csv(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_CSV_TEXT)
+    def test_fuzzed_text_loads_or_raises_typed_errors(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                load_csv(path)
+            except OrdinalSRError:
+                pass
+
+    def test_field_past_csv_size_limit_raises_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('x1,a,y\n"' + "1" * 131_073 + '",1,2.0\n')
+        with pytest.raises(DataError, match="field larger"):
             load_csv(path)
 
     def test_reverse_arms_flag(self, tmp_path):

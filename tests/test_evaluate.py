@@ -1,5 +1,7 @@
 """Tests for evaluation metrics, CV tuning, and the benchmark runner."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,13 @@ from ordinalsr.evaluate import (
     write_rows_csv,
     write_summary_csv,
 )
-from ordinalsr.aol import build_subproblem, fit_l2_from_gram
+from ordinalsr.aol import build_subproblem, fit_aol_l1_linear, fit_aol_l2, fit_l2_from_gram
 from ordinalsr.evaluate import _holdout_score, _stratified_folds
 from ordinalsr.exceptions import DataError, UndefinedMetricError
 from ordinalsr.kernels import KernelSpec, gram_matrix
 from ordinalsr.simgen import SETTINGS, generate
 from ordinalsr.solvers import ols_fit
+from ordinalsr.varselect import ScreenResult, screen_mask
 
 
 def _observational(pred_match_mask, outcomes, k=3, prop=None):
@@ -111,14 +114,14 @@ class TestCvTune:
 
     def test_table_covers_grid(self, rng):
         sub = self._linear_sub(rng)
-        cv = cv_tune(sub, lambda_grid=(0.01, 0.1), folds=3, seed=0)
+        _, cv = cv_tune(sub, lambda_grid=(0.01, 0.1), folds=3, seed=0)
         assert len(cv.table) == 2
         assert cv.best_lambda in (0.01, 0.1)
         assert cv.best_sigma is None
 
     def test_gaussian_grid_cross_product(self, rng):
         sub = self._linear_sub(rng)
-        cv = cv_tune(
+        _, cv = cv_tune(
             sub, lambda_grid=(0.01, 0.1), sigma_grid=(0.5, 1.0), folds=3, seed=0
         )
         assert len(cv.table) == 4
@@ -126,8 +129,8 @@ class TestCvTune:
 
     def test_deterministic_under_seed(self, rng):
         sub = self._linear_sub(rng)
-        cv1 = cv_tune(sub, lambda_grid=(0.01, 0.05, 0.25), folds=4, seed=3)
-        cv2 = cv_tune(sub, lambda_grid=(0.01, 0.05, 0.25), folds=4, seed=3)
+        _, cv1 = cv_tune(sub, lambda_grid=(0.01, 0.05, 0.25), folds=4, seed=3)
+        _, cv2 = cv_tune(sub, lambda_grid=(0.01, 0.05, 0.25), folds=4, seed=3)
         assert cv1 == cv2
 
     def test_ties_break_toward_larger_lambda(self, rng):
@@ -135,7 +138,7 @@ class TestCvTune:
         X = rng.uniform(-1, 1, size=(24, 1))
         labels = np.array([1, -1] * 12)
         sub = make_subproblem(X, labels, np.ones(24))
-        cv = cv_tune(sub, lambda_grid=(0.01, 0.1, 1.0), folds=3, seed=0)
+        _, cv = cv_tune(sub, lambda_grid=(0.01, 0.1, 1.0), folds=3, seed=0)
         scores = {lam: s for lam, _, s in cv.table}
         best_score = scores[cv.best_lambda]
         tied = [lam for lam, s in scores.items() if s == best_score]
@@ -148,7 +151,7 @@ class TestCvTune:
             data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
         )
         lambdas, sigmas, folds, seed = (0.01, 0.05, 0.25), (0.5, 1.0), 3, 2
-        cv = cv_tune(
+        _, cv = cv_tune(
             sub, lambdas, sigma_grid=sigmas, folds=folds, seed=seed, cv_tol=1e-9
         )
         assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
@@ -170,6 +173,60 @@ class TestCvTune:
         np.testing.assert_allclose(
             [row[2] for row in cv.table], [row[2] for row in reference], rtol=0, atol=1e-9
         )
+
+
+    def test_empty_grid_raises_data_error(self, rng):
+        sub = self._linear_sub(rng)
+        with pytest.raises(DataError, match="non-empty"):
+            cv_tune(sub, lambda_grid=())
+        with pytest.raises(DataError, match="non-empty"):
+            cv_tune(sub, (0.1,), sigma_grid=())
+
+    @staticmethod
+    def _n8_sub():
+        data = generate(SETTINGS["N8"], 150, seed=5)
+        return build_subproblem(
+            data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
+        )
+
+    @pytest.mark.parametrize(
+        "penalty, sigmas, zero_weights",
+        [("l2", (None,), False), ("l2", (0.5, 1.0), False), ("l1linear", (None,), False),
+         ("l2", (0.5, 1.0), True)],
+        ids=["linear", "gaussian", "l1", "gaussian-zero-weights"],
+    )
+    def test_rule_is_the_fit_at_the_chosen_point(self, penalty, sigmas, zero_weights):
+        """The returned rule is what the public fitter gives at the chosen
+        lambda/sigma, also when some rows carry no weight."""
+        sub = self._n8_sub()
+        if zero_weights:
+            sub = replace(sub, weights=np.where(np.arange(sub.m) % 7 == 0, 0.0, sub.weights))
+        rule, cv = cv_tune(
+            sub, (0.01, 0.05, 0.25), sigma_grid=sigmas, folds=3, seed=2, penalty=penalty
+        )
+        if penalty == "l1linear":
+            direct = fit_aol_l1_linear(sub, cv.best_lambda)
+        elif cv.best_sigma is None:
+            direct = fit_aol_l2(sub, KernelSpec("linear"), cv.best_lambda)
+        else:
+            direct = fit_aol_l2(sub, KernelSpec("gaussian", cv.best_sigma), cv.best_lambda)
+        assert type(rule) is type(direct)
+        assert rule.selected_features == direct.selected_features
+        X = np.random.default_rng(0).uniform(-1, 1, size=(2000, sub.p))
+        np.testing.assert_array_equal(rule.predict(X), direct.predict(X))
+        for name in ("intercept", "slopes", "coefs", "points"):
+            if hasattr(direct, name):
+                np.testing.assert_allclose(
+                    getattr(rule, name), getattr(direct, name), rtol=0, atol=1e-8
+                )
+
+    def test_screened_step_rule_carries_selection(self):
+        sub = screen_mask(self._n8_sub(), ScreenResult(((0,),), (0,), ()))
+        rule, cv = cv_tune(sub, (0.05,), sigma_grid=(0.5,), folds=3, seed=2)
+        assert (rule.selected_features, rule.selection_fallback) == ((0,), False)
+        probe = np.zeros((2, sub.p))
+        probe[1, 1] = 0.9  # a masked covariate
+        assert rule.decision_value(probe)[0] == rule.decision_value(probe)[1]
 
 
 class TestBenchmark:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ordinalsr.sr as sr_module
+import ordinalsr.evaluate as evaluate_module
 from ordinalsr.aol import KernelExpansionRule, SparseLinearRule
 from ordinalsr.data import ScalingParams, TrialDataset
 from ordinalsr.exceptions import DataError, OrdinalSRError
@@ -245,36 +245,39 @@ class TestConfigValidation:
         assert (config.seed, config.min_step_size, config.use_r_steps) == (3, 0, False)
 
     def test_fitter_resolution(self, monkeypatch):
-        """The penalty alone picks the rule fitter; a two-stage step is an L2
-        fit on masked features that carries the screen's selection."""
+        """The penalty alone picks the rule fitter inside cv_tune; a two-stage
+        step is an L2 fit on masked features that carries the screen's selection."""
         calls = []
-        for name in ("fit_aol_l2", "fit_aol_l1_linear"):
-            fitter = getattr(sr_module, name)
+        for name in ("_fit_l2", "fit_aol_l1_linear"):
+            fitter = getattr(evaluate_module, name)
 
             def recorded(*args, _name=name, _fitter=fitter, **kwargs):
                 calls.append(_name)
                 return _fitter(*args, **kwargs)
 
-            monkeypatch.setattr(sr_module, name, recorded)
+            monkeypatch.setattr(evaluate_module, name, recorded)
         data = generate(get_setting("N8", p=6), 120, seed=5)
         fast = dict(lambda_grid=(0.05,), cv_folds=2)
+        # an L1 step also fits its 2 folds through fit_aol_l1_linear; an L2
+        # step's fold fits read the Gram matrix directly
         cases = [
-            (SRConfig(**fast), "fit_aol_l2"),
-            (SRConfig(penalty="l1linear", **fast), "fit_aol_l1_linear"),
-            (SRConfig(selection="embedded", **fast), "fit_aol_l1_linear"),
+            (SRConfig(**fast), "_fit_l2", 1),
+            (SRConfig(penalty="l1linear", **fast), "fit_aol_l1_linear", 3),
+            (SRConfig(selection="embedded", **fast), "fit_aol_l1_linear", 3),
             (
                 SRConfig(
                     kernel_kind="gaussian", selection="two-stage", sigma_grid=(0.6,), **fast
                 ),
-                "fit_aol_l2",
+                "_fit_l2",
+                1,
             ),
         ]
-        for config, expected in cases:
+        for config, expected, per_step in cases:
             calls.clear()
             model = fit_sr(data, config)
             rules = model.sequential_rules + model.reestimation_rules
             fitted = [r for r in rules if not isinstance(r, ConstantRule)]
-            assert fitted and calls == [expected] * len(fitted)
+            assert fitted and calls == [expected] * (per_step * len(fitted))
         screened = [r for r in fitted if not r.selection_fallback]
         assert screened and all(len(r.selected_features) < data.p for r in screened)
 
@@ -395,6 +398,43 @@ def _sr_configs(draw):
     )
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _random_rules(draw, p):
+    """A rule of any kind over p features, with any selection it can carry."""
+    kind = draw(st.sampled_from(["constant", "sparse_linear", "kernel_expansion"]))
+    if kind == "constant":
+        reason = draw(st.text(st.characters(codec="utf-8", exclude_characters="\r\n")))
+        return ConstantRule(decision=draw(st.sampled_from([-1, 1])), reason=reason)
+    selection = {}
+    if draw(st.booleans()):
+        selection = dict(
+            selected_features=tuple(sorted(draw(st.sets(st.integers(0, p - 1))))),
+            selection_fallback=draw(st.booleans()),
+        )
+    floats = lambda shape: np.array(draw(st.lists(_finite, min_size=int(np.prod(shape)),
+                                                   max_size=int(np.prod(shape))))).reshape(shape)
+    if kind == "sparse_linear":
+        return SparseLinearRule(intercept=draw(_finite), slopes=floats((p,)), **selection)
+    m = draw(st.integers(0, 4))
+    kernel = draw(st.sampled_from([KernelSpec("linear")]) | st.builds(
+        KernelSpec, st.just("gaussian"), st.floats(min_value=1e-150, max_value=1e150)
+    ))
+    return KernelExpansionRule(points=floats((m, p)), coefs=floats((m,)), intercept=draw(_finite),
+                               kernel=kernel, n_features=p, **selection)
+
+
+@st.composite
+def _random_rule_models(draw):
+    k_arms, p = draw(st.integers(3, 5)), draw(st.integers(1, 4))
+    rules = [draw(_random_rules(p)) for _ in range(2 * k_arms - 3)]
+    return SRModel(k_arms=k_arms, sequential_rules=tuple(rules[: k_arms - 1]),
+                   reestimation_rules=tuple(rules[k_arms - 1 :]), scaling=_unit_scaling(p),
+                   config=SRConfig())
+
+
 class TestModelFile:
     @settings(max_examples=60, deadline=None)
     @given(_sr_configs())
@@ -407,6 +447,20 @@ class TestModelFile:
             save_model(back, p2)
             assert back.config == config
             assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_random_rule_models())
+    def test_random_rules_round_trip_bit_exact(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+            save_model(model, p1)
+            save_model(load_model(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("reason", ["a\nb", "\r", "x\r\n", None])
+    def test_reason_not_one_line_of_text_rejected(self, reason):
+        with pytest.raises(DataError, match="one line of text"):
+            ConstantRule(decision=1, reason=reason)
 
     def test_parent_format_file_loads_and_predicts(self, tmp_path):
         path = tmp_path / "model.txt"
