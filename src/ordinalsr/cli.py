@@ -39,6 +39,13 @@ def _csv_ints(text):
     return tuple(int(v) for v in text.split(","))
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 def _add_fit_flags(sp):
     sp.add_argument("--kernel", choices=["linear", "gaussian"], default="linear")
     sp.add_argument("--penalty", choices=["l2", "l1"], default="l2")
@@ -221,11 +228,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--test-size", type=int, default=10_000)
     sp.add_argument("--p", type=int, default=None)
-    sp.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("ORDINALSR_JOBS", os.cpu_count() or 1)),
-    )
+    sp.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     sp.add_argument("--out-prefix", required=True)
     return parser
 

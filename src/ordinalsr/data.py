@@ -70,8 +70,7 @@ class TrialDataset:
         n = X.shape[0]
         if a.shape != (n,) or y.shape != (n,):
             raise DataError("treatment/outcome length does not match features")
-        if self.k_arms < 2:
-            raise DataError("K must be >= 2")
+        _check_integer("k_arms", self.k_arms, 2)
         if n and (a.min() < 1 or a.max() > self.k_arms):
             raise DataError(
                 f"treatment labels must lie in 1..{self.k_arms}, "

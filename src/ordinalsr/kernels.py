@@ -31,6 +31,19 @@ class KernelSpec:
                 raise DataError(f"gaussian bandwidth must be > 0, with a finite square: {bw!r}")
 
 
+def _squared_distances(A, B) -> np.ndarray:
+    """Squared Euclidean distances between rows of A and rows of B, floored at 0.
+
+    |a|^2 + |b|^2 comes first and 2 a'b is subtracted in place, so at most two
+    result-sized blocks are alive at once.
+    """
+    out = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :]
+    cross = A @ B.T
+    cross *= 2.0
+    out -= cross
+    return np.maximum(out, 0.0, out=out)
+
+
 def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """m x q matrix of kernel values between rows of A and rows of B."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -39,13 +52,10 @@ def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:
         raise DataError("gram_matrix column counts differ")
     if spec.kind == "linear":
         return A @ B.T
-    sq = (
-        np.sum(A**2, axis=1)[:, None]
-        + np.sum(B**2, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * spec.bandwidth**2))
+    out = _squared_distances(A, B)
+    np.negative(out, out=out)
+    out /= 2.0 * spec.bandwidth**2
+    return np.exp(out, out=out)
 
 
 def median_bandwidth(X, seed=0) -> float:
@@ -61,14 +71,8 @@ def median_bandwidth(X, seed=0) -> float:
             X.shape[0], MEDIAN_SUBSAMPLE_CAP, replace=False
         )
         X = X[np.sort(idx)]
-    sq = (
-        np.sum(X**2, axis=1)[:, None]
-        + np.sum(X**2, axis=1)[None, :]
-        - 2.0 * (X @ X.T)
-    )
     iu = np.triu_indices(X.shape[0], k=1)
-    d = np.sqrt(np.maximum(sq[iu], 0.0))
-    med = float(np.median(d))
+    med = float(np.median(np.sqrt(_squared_distances(X, X)[iu])))
     if med <= 0:
         raise DataError("all rows identical; median bandwidth undefined")
     return med

@@ -2,9 +2,10 @@
 
 Contains the optimizers everything else is built on: ordinary least squares
 (ridge-jittered normal equations), IRLS logistic regression, an SMO-style
-solver for the weighted hinge-loss dual, a bounded-variable revised simplex on
-the (1+2p)-row dual LP of the L1-penalized weighted hinge loss, and a general
-two-phase dense simplex with Bland's anti-cycling rule.
+solver for the weighted hinge-loss dual, and one bounded-variable revised
+simplex (Dantzig pricing, Bland's rule after a degenerate run).  That simplex
+solves the (1+2p)-row dual LP of the L1-penalized weighted hinge loss, and
+runs both phases of the general LP solver simplex_solve.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def wsvm_dual_solve(
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c'x  s.t.  G x (sense_i) h,  x_j >= 0 unless free[j]."""
+    """min c'x  s.t.  G x (sense_i) h,  x_j >= 0 unless free[j]; c, G, h finite."""
 
     c: np.ndarray
     G: np.ndarray
@@ -292,6 +293,8 @@ class LinearProgram:
         free = np.asarray(self.free, dtype=bool)
         if G.shape != (h.shape[0], c.shape[0]) or free.shape != c.shape:
             raise DataError("LinearProgram dimensions inconsistent")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(G)) and np.all(np.isfinite(h))):
+            raise DataError("LinearProgram requires finite c, G and h")
         if len(self.senses) != h.shape[0]:
             raise DataError("one sense per constraint row required")
         for s in self.senses:
@@ -308,129 +311,133 @@ class LinearProgram:
 class LPSolution:
     x: np.ndarray
     objective: float
-    pivots: int  # tableau pivots over both phases, artificials driven out included
+    pivots: int  # basis changes plus bound flips over both phases
 
 
 _LP_TOL = 1e-9
+_DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes over
 
 
-def _pivot(T, row, col):
-    """Rank-1 Gauss-Jordan update making column col the unit vector e_row."""
-    prow = T[row] / T[row, col]
-    T -= np.outer(T[:, col], prow)
-    T[row] = prow
+def _bounded_simplex(A, cost, upper, rhs, basis):
+    """Bounded-variable revised simplex: min cost'x s.t. Ax = rhs, 0 <= x <= upper.
 
-
-def _bland_pivot(T, basis, cost):
-    """Pivot T (rows = equality constraints, b >= 0 maintained) to optimality.
-
-    cost is the full cost vector over tableau columns; basis is an int array
-    updated in place.  Entering variable is the lowest-index negative reduced
-    cost (Bland); leaving row is the min ratio with ties broken toward the
-    smallest basis index.  Returns the number of pivots made.
+    basis holds one column index per row, a feasible start with every other
+    variable at 0; it is updated in place.  The basis inverse gets a rank-1
+    update when the basis changes; a bound flip (a nonbasic variable moving
+    between 0 and its finite upper bound) keeps it.  A variable whose upper
+    bound is 0 never enters.  Pricing is Dantzig's largest reduced cost until
+    a run of degenerate pivots, then Bland's smallest index until the
+    objective moves again, which rules out cycling.  The final vertex x and
+    the dual prices are solved from the final basis, not read off the
+    updates.  Returns (x, prices, pivots), where pivots counts basis changes
+    plus bound flips; UnboundedLPError when the objective has no lower bound.
     """
-    pivots = 0
+    rows, n = A.shape
+    can_enter = upper > 0
+    can_enter[basis] = False
+    at_upper = np.zeros(n, dtype=bool)
+    Binv = np.linalg.inv(A[:, basis])
+    xB = Binv @ rhs
+    pivots = degenerate_run = 0
     while True:
-        red = cost[:-1] - cost[basis] @ T[:, :-1]
-        negative = np.flatnonzero(red < -_LP_TOL)
-        if not negative.size:
-            return pivots
-        enter = negative[0]
-        col = T[:, enter]
-        ok = col > _LP_TOL
-        ratios = np.full(T.shape[0], np.inf)
-        ratios[ok] = T[ok, -1] / col[ok]
-        best = np.min(ratios)
-        if not np.isfinite(best):
-            raise UnboundedLPError("LP objective unbounded below")
-        cand = np.flatnonzero(ratios <= best + _LP_TOL)
-        leave = cand[np.argmin(basis[cand])]
-        _pivot(T, leave, enter)
-        basis[leave] = enter
+        d = cost - (cost[basis] @ Binv) @ A
+        gain = np.where(at_upper, d, -d)  # objective decrease per unit step
+        gain[~can_enter] = 0.0
+        bland = degenerate_run >= _DEGENERATE_RUN
+        if bland:
+            improving = np.flatnonzero(gain > _LP_TOL)
+            if not improving.size:
+                break
+            enter = int(improving[0])
+        else:
+            enter = int(np.argmax(gain))
+            if not gain[enter] > _LP_TOL:  # a NaN reduced cost stops, not cycles
+                break
         pivots += 1
+        # x_B moves by -t * delta as the entering variable leaves its bound
+        sign = -1.0 if at_upper[enter] else 1.0
+        alpha = Binv @ A[:, enter]
+        delta = sign * alpha
+        ratios = np.full(rows, np.inf)
+        down = delta > _LP_TOL
+        up = delta < -_LP_TOL
+        ratios[down] = np.maximum(xB[down], 0.0) / delta[down]
+        ratios[up] = np.maximum(upper[basis[up]] - xB[up], 0.0) / -delta[up]
+        step = float(np.min(ratios, initial=np.inf))  # inf when there are no rows
+        if not np.isfinite(min(step, upper[enter])):
+            raise UnboundedLPError("LP objective unbounded below")
+        if upper[enter] <= step:
+            xB -= upper[enter] * delta
+            at_upper[enter] = not at_upper[enter]
+            degenerate_run = 0
+            continue
+        ties = np.flatnonzero(ratios <= step)
+        if bland:
+            r = int(ties[np.argmin(basis[ties])])
+        else:
+            r = int(ties[np.argmax(np.abs(alpha[ties]))])
+        leave = basis[r]
+        entering_value = (upper[enter] if at_upper[enter] else 0.0) + sign * step
+        xB -= step * delta
+        xB[r] = entering_value
+        at_upper[leave] = delta[r] < 0
+        at_upper[enter] = False
+        can_enter[leave] = upper[leave] > 0
+        can_enter[enter] = False
+        basis[r] = enter
+        prow = Binv[r] / alpha[r]
+        Binv -= np.outer(alpha, prow)
+        Binv[r] = prow
+        degenerate_run = degenerate_run + 1 if step <= _LP_TOL else 0
+    B = A[:, basis]
+    x = np.where(at_upper, upper, 0.0)
+    x[basis] = np.linalg.solve(B, rhs - A[:, at_upper] @ upper[at_upper])
+    prices = np.linalg.solve(B.T, cost[basis])
+    return x, prices, pivots
 
 
 def simplex_solve(lp: LinearProgram) -> LPSolution:
-    """Two-phase dense simplex.  Free variables are split into x+ - x-."""
-    nv = lp.c.shape[0]
-    # split free variables
-    cols, costs, back = [], [], []
-    for j in range(nv):
-        cols.append(lp.G[:, j])
-        costs.append(lp.c[j])
-        back.append((j, 1.0))
-        if lp.free[j]:
-            cols.append(-lp.G[:, j])
-            costs.append(-lp.c[j])
-            back.append((j, -1.0))
-    A = np.column_stack(cols) if cols else np.zeros((lp.h.shape[0], 0))
-    b = lp.h.copy()
-    senses = list(lp.senses)
-    for i in range(b.shape[0]):
-        if b[i] < 0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-    m, nstd = A.shape
-    slack_cols, art_rows = [], []
-    for i, s in enumerate(senses):
-        if s == "<=":
-            e = np.zeros(m)
-            e[i] = 1.0
-            slack_cols.append(e)
-        elif s == ">=":
-            e = np.zeros(m)
-            e[i] = -1.0
-            slack_cols.append(e)
-            art_rows.append(i)
-        else:
-            art_rows.append(i)
-    nslack = len(slack_cols)
-    S = np.column_stack(slack_cols) if slack_cols else np.zeros((m, 0))
-    basis = np.full(m, -1)
-    # slack columns with +1 coefficient start basic for their row
-    scol = 0
-    for i, s in enumerate(senses):
-        if s == "<=":
-            basis[i] = nstd + scol
-        if s in ("<=", ">="):
-            scol += 1
-    nart = len(art_rows)
-    Art = np.zeros((m, nart))
-    for k, i in enumerate(art_rows):
-        Art[i, k] = 1.0
-        basis[i] = nstd + nslack + k
-    T = np.column_stack([A, S, Art, b])
-    ncols = T.shape[1]
+    """Two-phase simplex on the standard form of lp, by _bounded_simplex.
+
+    Free variables are split into x+ - x-, rows are negated where h < 0, and
+    each inequality row gets a slack.  A "<=" row starts with its slack basic;
+    "=" and ">=" rows start with an artificial.  Phase 1 minimizes the sum of
+    the artificials and raises InfeasibleLPError above 1e-7.  Phase 2 bounds
+    the artificials at 0, so one left basic at level 0 on a redundant row
+    stays there, inert.
+    """
+    m, nv = lp.G.shape
+    structural = np.hstack([lp.G, -lp.G[:, lp.free]])
+    nstd = structural.shape[1]
+    flip = lp.h < 0
+    structural[flip] *= -1.0
+    senses = np.array(lp.senses, dtype=str)
+    le = np.where(flip, senses == ">=", senses == "<=")
+    ineq = np.flatnonzero(senses != "=")
+    slacks = np.zeros((m, ineq.size))
+    slacks[ineq, np.arange(ineq.size)] = np.where(le[ineq], 1.0, -1.0)
+    art = np.flatnonzero(~le)
+    A = np.hstack([structural, slacks, np.eye(m)[:, art]])
+    first_art = A.shape[1] - art.size
+    basis = np.empty(m, dtype=int)
+    basis[ineq] = nstd + np.arange(ineq.size)
+    basis[art] = first_art + np.arange(art.size)  # overrides a ">=" row's -1 slack
+    upper = np.full(A.shape[1], np.inf)
+    rhs = np.abs(lp.h)
     pivots = 0
-    if nart:
-        cost1 = np.zeros(ncols)
-        cost1[nstd + nslack : nstd + nslack + nart] = 1.0
-        pivots += _bland_pivot(T, basis, cost1)
-        if cost1[basis] @ T[:, -1] > 1e-7:
+    if art.size:
+        phase1 = np.zeros(A.shape[1])
+        phase1[first_art:] = 1.0
+        x, _, pivots = _bounded_simplex(A, phase1, upper, rhs, basis)
+        if phase1 @ x > 1e-7:
             raise InfeasibleLPError("phase-1 objective positive: LP infeasible")
-        # pivot lingering zero-level artificials out, or drop their rows
-        keep = np.ones(m, dtype=bool)
-        for r in np.flatnonzero(basis >= nstd + nslack):
-            nonzero = np.flatnonzero(np.abs(T[r, : nstd + nslack]) > _LP_TOL)
-            if not nonzero.size:
-                keep[r] = False
-                continue
-            _pivot(T, r, nonzero[0])
-            basis[r] = nonzero[0]
-            pivots += 1
-        T = np.delete(T[keep], np.s_[nstd + nslack : nstd + nslack + nart], axis=1)
-        basis = basis[keep]
-        ncols = T.shape[1]
-    cost2 = np.zeros(ncols)
-    cost2[:nstd] = costs
-    pivots += _bland_pivot(T, basis, cost2)
-    xstd = np.zeros(nstd + nslack)
-    xstd[basis] = T[:, -1]
-    x = np.zeros(nv)
-    for val, (j, sign) in zip(xstd[:nstd], back):
-        x[j] += sign * val
-    return LPSolution(x=x, objective=float(lp.c @ x), pivots=pivots)
+        upper[first_art:] = 0.0
+    cost = np.zeros(A.shape[1])
+    cost[:nstd] = np.concatenate([lp.c, -lp.c[lp.free]])
+    x, _, phase2 = _bounded_simplex(A, cost, upper, rhs, basis)
+    out = x[:nv].copy()
+    out[lp.free] -= x[nv:nstd]
+    return LPSolution(x=out, objective=float(lp.c @ out), pivots=pivots + phase2)
 
 
 @dataclass(frozen=True)
@@ -450,7 +457,6 @@ class HingeL1Solution:
 
 
 _GAP_RTOL = 1e-9
-_DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes over
 
 
 def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
@@ -463,15 +469,12 @@ def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
 
         y'u = 0,   (y*x_j)'u + s+_j = lam,   -(y*x_j)'u + s-_j = lam,
 
-    by a bounded-variable revised simplex.  The start basis {u_0 in row 0 at
-    value 0, every slack at lam} is feasible, so there is no phase 1.  The
-    (1+2p)^2 basis inverse gets a rank-1 update when the basis changes; a
-    bound flip (a u_i moving between 0 and w_i/m) keeps it.  Pricing is
-    Dantzig's largest reduced cost until a run of degenerate pivots, then
-    Bland's smallest index until the objective moves again, which rules out
-    cycling.  The primal comes from the dual prices pi of the final basis:
-    b0 = -pi_0 and b_j = pi-_j - pi+_j.  ConvergenceError is raised when the
-    primal and dual objectives differ by more than 1e-9 * max(1, |objective|).
+    by _bounded_simplex; a bound flip moves a u_i between 0 and w_i/m.  The
+    start basis {u_0 in row 0 at value 0, every slack at lam} is feasible, so
+    there is no phase 1.  The primal comes from the dual prices pi of the
+    final basis: b0 = -pi_0 and b_j = pi-_j - pi+_j.  ConvergenceError is
+    raised when the primal and dual objectives differ by more than
+    1e-9 * max(1, |objective|), or when the simplex finds an unbounded ray.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(labels, dtype=float)
@@ -498,67 +501,10 @@ def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
     upper = np.concatenate([w / m, np.full(2 * p, np.inf)])
     rhs = np.concatenate([[0.0], np.full(2 * p, float(lam))])
     basis = np.concatenate([[0], m + np.arange(2 * p)])
-    nonbasic = np.ones(m + 2 * p, dtype=bool)
-    nonbasic[basis] = False
-    at_upper = np.zeros(m + 2 * p, dtype=bool)
-    Binv = np.linalg.inv(A[:, basis])
-    xB = Binv @ rhs
-    pivots = degenerate_run = 0
-    while True:
-        d = cost - (cost[basis] @ Binv) @ A
-        gain = np.where(at_upper, d, -d)  # objective decrease per unit step
-        gain[~nonbasic] = 0.0
-        bland = degenerate_run >= _DEGENERATE_RUN
-        if bland:
-            improving = np.flatnonzero(gain > _LP_TOL)
-            if not improving.size:
-                break
-            enter = int(improving[0])
-        else:
-            enter = int(np.argmax(gain))
-            if gain[enter] <= _LP_TOL:
-                break
-        pivots += 1
-        # x_B moves by -t * delta as the entering variable leaves its bound
-        sign = -1.0 if at_upper[enter] else 1.0
-        alpha = Binv @ A[:, enter]
-        delta = sign * alpha
-        ratios = np.full(rows, np.inf)
-        down = delta > _LP_TOL
-        up = delta < -_LP_TOL
-        ratios[down] = np.maximum(xB[down], 0.0) / delta[down]
-        ratios[up] = np.maximum(upper[basis[up]] - xB[up], 0.0) / -delta[up]
-        step = float(np.min(ratios))
-        if not np.isfinite(min(step, upper[enter])):
-            raise ConvergenceError("L1 hinge dual simplex found an unbounded ray")
-        if upper[enter] <= step:
-            xB -= upper[enter] * delta
-            at_upper[enter] = not at_upper[enter]
-            degenerate_run = 0
-            continue
-        ties = np.flatnonzero(ratios <= step)
-        if bland:
-            r = int(ties[np.argmin(basis[ties])])
-        else:
-            r = int(ties[np.argmax(np.abs(alpha[ties]))])
-        leave = basis[r]
-        entering_value = (upper[enter] if at_upper[enter] else 0.0) + sign * step
-        xB -= step * delta
-        xB[r] = entering_value
-        at_upper[leave] = delta[r] < 0
-        at_upper[enter] = False
-        nonbasic[leave] = True
-        nonbasic[enter] = False
-        basis[r] = enter
-        prow = Binv[r] / alpha[r]
-        Binv -= np.outer(alpha, prow)
-        Binv[r] = prow
-        degenerate_run = degenerate_run + 1 if step <= _LP_TOL else 0
-    # read the final vertex and prices from the basis itself, not the updates
-    B = A[:, basis]
-    u = np.where(at_upper, upper, 0.0)
-    u[basis] = np.linalg.solve(B, rhs - A[:, at_upper] @ upper[at_upper])
-    pi = np.linalg.solve(B.T, cost[basis])
+    try:
+        u, pi, pivots = _bounded_simplex(A, cost, upper, rhs, basis)
+    except UnboundedLPError:
+        raise ConvergenceError("L1 hinge dual simplex found an unbounded ray") from None
     intercept = float(-pi[0])
     slopes = pi[1 + p :] - pi[1 : 1 + p]
     margins = y * (intercept + X @ slopes)

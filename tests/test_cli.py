@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,27 @@ class TestBenchmark:
             )
         assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_below_one_exits_two(self, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                ["benchmark", "--settings", "P1", "--n", "60", "--methods", "oracle",
+                 "--jobs", jobs, "--out-prefix", str(tmp_path / "b")]
+            )
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_jobs_ignores_the_environment(self, tmp_path, monkeypatch):
+        # --jobs is the one way to set the worker count
+        monkeypatch.setenv("ORDINALSR_JOBS", "abc")
+        out = tmp_path / "d.csv"
+        assert run(["simgen", "--setting", "N8", "--n", "20", "--out", str(out)]) == 0
+        args = cli.build_parser().parse_args(
+            ["benchmark", "--settings", "P1", "--n", "60", "--out-prefix", "b"]
+        )
+        assert args.jobs == (os.cpu_count() or 1)
+
 
 class TestReverseArms:
     def test_reverse_flag_flips_labels(self, tmp_path, trial_csv):

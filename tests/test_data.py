@@ -69,6 +69,15 @@ class TestTrialDataset:
                 k_arms=3,
             )
 
+    @pytest.mark.parametrize("k", [3.5, 3.0, True, 1, "3", None])
+    def test_k_arms_must_be_an_integer_of_at_least_two(self, k):
+        with pytest.raises(DataError, match="k_arms"):
+            TrialDataset(np.zeros((3, 1)), [1, 1, 2], np.zeros(3), k)
+
+    def test_numpy_integer_k_arms_accepted(self):
+        d = TrialDataset(np.zeros((3, 1)), [1, 1, 2], np.zeros(3), np.int64(2))
+        assert d.k_arms == 2
+
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
             TrialDataset(

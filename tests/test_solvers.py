@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import l1_aol_lp_encoding
+from _oracles import l1_aol_lp_encoding, lp_vertex_oracle
 from ordinalsr import solvers
 from ordinalsr.exceptions import (
     ConvergenceError,
@@ -298,6 +298,15 @@ class TestSimplex:
         )
         with pytest.raises(UnboundedLPError):
             simplex_solve(lp)
+        no_rows = LinearProgram(
+            c=np.array([-1.0]),
+            G=np.zeros((0, 1)),
+            h=np.zeros(0),
+            senses=(),
+            free=np.zeros(1, dtype=bool),
+        )
+        with pytest.raises(UnboundedLPError):
+            simplex_solve(no_rows)
 
     def test_degenerate_redundant_constraints(self):
         # duplicated rows exercise the Bland anti-cycling path
@@ -311,16 +320,35 @@ class TestSimplex:
         sol = simplex_solve(lp)
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
 
-    def test_rank1_pivot_equals_row_loop(self, rng):
-        # the row-by-row Gauss-Jordan update the rank-1 form replaced
-        T = rng.normal(size=(6, 9))
-        expected = T.copy()
-        expected[2] /= expected[2, 4]
-        for r in range(6):
-            if r != 2:
-                expected[r] -= expected[r, 4] * expected[2]
-        solvers._pivot(T, 2, 4)
-        np.testing.assert_array_equal(T, expected)
+    def test_duplicated_equality_row_keeps_an_artificial_basic_at_zero(
+        self, monkeypatch
+    ):
+        # phase 1 can drive only one of the two artificials on x1 + x2 = 2 out;
+        # phase 2 bounds the other at 0 and leaves it basic there
+        ends = []
+        engine = solvers._bounded_simplex
+
+        def spy(A, cost, upper, rhs, basis):
+            x, prices, pivots = engine(A, cost, upper, rhs, basis)
+            ends.append((upper.copy(), basis.copy(), x))
+            return x, prices, pivots
+
+        monkeypatch.setattr(solvers, "_bounded_simplex", spy)
+        lp = LinearProgram(
+            c=np.array([1.0, 2.0]),
+            G=np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]]),
+            h=np.array([2.0, 2.0, 1.5]),
+            senses=("=", "=", "<="),
+            free=np.zeros(2, dtype=bool),
+        )
+        sol = simplex_solve(lp)
+        np.testing.assert_allclose(sol.x, [1.5, 0.5], atol=1e-12)
+        assert sol.objective == pytest.approx(2.5, abs=1e-12)
+        assert len(ends) == 2
+        upper, basis, x = ends[1]
+        pinned = basis[upper[basis] == 0.0]
+        assert pinned.size == 1
+        assert x[pinned[0]] == 0.0
 
     def test_dimension_validation(self):
         with pytest.raises(DataError):
@@ -339,6 +367,15 @@ class TestSimplex:
                 senses=("<",),
                 free=np.zeros(1, dtype=bool),
             )
+
+    @pytest.mark.parametrize("field", ["c", "G", "h"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, field, bad):
+        # NaN or inf data would poison pricing and the ratio test
+        data = dict(c=np.ones(1), G=np.ones((1, 1)), h=np.ones(1))
+        data[field] = np.full_like(data[field], bad)
+        with pytest.raises(DataError, match="finite"):
+            LinearProgram(**data, senses=("<=",), free=np.zeros(1, dtype=bool))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -367,6 +404,60 @@ class TestSimplex:
             if np.all(x >= -1e-9) and np.all(G @ x <= h + 1e-9):
                 best = min(best, float(c @ x))
         assert sol.objective == pytest.approx(best, abs=1e-8)
+
+
+@st.composite
+def boxed_lps(draw):
+    """Small LPs with integer data: mixed senses, free variables, a box on
+    every variable, and now and then a moved right-hand side, a duplicated
+    row or a contradictory pair of rows."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    free = rng.random(n) < 0.4
+    G = rng.integers(-3, 4, size=(m, n)).astype(float)
+    # rows hold at an integer point x0 unless one right-hand side is moved
+    x0 = rng.integers(np.where(free, -2, 0), 3)
+    kinds = rng.choice(["<=", ">=", "="], size=m)
+    gap = rng.integers(0, 3, size=m)
+    h = G @ x0 + np.where(kinds == "<=", gap, 0) - np.where(kinds == ">=", gap, 0)
+    senses = list(kinds)
+    if draw(st.booleans()):
+        h[int(rng.integers(m))] += rng.choice([-2, -1, 1, 2])
+    if draw(st.booleans()):
+        i = int(rng.integers(m))
+        G, h, senses = np.vstack([G, G[i]]), np.append(h, h[i]), senses + [senses[i]]
+    if draw(st.booleans()):
+        g = rng.integers(-3, 4, size=n).astype(float)
+        t = float(rng.integers(-4, 5))
+        G, h = np.vstack([G, g, g]), np.append(h, [t, t + 1.0])
+        senses = senses + ["<=", ">="]
+    box = np.vstack([np.eye(n), np.eye(n)[free]])
+    G = np.vstack([G, box])
+    h = np.concatenate([h, np.full(n, 3.0), np.full(int(free.sum()), -3.0)])
+    senses = tuple(senses) + ("<=",) * n + (">=",) * int(free.sum())
+    c = rng.integers(-3, 4, size=n).astype(float)
+    return c, G, h, senses, free
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_lps())
+def test_simplex_matches_vertex_oracle_on_boxed_lps(case):
+    c, G, h, senses, free = case
+    lp = LinearProgram(c=c, G=G, h=h, senses=senses, free=free)
+    oracle = lp_vertex_oracle(c, G, h, senses, free)
+    if oracle is None:
+        with pytest.raises(InfeasibleLPError):
+            simplex_solve(lp)
+        return
+    sol = simplex_solve(lp)
+    assert sol.objective == pytest.approx(oracle, abs=1e-8)
+    slack = G @ sol.x - h
+    kinds = np.array(senses)
+    assert np.all(slack[kinds == "<="] <= 1e-8)
+    assert np.all(slack[kinds == ">="] >= -1e-8)
+    assert np.all(np.abs(slack[kinds == "="]) <= 1e-8)
+    assert np.all(sol.x[~free] >= -1e-8)
 
 
 def _primal_l1_fit(X, labels, weights, lam):
