@@ -37,6 +37,21 @@ def _check_integer(name, value, low):
         raise DataError(f"{name} must be an integer >= {low}, not {value!r}")
 
 
+_MAX_EXACT_INT = 2.0**53
+
+
+def _whole_numbers(name, values):
+    """values as an int array; DataError unless all are whole numbers below 2**53."""
+    try:
+        v = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{name} labels must be numbers") from None
+    whole = (np.abs(v) < _MAX_EXACT_INT) & (np.trunc(v) == v)  # NaN fails both
+    if not whole.all():
+        raise DataError(f"{name} label {v[~whole][0]:g} is not a whole number below 2**53")
+    return v.astype(int)
+
+
 def _readonly(a):
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -65,7 +80,7 @@ class TrialDataset:
             raise DataError("features must be a 2-D matrix")
         if not np.all(np.isfinite(X)):
             raise DataError("features contain non-finite values")
-        a = np.asarray(self.treatment, dtype=int)
+        a = _whole_numbers("treatment", self.treatment)
         y = np.asarray(self.outcome, dtype=float)
         n = X.shape[0]
         if a.shape != (n,) or y.shape != (n,):
@@ -88,7 +103,7 @@ class TrialDataset:
             prop = _readonly(prop)
         opt = self.true_optimal
         if opt is not None:
-            opt = np.asarray(opt, dtype=int)
+            opt = _whole_numbers("true_optimal", opt)
             if opt.shape != (n,):
                 raise DataError("true_optimal length mismatch")
             if n and (opt.min() < 1 or opt.max() > self.k_arms):
@@ -211,17 +226,6 @@ def compute_utility(benefit, risk, b):
     return np.asarray(benefit, dtype=float) - b * np.asarray(risk, dtype=float)
 
 
-_MAX_EXACT_INT = 2.0**53
-
-
-def _integer_field(raw, what):
-    """Parse an integer-valued CSV field; ValueError unless an integer below 2**53."""
-    value = float(raw)
-    if not abs(value) < _MAX_EXACT_INT or value != int(value):
-        raise ValueError(f"{what} {raw!r} is not an integer below 2**53")
-    return int(value)
-
-
 def load_csv(path, k_arms=None, reverse_arms=False) -> TrialDataset:
     """Read the canonical trial CSV.
 
@@ -249,17 +253,17 @@ def load_csv(path, k_arms=None, reverse_arms=False) -> TrialDataset:
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
         try:
             rows_x.append([float(row[i]) for i in feat_cols])
-            rows_a.append(_integer_field(row[col["a"]], "treatment"))
+            rows_a.append(float(row[col["a"]]))
             rows_y.append(float(row[col["y"]]))
             if "prop" in col:
                 rows_p.append(float(row[col["prop"]]))
             if "d_star" in col:
-                rows_d.append(_integer_field(row[col["d_star"]], "d_star"))
+                rows_d.append(float(row[col["d_star"]]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
     if not rows_a:
         raise DataError(f"{path}: no data rows")
-    treatment = np.array(rows_a)
+    treatment = _whole_numbers("treatment", rows_a)
     k = k_arms if k_arms is not None else int(treatment.max())
     data = TrialDataset(
         features=np.array(rows_x, dtype=float).reshape(len(rows_a), len(feat_cols)),

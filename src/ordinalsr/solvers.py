@@ -10,6 +10,8 @@ runs both phases of the general LP solver simplex_solve.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +154,12 @@ class DualSolution:
     updates: int
 
 
+def _check_positive(name, value):
+    """DataError unless value is a finite positive real number; bools are not."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise DataError(f"{name} must be a finite positive number, not {value!r}")
+
+
 _INIT_RTOL = 1e-9  # slack allowed on a start's box and equality before clipping
 
 
@@ -190,6 +198,7 @@ def wsvm_dual_solve(
         raise DataError("wsvm_dual_solve shape mismatch")
     if np.any(C <= 0) or not np.all(np.isfinite(C)):
         raise DataError("caps must be finite and positive")
+    _check_positive("tol", tol)  # a NaN tol would never stop the loop
     eps = 1e-12
     pos = a > 0
     if init is None:
@@ -324,71 +333,73 @@ def _bounded_simplex(A, cost, upper, rhs, basis):
     basis holds one column index per row, a feasible start with every other
     variable at 0; it is updated in place.  The basis inverse gets a rank-1
     update when the basis changes; a bound flip (a nonbasic variable moving
-    between 0 and its finite upper bound) keeps it.  A variable whose upper
-    bound is 0 never enters.  Pricing is Dantzig's largest reduced cost until
-    a run of degenerate pivots, then Bland's smallest index until the
-    objective moves again, which rules out cycling.  The final vertex x and
-    the dual prices are solved from the final basis, not read off the
-    updates.  Returns (x, prices, pivots), where pivots counts basis changes
-    plus bound flips; UnboundedLPError when the objective has no lower bound.
+    between 0 and its finite upper bound) keeps it and the reduced costs.  A
+    variable whose upper bound is 0 never enters.  Pricing is Dantzig's
+    largest reduced cost until a run of degenerate pivots, then Bland's
+    smallest index until the objective moves again, which rules out cycling.
+    The ratio test is one pass over the few rows (1+2p for the L1 dual) on
+    Python floats.  The final vertex x and the dual prices are solved from
+    the final basis, not read off the updates.  Returns (x, prices, pivots),
+    where pivots counts basis changes plus bound flips; UnboundedLPError when
+    the objective has no lower bound.
     """
-    rows, n = A.shape
-    can_enter = upper > 0
-    can_enter[basis] = False
-    at_upper = np.zeros(n, dtype=bool)
+    at_upper = np.zeros(A.shape[1], dtype=bool)
+    # gain = d * sgn is the objective decrease per unit step; sgn is -1 at the
+    # lower bound, +1 at the upper, 0 when basic or when the upper bound is 0
+    sgn = np.where(upper > 0, -1.0, 0.0)
+    sgn[basis] = 0.0
     Binv = np.linalg.inv(A[:, basis])
     xB = Binv @ rhs
+    basic_upper = upper[basis].tolist()
+    d = cost - (cost[basis] @ Binv) @ A
     pivots = degenerate_run = 0
     while True:
-        d = cost - (cost[basis] @ Binv) @ A
-        gain = np.where(at_upper, d, -d)  # objective decrease per unit step
-        gain[~can_enter] = 0.0
+        gain = d * sgn
         bland = degenerate_run >= _DEGENERATE_RUN
-        if bland:
-            improving = np.flatnonzero(gain > _LP_TOL)
-            if not improving.size:
-                break
-            enter = int(improving[0])
-        else:
-            enter = int(np.argmax(gain))
-            if not gain[enter] > _LP_TOL:  # a NaN reduced cost stops, not cycles
-                break
+        enter = int((gain > _LP_TOL if bland else gain).argmax())
+        if not gain.item(enter) > _LP_TOL:  # a NaN reduced cost stops, not cycles
+            break
         pivots += 1
         # x_B moves by -t * delta as the entering variable leaves its bound
-        sign = -1.0 if at_upper[enter] else 1.0
+        sign = -sgn.item(enter)
         alpha = Binv @ A[:, enter]
         delta = sign * alpha
-        ratios = np.full(rows, np.inf)
-        down = delta > _LP_TOL
-        up = delta < -_LP_TOL
-        ratios[down] = np.maximum(xB[down], 0.0) / delta[down]
-        ratios[up] = np.maximum(upper[basis[up]] - xB[up], 0.0) / -delta[up]
-        step = float(np.min(ratios, initial=np.inf))  # inf when there are no rows
-        if not np.isfinite(min(step, upper[enter])):
+        # ratio test; a tie leaves by largest |alpha| (Dantzig) or smallest basis index
+        step, r, key = math.inf, -1, math.inf
+        for i, (t, x, u) in enumerate(zip(delta.tolist(), xB.tolist(), basic_upper)):
+            if t > _LP_TOL:
+                ratio = max(x, 0.0) / t
+            elif t < -_LP_TOL:
+                ratio = max(u - x, 0.0) / -t
+            else:
+                continue
+            if ratio <= step:
+                k = basis.item(i) if bland else -abs(t)
+                if ratio < step or k < key:
+                    step, r, key = ratio, i, k
+        u_enter = upper.item(enter)
+        if not math.isfinite(min(step, u_enter)):  # step is inf when there are no rows
             raise UnboundedLPError("LP objective unbounded below")
-        if upper[enter] <= step:
-            xB -= upper[enter] * delta
-            at_upper[enter] = not at_upper[enter]
+        if u_enter <= step:  # a bound flip: basis, Binv and so d are unchanged
+            xB -= u_enter * delta
+            at_upper[enter] = sign > 0
+            sgn[enter] = sign
             degenerate_run = 0
             continue
-        ties = np.flatnonzero(ratios <= step)
-        if bland:
-            r = int(ties[np.argmin(basis[ties])])
-        else:
-            r = int(ties[np.argmax(np.abs(alpha[ties]))])
-        leave = basis[r]
-        entering_value = (upper[enter] if at_upper[enter] else 0.0) + sign * step
+        leave = basis.item(r)
         xB -= step * delta
-        xB[r] = entering_value
-        at_upper[leave] = delta[r] < 0
+        xB[r] = (u_enter if sign < 0 else 0.0) + sign * step
+        to_upper = at_upper[leave] = delta.item(r) < 0  # leave rises to its upper bound
         at_upper[enter] = False
-        can_enter[leave] = upper[leave] > 0
-        can_enter[enter] = False
+        sgn[leave] = (1.0 if to_upper else -1.0) if upper.item(leave) > 0 else 0.0
+        sgn[enter] = 0.0
         basis[r] = enter
+        basic_upper[r] = u_enter
         prow = Binv[r] / alpha[r]
-        Binv -= np.outer(alpha, prow)
+        Binv -= alpha[:, None] * prow
         Binv[r] = prow
         degenerate_run = degenerate_run + 1 if step <= _LP_TOL else 0
+        d = cost - (cost[basis] @ Binv) @ A
     B = A[:, basis]
     x = np.where(at_upper, upper, 0.0)
     x[basis] = np.linalg.solve(B, rhs - A[:, at_upper] @ upper[at_upper])
@@ -488,8 +499,7 @@ def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
         raise DataError("labels must be +-1 with both classes present")
     if np.any(w <= 0):
         raise DataError("weights must be positive")
-    if not (np.isfinite(lam) and lam > 0):
-        raise DataError("lambda must be finite and positive")
+    _check_positive("lam", lam)
     rows = 1 + 2 * p
     yx = (y[:, None] * X).T
     A = np.zeros((rows, m + 2 * p))

@@ -6,15 +6,17 @@ the linear-program oracle enumerates basic feasible points (vertices).  Both
 are exponential and only suitable for the tiny instances the acceptance
 criteria prescribe.  The module also keeps small reference helpers for the
 unit tests: a direct kernel evaluation, the L1 zero-slope penalty level, a
-Monte Carlo check of the simulation settings and the one-candidate-at-a-time
-stepwise screen the batched one is checked against.
+Monte Carlo check of the simulation settings, the one-candidate-at-a-time
+stepwise screen the batched one is checked against, and the vectorised
+bounded simplex the Python-float pivot loop is checked against.
 """
 
 import itertools
 
 import numpy as np
 
-from ordinalsr.exceptions import DataError
+from ordinalsr import solvers
+from ordinalsr.exceptions import DataError, UnboundedLPError
 from ordinalsr.simgen import true_optimal
 from ordinalsr.varselect import EBIC_GAMMA, ScreenResult, _ebic
 
@@ -273,3 +275,75 @@ def screen_stepwise_serial(X_aug, labels, descriptors=None, gamma=EBIC_GAMMA):
     return ScreenResult(
         selected_monomials=monomials, selected_covariates=covariates, trace=tuple(trace)
     )
+
+
+def bounded_simplex_vector(A, cost, upper, rhs, basis):
+    """The reference for solvers._bounded_simplex, which must match it bit for bit.
+
+    Each pivot prices every column again and runs the ratio test as masked
+    numpy operations over all rows.  It reads solvers._LP_TOL and
+    solvers._DEGENERATE_RUN at call time, so a test that patches them
+    patches both engines.
+    """
+    rows, n = A.shape
+    can_enter = upper > 0
+    can_enter[basis] = False
+    at_upper = np.zeros(n, dtype=bool)
+    Binv = np.linalg.inv(A[:, basis])
+    xB = Binv @ rhs
+    pivots = degenerate_run = 0
+    while True:
+        d = cost - (cost[basis] @ Binv) @ A
+        gain = np.where(at_upper, d, -d)  # objective decrease per unit step
+        gain[~can_enter] = 0.0
+        bland = degenerate_run >= solvers._DEGENERATE_RUN
+        if bland:
+            improving = np.flatnonzero(gain > solvers._LP_TOL)
+            if not improving.size:
+                break
+            enter = int(improving[0])
+        else:
+            enter = int(np.argmax(gain))
+            if not gain[enter] > solvers._LP_TOL:  # a NaN reduced cost stops, not cycles
+                break
+        pivots += 1
+        # x_B moves by -t * delta as the entering variable leaves its bound
+        sign = -1.0 if at_upper[enter] else 1.0
+        alpha = Binv @ A[:, enter]
+        delta = sign * alpha
+        ratios = np.full(rows, np.inf)
+        down = delta > solvers._LP_TOL
+        up = delta < -solvers._LP_TOL
+        ratios[down] = np.maximum(xB[down], 0.0) / delta[down]
+        ratios[up] = np.maximum(upper[basis[up]] - xB[up], 0.0) / -delta[up]
+        step = float(np.min(ratios, initial=np.inf))  # inf when there are no rows
+        if not np.isfinite(min(step, upper[enter])):
+            raise UnboundedLPError("LP objective unbounded below")
+        if upper[enter] <= step:
+            xB -= upper[enter] * delta
+            at_upper[enter] = not at_upper[enter]
+            degenerate_run = 0
+            continue
+        ties = np.flatnonzero(ratios <= step)
+        if bland:
+            r = int(ties[np.argmin(basis[ties])])
+        else:
+            r = int(ties[np.argmax(np.abs(alpha[ties]))])
+        leave = basis[r]
+        entering_value = (upper[enter] if at_upper[enter] else 0.0) + sign * step
+        xB -= step * delta
+        xB[r] = entering_value
+        at_upper[leave] = delta[r] < 0
+        at_upper[enter] = False
+        can_enter[leave] = upper[leave] > 0
+        can_enter[enter] = False
+        basis[r] = enter
+        prow = Binv[r] / alpha[r]
+        Binv -= np.outer(alpha, prow)
+        Binv[r] = prow
+        degenerate_run = degenerate_run + 1 if step <= solvers._LP_TOL else 0
+    B = A[:, basis]
+    x = np.where(at_upper, upper, 0.0)
+    x[basis] = np.linalg.solve(B, rhs - A[:, at_upper] @ upper[at_upper])
+    prices = np.linalg.solve(B.T, cost[basis])
+    return x, prices, pivots

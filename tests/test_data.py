@@ -74,6 +74,24 @@ class TestTrialDataset:
         with pytest.raises(DataError, match="k_arms"):
             TrialDataset(np.zeros((3, 1)), [1, 1, 2], np.zeros(3), k)
 
+    @pytest.mark.parametrize("field", ["treatment", "true_optimal"])
+    @pytest.mark.parametrize(
+        "labels",
+        [[1.5, 2.9, 1.0], [np.nan, 1, 2], [np.inf, 1, 2], [1e30, 1, 2], ["x", 1, 2],
+         [2**70, 1, 2], [None, 1, 2]],
+    )
+    def test_labels_must_be_whole_numbers(self, field, labels):
+        # a fraction is refused, not truncated to an arm
+        arms = dict(treatment=[1, 2, 1], true_optimal=[1, 2, 2])
+        arms[field] = labels
+        with pytest.raises(DataError, match=field):
+            TrialDataset(np.zeros((3, 1)), outcome=np.zeros(3), k_arms=3, **arms)
+
+    def test_whole_float_labels_accepted(self):
+        d = TrialDataset(np.zeros((3, 1)), [1.0, 3.0, 2.0], np.zeros(3), 3,
+                         true_optimal=np.array([2.0, 2.0, 1.0]))
+        assert d.treatment.tolist() == [1, 3, 2] and d.true_optimal.tolist() == [2, 2, 1]
+
     def test_numpy_integer_k_arms_accepted(self):
         d = TrialDataset(np.zeros((3, 1)), [1, 1, 2], np.zeros(3), np.int64(2))
         assert d.k_arms == 2

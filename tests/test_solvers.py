@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import l1_aol_lp_encoding, lp_vertex_oracle
-from ordinalsr import solvers
+from _oracles import bounded_simplex_vector, l1_aol_lp_encoding, lp_vertex_oracle
+from ordinalsr import SRConfig, fit_sr, generate, get_setting, solvers
+from ordinalsr.evaluate import METHOD_PRESETS
 from ordinalsr.exceptions import (
     ConvergenceError,
     DataError,
@@ -128,6 +129,13 @@ class TestWsvmDual:
         sol = wsvm_dual_solve(K, labels, np.full(4, 10.0), tol=1e-8)
         f = K @ (sol.alphas * labels) + sol.intercept
         assert np.all(np.sign(f) == labels)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-5, "1e-5", None, True])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # viol < nan is never true, so a NaN tol would run to max_updates
+        K = np.eye(2)
+        with pytest.raises(DataError, match="tol"):
+            wsvm_dual_solve(K, np.array([1.0, -1.0]), np.ones(2), tol=tol)
 
     def test_shape_and_cap_validation(self):
         with pytest.raises(DataError):
@@ -414,6 +422,11 @@ def boxed_lps(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _boxed_lp(rng, n, m, *(draw(st.booleans()) for _ in range(3)))
+
+
+def _boxed_lp(rng, n, m, moved, duplicated, contradictory):
+    """One boxed LP of boxed_lps, its extra rows switched by the three flags."""
     free = rng.random(n) < 0.4
     G = rng.integers(-3, 4, size=(m, n)).astype(float)
     # rows hold at an integer point x0 unless one right-hand side is moved
@@ -422,12 +435,12 @@ def boxed_lps(draw):
     gap = rng.integers(0, 3, size=m)
     h = G @ x0 + np.where(kinds == "<=", gap, 0) - np.where(kinds == ">=", gap, 0)
     senses = list(kinds)
-    if draw(st.booleans()):
+    if moved:
         h[int(rng.integers(m))] += rng.choice([-2, -1, 1, 2])
-    if draw(st.booleans()):
+    if duplicated:
         i = int(rng.integers(m))
         G, h, senses = np.vstack([G, G[i]]), np.append(h, h[i]), senses + [senses[i]]
-    if draw(st.booleans()):
+    if contradictory:
         g = rng.integers(-3, 4, size=n).astype(float)
         t = float(rng.integers(-4, 5))
         G, h = np.vstack([G, g, g]), np.append(h, [t, t + 1.0])
@@ -562,3 +575,133 @@ class TestL1HingeDual:
             l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.zeros(3), 0.1)
         with pytest.raises(DataError):
             l1_hinge_dual_solve(X, np.array([1.0, -1.0]), np.ones(3), 0.1)
+
+    @pytest.mark.parametrize(
+        "lam", ["0.1", None, np.array([0.1]), np.array([0.1, 0.2]), np.nan, -np.inf, True]
+    )
+    def test_lambda_must_be_a_finite_positive_number(self, monkeypatch, lam):
+        def never(*args):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(solvers, "_bounded_simplex", never)
+        X = np.zeros((3, 1))
+        with pytest.raises(DataError, match="lam"):
+            l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.ones(3), lam)
+
+
+def _solve(engine, lp):
+    """(x, prices, pivots, final basis) of engine on a copy of lp = (A, cost,
+    upper, rhs, basis); x, prices and pivots are None when the LP is
+    unbounded, and the basis is kept then too, since the engine updates it
+    in place."""
+    A, cost, upper, rhs, basis = (v.copy() for v in lp)
+    try:
+        x, prices, pivots = engine(A, cost, upper, rhs, basis)
+    except UnboundedLPError:
+        return None, None, None, basis
+    return x, prices, pivots, basis
+
+
+def _bits(result):
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in result)
+
+
+class TestBoundedSimplexMatchesVectorLoop:
+    """_bounded_simplex against its frozen vectorised predecessor: every pivot
+    must be the same, so x, prices, pivots and the final basis agree bit for
+    bit, under Dantzig pricing and under Bland's rule from the first pivot."""
+
+    ENGINE = staticmethod(solvers._bounded_simplex)
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        lps = []
+
+        def spy(A, cost, upper, rhs, basis):
+            lps.append(tuple(v.copy() for v in (A, cost, upper, rhs, basis)))
+            return self.ENGINE(A, cost, upper, rhs, basis)
+
+        monkeypatch.setattr(solvers, "_bounded_simplex", spy)
+        return lps
+
+    def assert_same(self, lps, monkeypatch):
+        for run in (solvers._DEGENERATE_RUN, 0):
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_DEGENERATE_RUN", run)
+                for lp in lps:
+                    expected = _bits(_solve(bounded_simplex_vector, lp))
+                    assert _bits(_solve(self.ENGINE, lp)) == expected
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_l1_dual_lps_of_p1_fits(self, recorded, monkeypatch, seed):
+        params = dict(METHOD_PRESETS["sr-linear-l1"])
+        params.pop("kind")
+        fit_sr(generate(get_setting("P1"), 200, seed), SRConfig(seed=seed, **params))
+        assert len(recorded) == 48  # 3 steps x (5 folds x 3 lambdas + 1 refit)
+        self.assert_same(recorded, monkeypatch)
+
+    def test_phase_one_and_two_lps_with_duplicated_and_contradictory_rows(
+        self, recorded, monkeypatch
+    ):
+        infeasible = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            c, G, h, senses, free = _boxed_lp(
+                rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)),
+                moved=seed % 3 == 0, duplicated=True, contradictory=seed % 2 == 0,
+            )
+            try:
+                simplex_solve(LinearProgram(c=c, G=G, h=h, senses=senses, free=free))
+            except InfeasibleLPError:
+                infeasible += 1
+        phase2 = sum(bool((upper == 0).any()) for _, _, upper, _, _ in recorded)
+        assert infeasible > 0 and phase2 > 0 and len(recorded) > 40
+        self.assert_same(recorded, monkeypatch)
+
+    def test_unbounded_lps(self, recorded, monkeypatch):
+        # x0 - x1 <= 1 lets x1 grow once x0 is basic; the no-row LP has no ratio
+        for G, senses in ((np.array([[1.0, -1.0]]), ("<=",)), (np.zeros((0, 2)), ())):
+            lp = LinearProgram(
+                c=np.array([-1.0, -1.0]), G=G, h=np.ones(len(senses)),
+                senses=senses, free=np.zeros(2, dtype=bool),
+            )
+            with pytest.raises(UnboundedLPError):
+                simplex_solve(lp)
+        self.assert_same(recorded, monkeypatch)
+        assert all(_solve(self.ENGINE, lp)[2] is None for lp in recorded)
+
+    @pytest.mark.parametrize("rhs", [[1.0, 2.0], [-1e-12, 0.0]])
+    def test_ratio_tie_leaves_by_largest_alpha_or_smallest_index(self, monkeypatch, rhs):
+        # entering x0 ties rows 0 and 1 (at step 1, or at 0 when s0 sits a
+        # rounding error below its bound); |alpha| = 2 picks row 1, Bland's
+        # smallest basis index (s0) picks row 0
+        lp = (np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]]), np.array([-1.0, 0.0, 0.0]),
+              np.full(3, np.inf), np.array(rhs), np.array([1, 2]))
+        self.assert_same([lp], monkeypatch)
+        assert _solve(self.ENGINE, lp)[3].tolist() == [1, 0]
+        monkeypatch.setattr(solvers, "_DEGENERATE_RUN", 0)
+        assert _solve(self.ENGINE, lp)[3].tolist() == [0, 2]
+
+    def test_bound_flip_wins_a_tie_with_the_ratio(self, monkeypatch):
+        # x0's upper bound 1 equals its ratio 1/1, so x0 flips and s stays basic
+        lp = (np.array([[1.0, 1.0]]), np.array([-1.0, 0.0]), np.array([1.0, np.inf]),
+              np.array([1.0]), np.array([1]))
+        self.assert_same([lp], monkeypatch)
+        x, _, pivots, basis = _solve(self.ENGINE, lp)
+        assert pivots == 1 and basis.tolist() == [1] and x.tolist() == [1.0, 0.0]
+
+    def test_flip_after_flip_reuses_prices(self, monkeypatch):
+        # both boxed columns flip to their bounds in turn; the basis never changes
+        lp = (np.array([[0.3, 0.7, 1.1]]), np.array([-1.3, -0.9, 0.2]),
+              np.array([1.0, 1.0, np.inf]), np.array([2.9]), np.array([2]))
+        self.assert_same([lp], monkeypatch)
+        x, _, pivots, basis = _solve(self.ENGINE, lp)
+        assert pivots == 2 and basis.tolist() == [2] and x[:2].tolist() == [1.0, 1.0]
+
+    def test_no_rows_gives_an_infinite_step(self, monkeypatch):
+        # with no row to block it, x0 flips to its bound 2
+        lp = (np.zeros((0, 2)), np.array([-1.0, 1.0]), np.array([2.0, np.inf]),
+              np.zeros(0), np.zeros(0, dtype=int))
+        self.assert_same([lp], monkeypatch)
+        x, prices, pivots, _ = _solve(self.ENGINE, lp)
+        assert pivots == 1 and prices.size == 0 and x.tolist() == [2.0, 0.0]
