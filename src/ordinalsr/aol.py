@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, gram_matrix
-from .solvers import l1_hinge_dual_solve, logistic_fit, wsvm_dual_solve
+from .solvers import _check_positive, l1_hinge_dual_solve, logistic_fit, wsvm_dual_solve
 
 __all__ = [
     "BinarySubproblem",
@@ -29,6 +29,7 @@ __all__ = [
 PROPENSITY_FLOOR = 0.01
 COEF_SNAP = 1e-8
 SUPPORT_EPS = 1e-12
+_BLOCK_BYTES = 4 * 2**20  # cap on one block of Gram rows in KernelExpansionRule.decision_value
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,13 @@ class KernelExpansionRule:
         _set_selection(self, self.n_features)
 
     def decision_value(self, X):
+        """b0 + K(X, points) @ coefs, one block of rows at a time.
+
+        A block has max(1, _BLOCK_BYTES // (8 * len(points))) rows, so its Gram
+        matrix stays near _BLOCK_BYTES however many rows X has.  A row's value
+        does not depend on the other rows, but BLAS may round it differently
+        for another block size (a few ulps).
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
             raise DataError("feature dimension mismatch in rule")
@@ -113,7 +121,13 @@ class KernelExpansionRule:
             X = X * mask
         if self.coefs.size == 0:
             return np.full(X.shape[0], self.intercept)
-        return self.intercept + gram_matrix(self.kernel, X, self.points) @ self.coefs
+        out = np.empty(X.shape[0])
+        rows = max(1, _BLOCK_BYTES // (8 * self.coefs.shape[0]))
+        for lo in range(0, X.shape[0], rows):
+            block = slice(lo, lo + rows)
+            out[block] = gram_matrix(self.kernel, X[block], self.points) @ self.coefs
+        out += self.intercept
+        return out
 
     def predict(self, X):
         return _sign_tie_negative(self.decision_value(X))
@@ -229,8 +243,7 @@ def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam, tol=1e-5):
 def _fit_l2(sub, kernel, lam, gram_full, tol=1e-5):
     """fit_aol_l2, reading the active rows of gram_full (the kernel's Gram
     matrix over all of sub's rows) when it is given."""
-    if lam <= 0:
-        raise DataError("lambda must be positive")
+    _check_positive("lam", lam)
     keep = _active(sub)
     X = sub.features[keep]
     gram = gram_matrix(kernel, X, X) if gram_full is None else gram_full
@@ -259,8 +272,7 @@ def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
     simplex on the dual LP, whose 1+2p rows do not grow with the subject
     count.  Slopes below 1e-8 in magnitude are snapped to exactly zero.
     """
-    if lam <= 0:
-        raise DataError("lambda must be positive")
+    _check_positive("lam", lam)
     keep = _active(sub)
     sol = l1_hinge_dual_solve(
         sub.features[keep], sub.labels[keep], sub.weights[keep], lam

@@ -279,8 +279,10 @@ def predict_ordinal(model: SRModel, features) -> np.ndarray:
     """Ensemble the binary rules into arm assignments in 1..K.
 
     Accepts raw (unscaled) features; scaling stored in the model is applied
-    first.  With use_r_steps=False (ablation) a settled sequential step
-    assigns its own arm directly instead of consulting the R-rule.
+    first.  Each rule sees only the rows that reach it: S_k the rows no earlier
+    S-rule settled, R_k the rows S_k settles, and S_{K-1} the rest.  With
+    use_r_steps=False (ablation) a settled sequential step assigns its own arm
+    directly and no R-rule runs.
     """
     X = np.asarray(features, dtype=float)
     single = X.ndim == 1
@@ -288,18 +290,17 @@ def predict_ordinal(model: SRModel, features) -> np.ndarray:
     n = Xs.shape[0]
     K = model.k_arms
     pred = np.zeros(n, dtype=int)
-    remaining = np.ones(n, dtype=bool)
+    rows = np.arange(n)  # rows no S-rule has settled yet
     for k in range(1, K - 1):
-        s_dec = model.sequential_rules[k - 1].predict(Xs)
-        settled = remaining & (s_dec == -1)
+        settles = model.sequential_rules[k - 1].predict(Xs[rows]) == -1
+        settled, rows = rows[settles], rows[~settles]
         if model.config.use_r_steps:
-            r_dec = model.reestimation_rules[k - 1].predict(Xs)
-            pred[settled] = np.where(r_dec[settled] == -1, k, k + 1)
+            r_dec = model.reestimation_rules[k - 1].predict(Xs[settled])
+            pred[settled] = np.where(r_dec == -1, k, k + 1)
         else:
             pred[settled] = k
-        remaining &= ~settled
-    last = model.sequential_rules[K - 2].predict(Xs)
-    pred[remaining] = np.where(last[remaining] == -1, K - 1, K)
+    last = model.sequential_rules[K - 2].predict(Xs[rows])
+    pred[rows] = np.where(last == -1, K - 1, K)
     return int(pred[0]) if single else pred
 
 

@@ -1,18 +1,22 @@
 """Tests for binary subproblem construction and the weighted classifiers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ordinalsr.aol as aol
 from _oracles import lambda_max
 from conftest import make_subproblem
 from ordinalsr.aol import (
+    KernelExpansionRule,
     build_subproblem,
     fit_aol_l1_linear,
     fit_aol_l2,
 )
 from ordinalsr.data import TrialDataset
 from ordinalsr.exceptions import DataError, DegenerateStepError
-from ordinalsr.kernels import KernelSpec
+from ordinalsr.kernels import KernelSpec, gram_matrix
 
 
 class _ZeroModel:
@@ -140,17 +144,28 @@ class TestL2Fit:
         )
         np.testing.assert_array_equal(rule.predict([[0.5, 0.0], [-0.5, 0.0]]), [1, -1])
 
-    def test_invalid_lambda(self):
-        sub = make_subproblem(np.zeros((4, 1)), [1, -1, 1, -1], np.ones(4))
-        with pytest.raises(DataError):
-            fit_aol_l2(sub, KernelSpec("linear"), lam=0.0)
-
     def test_single_class_after_weighting_degenerate(self):
         X = np.arange(6, dtype=float)[:, None]
         labels = np.array([1, 1, 1, -1, -1, -1])
         w = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
         with pytest.raises(DegenerateStepError):
             fit_aol_l2(make_subproblem(X, labels, w), KernelSpec("linear"), lam=0.1)
+
+
+@pytest.mark.parametrize("lam", ["0.1", None, True, np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "fit", [lambda sub, lam: fit_aol_l2(sub, KernelSpec("linear"), lam), fit_aol_l1_linear],
+    ids=["l2", "l1"],
+)
+def test_invalid_lambda_raises_before_any_solver(monkeypatch, fit, lam):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solver ran with an invalid lambda")
+
+    for name in ("wsvm_dual_solve", "l1_hinge_dual_solve"):
+        monkeypatch.setattr(aol, name, unreachable)
+    sub = make_subproblem(np.arange(6.0)[:, None], [1, -1, 1, -1, 1, -1], np.ones(6))
+    with pytest.raises(DataError, match="lam"):
+        fit(sub, lam)
 
 
 class TestL1Fit:
@@ -239,3 +254,84 @@ class TestRulePredictions:
         rule = SparseLinearRule(intercept=0.0, slopes=np.array([1.0, 2.0]))
         with pytest.raises(DataError):
             rule.predict(np.zeros((2, 3)))
+
+
+class TestBlockedKernelDecision:
+    """KernelExpansionRule.decision_value over row blocks of aol._BLOCK_BYTES."""
+
+    @staticmethod
+    def _rule(rng, n_points, selected=None):
+        return KernelExpansionRule(
+            points=rng.uniform(-1, 1, size=(n_points, 3)),
+            coefs=rng.normal(size=n_points),
+            intercept=0.3,
+            kernel=KernelSpec("gaussian", 0.7),
+            n_features=3,
+            selected_features=selected,
+        )
+
+    @staticmethod
+    def _gram_rows(monkeypatch):
+        """Row count of every gram_matrix call decision_value makes."""
+        calls = []
+
+        def spy(spec, A, B):
+            calls.append(A.shape[0])
+            return gram_matrix(spec, A, B)
+
+        monkeypatch.setattr(aol, "gram_matrix", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "block_rows, calls", [(1, [1] * 30), (7, [7, 7, 7, 7, 2]), (31, [30])]
+    )
+    @pytest.mark.parametrize("selected", [None, (0, 2)])
+    def test_matches_one_shot_gram(self, monkeypatch, rng, block_rows, calls, selected):
+        rule = self._rule(rng, 13, selected)
+        X = rng.uniform(-1.5, 1.5, size=(30, 3))
+        mask = np.isin(np.arange(3), rule.selected_features)
+        want = rule.intercept + gram_matrix(rule.kernel, X * mask, rule.points) @ rule.coefs
+        monkeypatch.setattr(aol, "_BLOCK_BYTES", 8 * 13 * block_rows)
+        rows = self._gram_rows(monkeypatch)
+        got = rule.decision_value(X)
+        assert rows == calls
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(rule.predict(X), np.where(want > 0, 1, -1))
+
+    def test_budget_below_one_row_still_takes_one_row(self, monkeypatch, rng):
+        rule = self._rule(rng, 13)
+        monkeypatch.setattr(aol, "_BLOCK_BYTES", 1)
+        rows = self._gram_rows(monkeypatch)
+        assert rule.decision_value(np.zeros((3, 3))).shape == (3,)
+        assert rows == [1, 1, 1]
+
+    def test_zero_points_give_the_intercept(self, monkeypatch, rng):
+        rule = KernelExpansionRule(
+            points=np.empty((0, 3)), coefs=np.empty(0), intercept=-0.25,
+            kernel=KernelSpec("gaussian", 1.0), n_features=3,
+        )
+        rows = self._gram_rows(monkeypatch)
+        np.testing.assert_array_equal(rule.decision_value(rng.normal(size=(5, 3))), -0.25)
+        np.testing.assert_array_equal(rule.predict(rng.normal(size=(5, 3))), -1)
+        assert rows == []
+
+    @pytest.mark.parametrize("n_points", [0, 13])
+    def test_zero_rows(self, monkeypatch, rng, n_points):
+        rule = self._rule(rng, n_points)
+        rows = self._gram_rows(monkeypatch)
+        got = rule.decision_value(np.empty((0, 3)))
+        assert got.shape == (0,) and got.dtype == float
+        assert rule.predict(np.empty((0, 3))).shape == (0,)
+        assert rows == []
+
+    def test_peak_memory_is_bounded_by_the_block_budget(self, rng):
+        # one-shot, 10k rows x 800 points held two 64 MB blocks at once
+        rule = self._rule(rng, 800)
+        X = rng.uniform(-1, 1, size=(10_000, 3))
+        tracemalloc.start()
+        try:
+            out = rule.decision_value(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * aol._BLOCK_BYTES + out.nbytes

@@ -1,6 +1,7 @@
 """Tests for the sequential re-estimation cascade: eligibility, fitting,
 ensembling, and the plain-text model format."""
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -110,6 +111,71 @@ class TestEnsemblingStubs:
                 scaling=_unit_scaling(2),
                 config=SRConfig(),
             )
+
+
+class _SpyRule:
+    """Decides row i of the routing inputs by decisions[i] (feature 0 holds i)
+    and records the row indices of every call."""
+
+    def __init__(self, decisions):
+        self.decisions = np.asarray(decisions)
+        self.received = []
+
+    def predict(self, X):
+        rows = np.asarray(X)[:, 0].astype(int)
+        self.received.append(rows)
+        return self.decisions[rows]
+
+
+def _cascade(s, r, use_r_steps):
+    """The SR decision tree for one row: S-decisions s, R-decisions r."""
+    for k, sk in enumerate(s[:-1], start=1):
+        if sk == -1:
+            return k + (use_r_steps and r[k - 1] == 1)
+    return len(s) + (s[-1] == 1)
+
+
+class TestRouting:
+    """Each rule sees only the rows that reach it; one row per combination of
+    binary decisions, so every path through the cascade is taken."""
+
+    @pytest.mark.parametrize("use_r_steps", [True, False])
+    @pytest.mark.parametrize("k_arms", [3, 4])
+    def test_rules_receive_only_the_rows_that_reach_them(self, k_arms, use_r_steps):
+        combos = np.array(list(itertools.product((-1, 1), repeat=2 * k_arms - 3)))
+        s_dec, r_dec = combos[:, : k_arms - 1], combos[:, k_arms - 1 :]
+        s_rules = [_SpyRule(s_dec[:, j]) for j in range(k_arms - 1)]
+        r_rules = [_SpyRule(r_dec[:, j]) for j in range(k_arms - 2)]
+        model = SRModel(
+            k_arms=k_arms,
+            sequential_rules=tuple(s_rules),
+            reestimation_rules=tuple(r_rules),
+            scaling=_unit_scaling(2),
+            config=SRConfig(use_r_steps=use_r_steps),
+        )
+        X = np.column_stack([np.arange(len(combos)), np.zeros(len(combos))])
+        pred = predict_ordinal(model, X)
+
+        want = [_cascade(s, r, use_r_steps) for s, r in zip(s_dec, r_dec)]
+        np.testing.assert_array_equal(pred, want)
+        assert pred.dtype.kind == "i"
+        reaches = np.ones(len(combos), dtype=bool)  # not settled by an earlier S-rule
+        for k in range(1, k_arms):
+            (got,) = s_rules[k - 1].received
+            np.testing.assert_array_equal(got, np.flatnonzero(reaches))
+            if k < k_arms - 1:
+                settles = reaches & (s_dec[:, k - 1] == -1)
+                if use_r_steps:
+                    (got,) = r_rules[k - 1].received
+                    np.testing.assert_array_equal(got, np.flatnonzero(settles))
+                else:
+                    assert r_rules[k - 1].received == []
+                reaches &= ~settles
+
+    def test_zero_rows_give_an_empty_integer_array(self):
+        model = _stub_model(3, (1, -1), (1,))
+        pred = predict_ordinal(model, np.empty((0, 2)))
+        assert pred.shape == (0,) and pred.dtype.kind == "i"
 
 
 class TestFitSr:
