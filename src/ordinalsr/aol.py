@@ -9,7 +9,7 @@ fit solved through the (1+2p)-row dual of its linear program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ _BLOCK_BYTES = 4 * 2**20  # cap on one block of Gram rows in KernelExpansionRule
 class BinarySubproblem:
     """One S- or R-step classification problem over its eligible subjects."""
 
-    indices: np.ndarray
     features: np.ndarray
     labels: np.ndarray  # +-1, arm side flipped by sign of residual
     weights: np.ndarray  # |e| / P(side | X), >= 0
@@ -44,7 +43,6 @@ class BinarySubproblem:
     outcomes: np.ndarray
     propensities: np.ndarray  # P(side | X), floored
     step_id: str
-    arm_map: dict
     selected_features: tuple = None  # set by varselect.screen_mask; None means all
     selection_fallback: bool = False
 
@@ -55,12 +53,6 @@ class BinarySubproblem:
     @property
     def p(self):
         return self.features.shape[1]
-
-    def subset(self, rows):
-        rows = np.asarray(rows)
-        per_row = ("indices", "features", "labels", "weights", "arm_labels", "outcomes",
-                   "propensities")
-        return replace(self, **{name: getattr(self, name)[rows] for name in per_row})
 
 
 @dataclass(frozen=True)
@@ -200,7 +192,6 @@ def build_subproblem(
     prop = np.clip(prop, PROPENSITY_FLOOR, 1.0)
     weights = np.abs(e) / prop
     return BinarySubproblem(
-        indices=eligible,
         features=X,
         labels=labels,
         weights=weights,
@@ -208,7 +199,6 @@ def build_subproblem(
         outcomes=y,
         propensities=prop,
         step_id=step_id or "step",
-        arm_map={-1: negative_arms, 1: positive_arms},
     )
 
 
@@ -274,11 +264,12 @@ def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
     """
     _check_positive("lam", lam)
     keep = _active(sub)
-    sol = l1_hinge_dual_solve(
-        sub.features[keep], sub.labels[keep], sub.weights[keep], lam
-    )
-    slopes = np.where(np.abs(sol.slopes) <= COEF_SNAP, 0.0, sol.slopes)
+    slopes, b0 = _l1_coefs(sub.features[keep], sub.labels[keep], sub.weights[keep], lam)
     selected = tuple(int(j) for j in np.flatnonzero(slopes))
-    return SparseLinearRule(
-        intercept=sol.intercept, slopes=slopes, selected_features=selected
-    )
+    return SparseLinearRule(intercept=b0, slopes=slopes, selected_features=selected)
+
+
+def _l1_coefs(X, labels, weights, lam):
+    """(slopes, intercept) of l1_hinge_dual_solve, slopes within COEF_SNAP of 0 set to 0."""
+    sol = l1_hinge_dual_solve(X, labels, weights, lam)
+    return np.where(np.abs(sol.slopes) <= COEF_SNAP, 0.0, sol.slopes), sol.intercept

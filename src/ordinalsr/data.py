@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,7 +159,6 @@ class ScalingParams:
 
     mins: np.ndarray
     maxs: np.ndarray
-    degenerate: np.ndarray = field(default=None)
 
     def __post_init__(self):
         mins = np.asarray(self.mins, dtype=float)
@@ -168,17 +167,17 @@ class ScalingParams:
             raise DataError("scaling min/max must be 1-D and equal length")
         if np.any(maxs < mins):
             raise DataError("scaling max < min")
-        deg = self.degenerate
-        if deg is None:
-            deg = maxs == mins
-        deg = np.asarray(deg, dtype=bool)
         object.__setattr__(self, "mins", _readonly(mins))
         object.__setattr__(self, "maxs", _readonly(maxs))
-        object.__setattr__(self, "degenerate", _readonly(deg))
 
     @property
     def p(self):
         return self.mins.shape[0]
+
+    @property
+    def degenerate(self):
+        """True for a constant training column, which apply_scaling maps to 0."""
+        return self.maxs == self.mins
 
 
 def fit_scaling(data) -> ScalingParams:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aol import _fit_l2, fit_aol_l1_linear, fit_l2_from_gram
+from .aol import _fit_l2, _l1_coefs, _sign_tie_negative, fit_aol_l1_linear, fit_l2_from_gram
 from .data import _write_csv
 from .exceptions import (
     DataError,
@@ -133,15 +133,16 @@ def evaluate_rule(pred, data) -> EvaluationReport:
 # ---------------------------------------------------------------------------
 # cross-validated tuning of one binary step
 
+_FOLD_REDRAWS = 20
 
-def _stratified_folds(labels, weights, folds, seed, redraws=20):
+def _stratified_folds(labels, weights, folds, seed):
     """Fold assignment stratified by binary label; every training part must
     keep both classes among positive-weight rows.  Reduces the fold count when
-    20 redraws cannot achieve that."""
+    _FOLD_REDRAWS redraws cannot achieve that."""
     rng = np.random.default_rng(seed)
     n = labels.shape[0]
     while folds >= 2:
-        for _ in range(redraws):
+        for _ in range(_FOLD_REDRAWS):
             assign = np.empty(n, dtype=int)
             for lab in (-1, 1):
                 idx = np.flatnonzero(labels == lab)
@@ -183,10 +184,16 @@ def cv_tune(
     the linear kernel); "l1linear" fits the L1 linear rule, whose callers pass
     sigma_grid=(None,).  A screened step arrives with its features already
     masked and its selection set (see varselect.screen_mask).  Ties break
-    toward larger lambda, then larger sigma (simpler rules).  The L2 fits of
-    one fold walk the lambda grid in order, each starting from the previous
-    alpha times lambda_prev / lambda: the caps C_i = w_i / (2 lambda m) scale
-    the same way, so that start is feasible.  The rule is then fitted on all
+    toward larger lambda, then larger sigma (simpler rules).
+
+    One fold loop serves both penalties.  A fold fits one (coefs, b0) per
+    lambda on its positive-weight training rows, then scores its held-out rows
+    as sign(design @ coefs + b0).  For L2 the design is the held-out rows of
+    the sigma's Gram matrix against the training rows, and the fits walk the
+    lambda grid in order, each starting from the previous alpha times
+    lambda_prev / lambda: the caps C_i = w_i / (2 lambda m) scale the same
+    way, so that start is feasible.  For L1 the design is the held-out
+    features and each lambda is solved cold.  The rule is then fitted on all
     of sub at the chosen lambda/sigma, cold at tol 1e-5, an L2 rule reading
     the chosen sigma's Gram matrix from the search.
     """
@@ -207,33 +214,28 @@ def cv_tune(
         scores = [[] for _ in lambda_grid]
         for f in range(folds):
             te = np.flatnonzero(assign == f)
-            tr = np.flatnonzero(assign != f)
+            active = np.flatnonzero((assign != f) & (sub.weights > 0))
+            labels, weights = sub.labels[active], sub.weights[active]
             if penalty == "l1linear":
-                train, X_te = sub.subset(tr), sub.features[te]
-                for lam, fold_scores in zip(lambda_grid, scores):
-                    pred = fit_aol_l1_linear(train, lam).predict(X_te)
-                    fold_scores.append(_holdout_score(pred, sub, te))
-                continue
-            active = tr[sub.weights[tr] > 0]
-            labels = sub.labels[active]
-            weights = sub.weights[active]
-            gram_tr = gram_full[np.ix_(active, active)]
-            fits = []
-            alpha = lam_prev = None
-            for lam in lambda_grid:
-                init = None if alpha is None else alpha * (lam_prev / lam)
-                coefs, b0 = fit_l2_from_gram(
-                    labels, weights, gram_tr, lam, tol=cv_tol, init=init
-                )
-                alpha, lam_prev = coefs * labels, lam
-                fits.append((coefs, b0))
-            # score after the fits, so the two blocks are never held at once
-            gram_tr = None
-            gram_te = gram_full[np.ix_(te, active)]
+                X_tr = sub.features[active]
+                fits = [_l1_coefs(X_tr, labels, weights, lam) for lam in lambda_grid]
+                design = sub.features[te]
+            else:
+                gram_tr = gram_full[np.ix_(active, active)]
+                fits, alpha, lam_prev = [], None, None
+                for lam in lambda_grid:
+                    init = None if alpha is None else alpha * (lam_prev / lam)
+                    coefs, b0 = fit_l2_from_gram(
+                        labels, weights, gram_tr, lam, tol=cv_tol, init=init
+                    )
+                    alpha, lam_prev = coefs * labels, lam
+                    fits.append((coefs, b0))
+                gram_tr = None  # the training and held-out blocks are never held at once
+                design = gram_full[np.ix_(te, active)]
             for (coefs, b0), fold_scores in zip(fits, scores):
-                pred = np.where(gram_te @ coefs + b0 > 0, 1, -1)
+                pred = _sign_tie_negative(design @ coefs + b0)
                 fold_scores.append(_holdout_score(pred, sub, te))
-            gram_te = None
+            design = None  # nor across folds
         for lam, fold_scores in zip(lambda_grid, scores):
             mean_score = float(np.nanmean(fold_scores)) if not all(
                 math.isnan(s) for s in fold_scores
@@ -283,15 +285,11 @@ METHOD_PRESETS = {
 }
 
 
-def resolve_method(method):
-    """A method is a preset name or a dict with 'name' and SRConfig overrides."""
-    if isinstance(method, str):
-        if method not in METHOD_PRESETS:
-            raise DataError(f"unknown method preset {method!r}")
-        return method, dict(METHOD_PRESETS[method])
-    method = dict(method)
-    name = method.pop("name")
-    return name, method
+def resolve_method(name):
+    """The SRConfig overrides (and "kind") of a method preset, as a new dict."""
+    if name not in METHOD_PRESETS:
+        raise DataError(f"unknown method preset {name!r}")
+    return dict(METHOD_PRESETS[name])
 
 
 def _run_cell(cell):
@@ -304,8 +302,8 @@ def _run_cell(cell):
     train = generate(spec, n, train_seed)
     test = generate(spec, test_size, test_seed)
     rows, failures = [], []
-    for method in methods:
-        name, params = resolve_method(method)
+    for name in methods:
+        params = resolve_method(name)
         kind = params.pop("kind", "sr")
         try:
             if kind == "oracle":
@@ -341,16 +339,16 @@ def run_benchmark(
 ):
     """Replicated simulation benchmark.
 
-    settings may be setting ids or SettingSpec objects; methods are preset
-    names or dicts (see resolve_method).  The test set is shared by all
-    methods within a (setting, n, replicate) cell.  Returns (rows, failures);
-    rows are canonically sorted so output is independent of scheduling.
+    settings are setting ids and methods are METHOD_PRESETS names.  The test
+    set is shared by all methods within a (setting, n, replicate) cell.
+    Returns (rows, failures); rows are canonically sorted so output is
+    independent of scheduling.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     if replicates < 1:
         raise DataError("replicates must be >= 1")
-    specs = [get_setting(s, p=p) if isinstance(s, str) else s for s in settings]
+    specs = [get_setting(s, p=p) for s in settings]
     cells = [
         (spec, n, rep, methods, seed, test_size)
         for spec in specs
@@ -362,7 +360,7 @@ def run_benchmark(
         for r, f in (map if pool is None else pool.map)(_run_cell, cells):
             rows.extend(r)
             failures.extend(f)
-    order = {resolve_method(m)[0]: i for i, m in enumerate(methods)}
+    order = {name: i for i, name in enumerate(methods)}
     rows.sort(key=lambda r: (r["setting"], r["n"], order[r["method"]], r["replicate"]))
     return rows, failures
 
@@ -412,16 +410,14 @@ def write_summary_csv(summary, path):
 
 def write_manifest(path, settings, n_list, replicates, methods, seed, test_size, p=None):
     """Plain-text record of every generator constant the benchmark relies on."""
-    specs = [get_setting(s, p=p) if isinstance(s, str) else s for s in settings]
+    specs = [get_setting(s, p=p) for s in settings]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("ordinalsr benchmark manifest\n")
         fh.write(f"replicates {replicates} (desk scale; reference studies use 500)\n")
         fh.write(f"seed {seed}\n")
         fh.write(f"test_size {test_size}\n")
         fh.write(f"n_list {','.join(str(n) for n in n_list)}\n")
-        fh.write(
-            "methods " + ",".join(resolve_method(m)[0] for m in methods) + "\n"
-        )
+        fh.write(f"methods {','.join(methods)}\n")
         fh.write(
             "note: boundary parameterizations and mu(X) are package constants, "
             "not published values; parallel settings use index weights "

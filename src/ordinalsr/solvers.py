@@ -116,7 +116,7 @@ def _irls(A, y, max_iter, gtol, beta=None):
     return beta, iterations, converged
 
 
-def logistic_fit(X, labels, max_iter=_LOGISTIC_MAXIT) -> LogisticModel:
+def logistic_fit(X, labels) -> LogisticModel:
     """IRLS maximization of the Bernoulli log-likelihood.
 
     Hessian gets a 1e-6 ridge; stops at gradient norm < 1e-8.  Separated data
@@ -132,7 +132,7 @@ def logistic_fit(X, labels, max_iter=_LOGISTIC_MAXIT) -> LogisticModel:
     if np.unique(y).size < 2:
         raise DataError("logistic_fit needs both classes present")
     A = np.column_stack([np.ones(X.shape[0]), X])
-    (beta,), (it,), (converged,) = _irls(A[None], y, max_iter, _LOGISTIC_GTOL)
+    (beta,), (it,), (converged,) = _irls(A[None], y, _LOGISTIC_MAXIT, _LOGISTIC_GTOL)
     if np.any(np.abs(beta) >= _COEF_CAP - 1e-12):
         converged = False
     return LogisticModel(

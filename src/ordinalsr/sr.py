@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDA_GRID = (0.01, 0.05, 0.25)
-DEFAULT_SIGMA_SCALES = (0.5, 1.0, 2.0)
+SIGMA_SCALES = (0.5, 1.0, 2.0)  # multiples of the median bandwidth when sigma_grid is None
 
 
 def _positive_grid(name, values):
@@ -57,10 +57,8 @@ class SRConfig:
     penalty: str = "l2"
     selection: str = "none"
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
-    sigma_grid: tuple = None  # absolute bandwidths; None -> median * sigma_scales
-    sigma_scales: tuple = DEFAULT_SIGMA_SCALES
+    sigma_grid: tuple = None  # absolute bandwidths; None -> median * SIGMA_SCALES
     cv_folds: int = 5
-    min_step_size: int = 10
     seed: int = 0
     propensity_mode: str = "known"
     use_r_steps: bool = True
@@ -84,7 +82,7 @@ class SRConfig:
                 "two-stage selection screens for an L2 fit; the L1 penalty "
                 "selects by itself (selection='embedded')"
             )
-        for name, low in (("cv_folds", 2), ("min_step_size", 0), ("seed", 0)):
+        for name, low in (("cv_folds", 2), ("seed", 0)):
             _check_integer(name, getattr(self, name), low)
         if not isinstance(self.use_r_steps, bool):
             raise DataError(f"use_r_steps must be a bool, not {self.use_r_steps!r}")
@@ -93,7 +91,6 @@ class SRConfig:
         object.__setattr__(self, "lambda_grid", _positive_grid("lambda_grid", self.lambda_grid))
         if self.sigma_grid is not None:
             object.__setattr__(self, "sigma_grid", _positive_grid("sigma_grid", self.sigma_grid))
-        object.__setattr__(self, "sigma_scales", _positive_grid("sigma_scales", self.sigma_scales))
 
 
 @dataclass(frozen=True)
@@ -165,11 +162,9 @@ def _majority_rule(data, eligible, negative_arms, positive_arms, reason) -> Cons
     set is empty; ties go to the less intensive side.
     """
     pool = np.asarray(eligible, dtype=int)
-    arms = data.treatment[pool] if pool.size else np.empty(0, dtype=int)
-    both = negative_arms + positive_arms
-    if pool.size == 0 or not np.isin(arms, both).any():
-        pool = np.flatnonzero(np.isin(data.treatment, both))
-        arms = data.treatment[pool]
+    if pool.size == 0:
+        pool = np.flatnonzero(np.isin(data.treatment, negative_arms + positive_arms))
+    arms = data.treatment[pool]
     w = 1.0 / data.effective_propensity()[pool]
     mass_pos = w[np.isin(arms, positive_arms)].sum()
     mass_neg = w[np.isin(arms, negative_arms)].sum()
@@ -185,7 +180,7 @@ def _resolve_sigma_grid(config, features, seed):
         med = median_bandwidth(features, seed=seed)
     except DataError:
         med = 1.0
-    return tuple(s * med for s in config.sigma_scales)
+    return tuple(s * med for s in SIGMA_SCALES)
 
 
 def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible, seed):
@@ -204,7 +199,6 @@ def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible,
             ols_fit(Xs[eligible], data.outcome[eligible]),
             propensity_mode=config.propensity_mode,
             step_id=step_id,
-            min_size=config.min_step_size,
             features=Xs,
         )
         if config.selection == "two-stage":
@@ -354,7 +348,8 @@ _CODECS = {
 _CONFIG_FIELDS = tuple((f.name, f.name, f.type) for f in fields(SRConfig))
 _OPTIONAL_CONFIG = tuple(f.name for f in fields(SRConfig) if f.default is None)
 # config lines of options since removed, at the one value they could take
-_RETIRED_CONFIG = ("residual_model ols", "cv_criterion value")
+_RETIRED_CONFIG = ("residual_model ols", "cv_criterion value", "sigma_scales 0.5 1.0 2.0",
+                   "min_step_size 10")
 _INTERCEPT = ("intercept", "intercept", "float")
 _SELECTION = (("selected", "selected_features", "ints"), ("fallback", "selection_fallback", "bool"))
 # rule kind -> (class, (file key, attribute, codec) per line); a kernel rule's

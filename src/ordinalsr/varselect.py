@@ -73,8 +73,8 @@ def _ebic(ll, k_terms, n, n_candidates, gamma=EBIC_GAMMA):
     return -2.0 * ll + penalty + 2.0 * gamma * choose
 
 
-def screen_stepwise(X_aug, labels, descriptors=None, gamma=EBIC_GAMMA):
-    """Forward-backward stepwise logistic screening scored by EBIC.
+def screen_stepwise(X_aug, labels, descriptors=None):
+    """Forward-backward stepwise logistic screening scored by EBIC (gamma = EBIC_GAMMA).
 
     X_aug columns are monomials (see expand_second_order); columns are
     standardized internally so the screen is scale-invariant.  The
@@ -127,7 +127,7 @@ def screen_stepwise(X_aug, labels, descriptors=None, gamma=EBIC_GAMMA):
             betas[rows] = beta
         fits += m
         best, best_val = -1, current
-        for i, val in enumerate(_ebic(lls, k_terms, n, P, gamma)):
+        for i, val in enumerate(_ebic(lls, k_terms, n, P)):
             if val < best_val - 1e-8:
                 best, best_val = i, float(val)
         return best, best_val, betas

@@ -34,7 +34,6 @@ def make_subproblem(X, labels, weights, propensities=None, step_id="test"):
     if propensities is None:
         propensities = np.full(m, 0.5)
     return BinarySubproblem(
-        indices=np.arange(m),
         features=X,
         labels=labels,
         weights=weights,
@@ -42,7 +41,6 @@ def make_subproblem(X, labels, weights, propensities=None, step_id="test"):
         outcomes=np.zeros(m),
         propensities=np.asarray(propensities, dtype=float),
         step_id=step_id,
-        arm_map={-1: (1,), 1: (2,)},
     )
 
 

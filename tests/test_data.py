@@ -297,6 +297,13 @@ class TestScaling:
         Z = apply_scaling(params, np.array([[1.0, 3.0], [7.0, 3.0]]))
         np.testing.assert_allclose(Z[:, 0], 0.0)
 
+    def test_degenerate_is_read_from_the_bounds(self):
+        params = ScalingParams(mins=np.array([1.0, 0.0]), maxs=np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(params.degenerate, [True, False])
+        np.testing.assert_array_equal(apply_scaling(params, [[5.0, 1.0]]), [[0.0, 0.0]])
+        with pytest.raises(TypeError):  # no longer settable apart from the bounds
+            ScalingParams(mins=np.ones(1), maxs=np.ones(1), degenerate=np.array([False]))
+
     def test_out_of_range_not_clipped(self):
         params = ScalingParams(mins=np.array([0.0]), maxs=np.array([1.0]))
         Z = apply_scaling(params, np.array([[2.0]]))

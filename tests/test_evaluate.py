@@ -175,6 +175,24 @@ class TestCvTune:
         )
 
 
+    def test_l1_table_matches_fits_on_fold_subproblems(self):
+        """The L1 fold fits equal fit_aol_l1_linear on each fold's training rows."""
+        sub = self._n8_sub()
+        lambdas, folds, seed = (0.01, 0.05, 0.25), 3, 2
+        _, cv = cv_tune(sub, lambdas, folds=folds, seed=seed, penalty="l1linear")
+        assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
+        reference = []
+        for lam in lambdas:
+            scores = []
+            for f in range(folds):
+                te = np.flatnonzero(assign == f)
+                tr = np.flatnonzero(assign != f)
+                train = make_subproblem(sub.features[tr], sub.labels[tr], sub.weights[tr])
+                pred = fit_aol_l1_linear(train, lam).predict(sub.features[te])
+                scores.append(_holdout_score(pred, sub, te))
+            reference.append((lam, None, float(np.mean(scores))))
+        assert list(cv.table) == reference
+
     def test_empty_grid_raises_data_error(self, rng):
         sub = self._linear_sub(rng)
         with pytest.raises(DataError, match="non-empty"):
@@ -232,9 +250,8 @@ class TestCvTune:
 class TestBenchmark:
     def test_presets_resolve(self):
         for name in METHOD_PRESETS:
-            resolved, params = resolve_method(name)
-            assert resolved == name
-            assert isinstance(params, dict)
+            params = resolve_method(name)
+            assert params == METHOD_PRESETS[name] and params is not METHOD_PRESETS[name]
         with pytest.raises(DataError):
             resolve_method("nope")
 

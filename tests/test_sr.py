@@ -3,6 +3,7 @@ ensembling, and the plain-text model format."""
 
 import itertools
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -247,13 +248,60 @@ class TestFitSr:
             outcome=rng.normal(size=n),
             k_arms=3,
         )
-        model = fit_sr(d, SRConfig(min_step_size=10))
+        model = fit_sr(d, SRConfig())
         assert any(
             isinstance(r, ConstantRule)
             for r in model.sequential_rules + model.reestimation_rules
         )
         pred = predict_ordinal(model, d.features)
         assert set(np.unique(pred)) <= {1, 2, 3}
+
+
+class TestInvariance:
+    """The units and the order of the feature columns do not reach a prediction."""
+
+    _N, _N_TEST = 80, 200
+
+    def _predictions(self, spec, config, seed, transform):
+        """Predictions of the fitted cascade on a test draw, both as drawn and
+        after transform maps the train and test features."""
+        train = generate(spec, self._N, seed)
+        X_test = generate(spec, self._N_TEST, seed + 1).features
+        mapped = replace(train, features=transform(train.features))
+        return (predict_ordinal(fit_sr(train, config), X_test),
+                predict_ordinal(fit_sr(mapped, config), transform(X_test)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([("P1", {}), ("P1", dict(selection="embedded")),
+                         ("N8", dict(kernel_kind="gaussian"))]),
+        st.integers(0, 10**6),
+        st.lists(st.tuples(st.floats(0.01, 100.0), st.floats(-100.0, 100.0)),
+                 min_size=5, max_size=5),
+    )
+    def test_positive_affine_map_of_each_feature(self, case, seed, maps):
+        """min/max scaling undoes a positive affine map of each column."""
+        setting, overrides = case
+        spec = SETTINGS[setting]
+        scale, shift = np.array(maps[: spec.p]).T
+        plain, mapped = self._predictions(
+            spec, SRConfig(seed=seed, **overrides), seed, lambda X: X * scale + shift
+        )
+        np.testing.assert_array_equal(mapped, plain)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from([dict(), dict(kernel_kind="gaussian"), dict(selection="embedded"),
+                         dict(kernel_kind="gaussian", selection="two-stage")]),
+        st.integers(0, 10**6),
+        st.permutations(range(4)),
+    )
+    def test_column_permutation(self, overrides, seed, order):
+        plain, permuted = self._predictions(
+            get_setting("N8", p=4), SRConfig(seed=seed, **overrides), seed,
+            lambda X: X[:, order],
+        )
+        np.testing.assert_array_equal(permuted, plain)
 
 
 class TestConfigValidation:
@@ -277,7 +325,7 @@ class TestConfigValidation:
     def test_integer_cv_folds_accepted(self):
         assert SRConfig(cv_folds=np.int64(3)).cv_folds == 3
 
-    @pytest.mark.parametrize("field", ["lambda_grid", "sigma_grid", "sigma_scales"])
+    @pytest.mark.parametrize("field", ["lambda_grid", "sigma_grid"])
     @pytest.mark.parametrize(
         "grid", [(-0.1,), (0.0,), (float("nan"),), (float("inf"),), (0.1, -1.0), ("x",), ()]
     )
@@ -286,10 +334,9 @@ class TestConfigValidation:
             SRConfig(kernel_kind="gaussian", **{field: grid})
 
     def test_grids_become_float_tuples(self):
-        config = SRConfig(lambda_grid=[1, 2], sigma_grid=[3], sigma_scales=[0.5])
+        config = SRConfig(lambda_grid=[1, 2], sigma_grid=[3])
         assert config.lambda_grid == (1.0, 2.0)
         assert config.sigma_grid == (3.0,)
-        assert config.sigma_scales == (0.5,)
 
     @pytest.mark.parametrize("field", ["propensity_mode"])
     def test_unknown_mode_strings_rejected(self, field):
@@ -298,17 +345,16 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("seed", -5), ("seed", 1.5), ("seed", True), ("seed", "3"), ("min_step_size", "10"),
-         ("min_step_size", -1), ("min_step_size", 2.0), ("use_r_steps", "no"),
+        [("seed", -5), ("seed", 1.5), ("seed", True), ("seed", "3"), ("use_r_steps", "no"),
          ("use_r_steps", 1), ("use_r_steps", None)],
     )
-    def test_seed_step_size_and_r_steps_checked(self, field, value):
+    def test_seed_and_r_steps_checked(self, field, value):
         with pytest.raises(DataError, match=field):
             SRConfig(**{field: value})
 
-    def test_integer_seed_and_step_size_accepted(self):
-        config = SRConfig(seed=np.int64(3), min_step_size=0, use_r_steps=False)
-        assert (config.seed, config.min_step_size, config.use_r_steps) == (3, 0, False)
+    def test_integer_seed_accepted(self):
+        config = SRConfig(seed=np.int64(3), use_r_steps=False)
+        assert (config.seed, config.use_r_steps) == (3, False)
 
     def test_fitter_resolution(self, monkeypatch):
         """The penalty alone picks the rule fitter inside cv_tune; a two-stage
@@ -324,26 +370,25 @@ class TestConfigValidation:
             monkeypatch.setattr(evaluate_module, name, recorded)
         data = generate(get_setting("N8", p=6), 120, seed=5)
         fast = dict(lambda_grid=(0.05,), cv_folds=2)
-        # an L1 step also fits its 2 folds through fit_aol_l1_linear; an L2
-        # step's fold fits read the Gram matrix directly
+        # the fold fits of either penalty run inside cv_tune's one fold loop,
+        # so each fitted step calls its rule fitter once, for the final fit
         cases = [
-            (SRConfig(**fast), "_fit_l2", 1),
-            (SRConfig(penalty="l1linear", **fast), "fit_aol_l1_linear", 3),
-            (SRConfig(selection="embedded", **fast), "fit_aol_l1_linear", 3),
+            (SRConfig(**fast), "_fit_l2"),
+            (SRConfig(penalty="l1linear", **fast), "fit_aol_l1_linear"),
+            (SRConfig(selection="embedded", **fast), "fit_aol_l1_linear"),
             (
                 SRConfig(
                     kernel_kind="gaussian", selection="two-stage", sigma_grid=(0.6,), **fast
                 ),
                 "_fit_l2",
-                1,
             ),
         ]
-        for config, expected, per_step in cases:
+        for config, expected in cases:
             calls.clear()
             model = fit_sr(data, config)
             rules = model.sequential_rules + model.reestimation_rules
             fitted = [r for r in rules if not isinstance(r, ConstantRule)]
-            assert fitted and calls == [expected] * (per_step * len(fitted))
+            assert fitted and calls == [expected] * len(fitted)
         screened = [r for r in fitted if not r.selection_fallback]
         assert screened and all(len(r.selected_features) < data.p for r in screened)
 
@@ -360,8 +405,9 @@ class TestConfigValidation:
             SRConfig(penalty="l1linear", selection="two-stage")
 
 
-# A model file written before the residual_model and cv_criterion options were
-# removed: its config block still carries a line for each.
+# A model file written before the residual_model, cv_criterion, sigma_scales
+# and min_step_size options were removed: its config block still carries a line
+# for each.
 PARENT_FORMAT_MODEL = """\
 ordinalsr-model v1
 k_arms 3
@@ -455,9 +501,7 @@ def _sr_configs(draw):
         selection=selection,
         lambda_grid=draw(_grid),
         sigma_grid=draw(st.none() | _grid),
-        sigma_scales=draw(_grid),
         cv_folds=draw(st.integers(2, 100)),
-        min_step_size=draw(st.integers(0, 10**6)),
         seed=draw(st.integers(0, 2**63)),
         propensity_mode=draw(st.sampled_from(["known", "logistic"])),
         use_r_steps=draw(st.booleans()),
@@ -544,7 +588,8 @@ class TestModelFile:
         )
         again = tmp_path / "again.txt"
         save_model(model, again)
-        dropped = ("residual_model ols\n", "cv_criterion value\n")
+        dropped = ("residual_model ols\n", "cv_criterion value\n", "sigma_scales 0.5 1.0 2.0\n",
+                   "min_step_size 10\n")
         expected = "".join(
             line for line in PARENT_FORMAT_MODEL.splitlines(keepends=True)
             if line not in dropped
@@ -556,6 +601,8 @@ class TestModelFile:
         [
             ("residual_model ols\n", "residual_model kernel_ridge\n"),
             ("cv_criterion value\n", "cv_criterion weighted_misclass\n"),
+            ("min_step_size 10\n", "min_step_size 5\n"),
+            ("sigma_scales 0.5 1.0 2.0\n", "sigma_scales 1.0\n"),
             ("seed 7\n", "seed 7\nbogus_key 1\n"),
             ("seed 7\n", "seed 7\nseed 8\n"),
             ("seed 7\n", ""),
@@ -569,9 +616,10 @@ class TestModelFile:
             ("fallback 0\nend\nrule S2", "fallback 2\nend\nrule S2"),
             ("decision -1\n", "decision 0\n"),
         ],
-        ids=["kernel_ridge", "weighted_misclass", "unknown_key", "repeated_key", "missing_key",
-             "nan_intercept", "inf_slope", "nan_scaling_row", "junk_after_last_rule", "tag_S0",
-             "unknown_rule_key", "repeated_rule_key", "fallback_2", "decision_0"],
+        ids=["kernel_ridge", "weighted_misclass", "min_step_size_5", "sigma_scales_1",
+             "unknown_key", "repeated_key", "missing_key", "nan_intercept", "inf_slope",
+             "nan_scaling_row", "junk_after_last_rule", "tag_S0", "unknown_rule_key",
+             "repeated_rule_key", "fallback_2", "decision_0"],
     )
     def test_retired_values_and_unknown_keys_raise_data_error(self, tmp_path, old, new):
         """Each edit of the parent-format file is malformed and raises DataError."""

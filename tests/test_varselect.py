@@ -191,15 +191,12 @@ class TestTwoStage:
                 rule.decision_value(probe2)[0], abs=1e-12
             )
 
-    def test_masked_step_carries_selection_through_subset(self, rng):
+    def test_masked_step_carries_selection(self, rng):
         sub = self._circle_subproblem(rng)
         masked = screen_mask(sub, varselect.ScreenResult(((0, 1),), (0, 1), ()))
         assert (masked.selected_features, masked.selection_fallback) == ((0, 1), False)
         assert not masked.features[:, 2:].any()
         np.testing.assert_array_equal(masked.features[:, :2], sub.features[:, :2])
-        part = masked.subset(np.arange(0, sub.m, 3))
-        assert (part.selected_features, part.selection_fallback) == ((0, 1), False)
-        np.testing.assert_array_equal(part.features, masked.features[::3])
         assert sub.selected_features is None
 
     def test_empty_screen_falls_back_to_full_set(self, rng):
