@@ -97,6 +97,17 @@ class TestBuildSubproblem:
         with pytest.raises(DegenerateStepError):
             build_subproblem(data, (1,), (2, 3), np.arange(2), _ZeroModel(), min_size=10)
 
+    @pytest.mark.parametrize("n, degenerate", [(9, True), (10, False)], ids=["n9", "n10"])
+    def test_default_step_size_floor_is_ten(self, n, degenerate):
+        """Without min_size, a step needs 10 eligible subjects, the floor the
+        cascade fits under."""
+        data = _trial([1.0] * n, [1, 2] * (n // 2) + [3] * (n % 2))
+        if degenerate:
+            with pytest.raises(DegenerateStepError, match="only 9 eligible"):
+                build_subproblem(data, (1,), (2, 3), np.arange(n), _ZeroModel())
+        else:
+            assert build_subproblem(data, (1,), (2, 3), np.arange(n), _ZeroModel()).m == n
+
     def test_single_arm_side_degenerate(self):
         data = _trial([1.0] * 12, [1] * 12)
         with pytest.raises(DegenerateStepError):

@@ -15,9 +15,11 @@ import ordinalsr.evaluate as evaluate_module
 from ordinalsr.aol import KernelExpansionRule, SparseLinearRule
 from ordinalsr.data import ScalingParams, TrialDataset
 from ordinalsr.exceptions import DataError, OrdinalSRError
-from ordinalsr.kernels import KernelSpec
+from ordinalsr.kernels import KernelSpec, median_bandwidth
 from ordinalsr.simgen import SETTINGS, generate, get_setting
 from ordinalsr.sr import (
+    _RETIRED_CONFIG,
+    SIGMA_SCALES,
     ConstantRule,
     SRConfig,
     SRModel,
@@ -27,6 +29,8 @@ from ordinalsr.sr import (
     load_model,
     predict_ordinal,
     save_model,
+    _majority_rule,
+    _resolve_sigma_grid,
 )
 
 
@@ -255,6 +259,68 @@ class TestFitSr:
         )
         pred = predict_ordinal(model, d.features)
         assert set(np.unique(pred)) <= {1, 2, 3}
+
+
+class TestSigmaGrid:
+    """The bandwidths a Gaussian step is tuned over."""
+
+    def _features(self):
+        return np.random.default_rng(3).uniform(-1, 1, size=(40, 3))
+
+    def test_linear_kernel_has_no_bandwidth(self):
+        assert _resolve_sigma_grid(SRConfig(), self._features(), seed=1) == (None,)
+
+    def test_explicit_grid_is_used_as_given(self):
+        config = SRConfig(kernel_kind="gaussian", sigma_grid=(0.3, 2.0))
+        assert _resolve_sigma_grid(config, self._features(), seed=1) == (0.3, 2.0)
+
+    def test_default_grid_scales_the_median_bandwidth(self):
+        """sigma_grid=None tunes over the median bandwidth times 0.5, 1 and 2,
+        the one value the retired sigma_scales line of older model files holds."""
+        X = self._features()
+        med = median_bandwidth(X, seed=4)
+        grid = _resolve_sigma_grid(SRConfig(kernel_kind="gaussian"), X, seed=4)
+        assert SIGMA_SCALES == (0.5, 1.0, 2.0)
+        assert grid == (0.5 * med, med, 2.0 * med)
+        assert "sigma_scales " + " ".join(map(str, SIGMA_SCALES)) in _RETIRED_CONFIG
+
+    def test_identical_rows_fall_back_to_unit_median(self):
+        grid = _resolve_sigma_grid(SRConfig(kernel_kind="gaussian"), np.ones((5, 2)), seed=0)
+        assert grid == SIGMA_SCALES
+
+
+class TestMajorityRule:
+    """The constant rule a degenerate step falls back to."""
+
+    def _trial(self, treatment, propensity=None):
+        n = len(treatment)
+        return TrialDataset(
+            features=np.zeros((n, 1)),
+            treatment=np.asarray(treatment),
+            outcome=np.zeros(n),
+            k_arms=3,
+            propensity=None if propensity is None else np.asarray(propensity, dtype=float),
+        )
+
+    def test_inverse_propensity_mass_picks_the_side(self):
+        # two arm-1 subjects at propensity 0.5 (mass 4) against one arm-2
+        # subject at 0.1 (mass 10): the weighted majority is the positive side
+        data = self._trial([1, 1, 2], propensity=[0.5, 0.5, 0.1])
+        rule = _majority_rule(data, np.arange(3), (1,), (2,), "why")
+        assert (rule.decision, rule.reason) == (1, "why")
+        unweighted = _majority_rule(self._trial([1, 1, 2]), np.arange(3), (1,), (2,), "why")
+        assert unweighted.decision == -1
+
+    def test_tie_goes_to_the_less_intensive_side(self):
+        rule = _majority_rule(self._trial([1, 2, 3]), np.arange(2), (1,), (2,), "tie")
+        assert rule.decision == -1
+
+    def test_empty_pool_falls_back_to_both_arm_groups(self):
+        # no eligible subject: the pool is every subject in arm 1 or arms {2, 3}
+        data = self._trial([1, 2, 3, 3])
+        rule = _majority_rule(data, np.array([], dtype=int), (1,), (2, 3), "empty")
+        assert rule.decision == 1
+        assert _majority_rule(data, np.array([], dtype=int), (1, 2), (3,), "e").decision == -1
 
 
 class TestInvariance:
