@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError, DegenerateStepError
-from .kernels import KernelSpec, gram_matrix
+from .kernels import KernelSpec, _gram_block, gram_matrix
 from .solvers import _check_positive, l1_hinge_dual_solve, logistic_fit, wsvm_dual_solve
 
 __all__ = [
@@ -238,7 +238,8 @@ def _fit_l2(sub, kernel, lam, gram_full, tol=1e-5):
     X = sub.features[keep]
     gram = gram_matrix(kernel, X, X) if gram_full is None else gram_full
     if gram.shape[0] != X.shape[0]:  # gram_full has inactive rows; copy only then
-        gram = gram[np.ix_(keep, keep)]
+        rows = np.flatnonzero(keep)
+        gram = _gram_block(gram, rows, rows)
     coefs, b0 = fit_l2_from_gram(sub.labels[keep], sub.weights[keep], gram, lam, tol=tol)
     selection = dict(selected_features=sub.selected_features,
                      selection_fallback=sub.selection_fallback)

@@ -165,6 +165,8 @@ class ScalingParams:
         maxs = np.asarray(self.maxs, dtype=float)
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise DataError("scaling min/max must be 1-D and equal length")
+        if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
+            raise DataError("scaling min/max must be finite")
         if np.any(maxs < mins):
             raise DataError("scaling max < min")
         object.__setattr__(self, "mins", _readonly(mins))

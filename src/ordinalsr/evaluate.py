@@ -21,7 +21,7 @@ from .exceptions import (
     OrdinalSRError,
     UndefinedMetricError,
 )
-from .kernels import KernelSpec, gram_matrix
+from .kernels import KernelSpec, _gram_block, gram_matrix
 from .simgen import get_setting, generate
 
 __all__ = [
@@ -192,10 +192,14 @@ def cv_tune(
     the sigma's Gram matrix against the training rows, and the fits walk the
     lambda grid in order, each starting from the previous alpha times
     lambda_prev / lambda: the caps C_i = w_i / (2 lambda m) scale the same
-    way, so that start is feasible.  For L1 the design is the held-out
-    features and each lambda is solved cold.  The rule is then fitted on all
-    of sub at the chosen lambda/sigma, cold at tol 1e-5, an L2 rule reading
-    the chosen sigma's Gram matrix from the search.
+    way, so that start is feasible.  The first lambda starts from the alpha
+    the same fold reached at the previous sigma for that lambda (cold at the
+    first sigma): a fold's training rows, caps and equality constraint do not
+    depend on sigma, so that start is feasible too, and only one start vector
+    per fold outlives its sigma.  For L1 the design is the held-out features
+    and each lambda is solved cold.  The rule is then fitted on all of sub at
+    the chosen lambda/sigma, cold at tol 1e-5, an L2 rule reading the chosen
+    sigma's Gram matrix from the search.
     """
     if penalty not in ("l2", "l1linear"):
         raise DataError(f"unknown penalty {penalty!r}")
@@ -208,6 +212,7 @@ def cv_tune(
     assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
     table = []
     best = None  # (rank, lambda, kernel, gram_full) of the winner so far
+    sigma_starts = [None] * folds  # each fold's first-lambda alpha at the previous sigma
     for sigma in sigma_grid:
         kernel = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
         gram_full = gram_matrix(kernel, sub.features, sub.features) if penalty == "l2" else None
@@ -221,17 +226,19 @@ def cv_tune(
                 fits = [_l1_coefs(X_tr, labels, weights, lam) for lam in lambda_grid]
                 design = sub.features[te]
             else:
-                gram_tr = gram_full[np.ix_(active, active)]
+                gram_tr = _gram_block(gram_full, active, active)
                 fits, alpha, lam_prev = [], None, None
                 for lam in lambda_grid:
-                    init = None if alpha is None else alpha * (lam_prev / lam)
+                    init = sigma_starts[f] if alpha is None else alpha * (lam_prev / lam)
                     coefs, b0 = fit_l2_from_gram(
                         labels, weights, gram_tr, lam, tol=cv_tol, init=init
                     )
+                    if alpha is None:
+                        sigma_starts[f] = coefs * labels
                     alpha, lam_prev = coefs * labels, lam
                     fits.append((coefs, b0))
                 gram_tr = None  # the training and held-out blocks are never held at once
-                design = gram_full[np.ix_(te, active)]
+                design = _gram_block(gram_full, te, active)
             for (coefs, b0), fold_scores in zip(fits, scores):
                 pred = _sign_tie_negative(design @ coefs + b0)
                 fold_scores.append(_holdout_score(pred, sub, te))

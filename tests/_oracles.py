@@ -7,8 +7,9 @@ are exponential and only suitable for the tiny instances the acceptance
 criteria prescribe.  The module also keeps small reference helpers for the
 unit tests: a direct kernel evaluation, the L1 zero-slope penalty level, a
 Monte Carlo check of the simulation settings, the one-candidate-at-a-time
-stepwise screen the batched one is checked against, and the vectorised
-bounded simplex the Python-float pivot loop is checked against.
+stepwise screen the batched one is checked against, the vectorised
+bounded simplex the Python-float pivot loop is checked against, and the
+two-penalty-vector SMO loop the stacked-state one is checked against.
 """
 
 import itertools
@@ -347,3 +348,93 @@ def bounded_simplex_vector(A, cost, upper, rhs, basis):
     x[basis] = np.linalg.solve(B, rhs - A[:, at_upper] @ upper[at_upper])
     prices = np.linalg.solve(B.T, cost[basis])
     return x, prices, pivots
+
+
+def smo_serial(gram, labels, caps, tol=1e-5, max_updates=1_000_000, init=None):
+    """The reference for solvers.wsvm_dual_solve, which must match it bit for bit.
+
+    The state is vals = -label * gradient beside two penalty vectors: up_pen[k]
+    is 0 where k may be the "up" end of a pair (else -inf) and low_pen[k] is 0
+    where it may be the "low" end (else +inf).  Each pair selection adds vals
+    to each penalty vector with np.add, and each update moves vals alone.  No
+    input is validated and nothing is raised: a run stopped by max_updates
+    returns what ConvergenceError.best would carry.
+    """
+    K = np.asarray(gram, dtype=float)
+    a = np.asarray(labels, dtype=float)
+    C = np.asarray(caps, dtype=float)
+    m = a.shape[0]
+    eps = 1e-12
+    pos = a > 0
+    if init is None:
+        alpha = np.zeros(m)
+        vals = a.copy()
+    else:
+        alpha = np.clip(np.array(init, dtype=float), 0.0, C)
+        vals = a - K @ (alpha * a)
+    rise = alpha < C - eps
+    fall = alpha > eps
+    up_pen = np.where(np.where(pos, rise, fall), 0.0, -np.inf)
+    low_pen = np.where(np.where(pos, fall, rise), 0.0, np.inf)
+    alpha_l = alpha.tolist()
+    cap_l = C.tolist()
+    pos_l = pos.tolist()
+    diag_l = np.diagonal(K).tolist()
+    vu = np.empty(m)
+    vl = np.empty(m)
+    delta = np.empty(m)
+    updates = 0
+    while True:
+        np.add(vals, up_pen, out=vu)
+        np.add(vals, low_pen, out=vl)
+        i = int(vu.argmax())
+        j = int(vl.argmin())
+        viol = vu.item(i) - vl.item(j)
+        if viol == -np.inf:  # no index can be the up end, or none the low end
+            viol = 0.0
+        if viol < tol or updates >= max_updates:
+            break
+        # feasible step along alpha_i += a_i*t, alpha_j -= a_j*t (t > 0)
+        ai, ci, aj, cj = alpha_l[i], cap_l[i], alpha_l[j], cap_l[j]
+        Ki, Kj = K[i], K[j]
+        quad = diag_l[i] + diag_l[j] - 2.0 * Ki.item(j)
+        t = viol / quad if quad > 1e-12 else np.inf
+        t = min(t, ci - ai if pos_l[i] else ai, aj if pos_l[j] else cj - aj)
+        ai = min(ai + t, ci) if pos_l[i] else max(ai - t, 0.0)
+        aj = max(aj - t, 0.0) if pos_l[j] else min(aj + t, cj)
+        alpha_l[i], alpha_l[j] = ai, aj
+        np.subtract(Ki, Kj, out=delta)
+        delta *= t
+        vals -= delta
+        for k, ak, ck in ((i, ai, ci), (j, aj, cj)):
+            rises, falls = ak < ck - eps, ak > eps
+            if not pos_l[k]:
+                rises, falls = falls, rises
+            up_pen[k] = 0.0 if rises else -np.inf
+            low_pen[k] = 0.0 if falls else np.inf
+        updates += 1
+    alpha = np.array(alpha_l)
+    coef = alpha * a
+    fx = K @ coef
+    free = (alpha > 1e-8 * C) & (alpha < C * (1 - 1e-8))
+    resid = a - fx
+    if free.any():
+        b0 = float(np.mean(resid[free]))
+    else:
+        lower = resid[(pos & (alpha <= eps)) | (~pos & (alpha >= C - eps))]
+        upper = resid[(pos & (alpha >= C - eps)) | (~pos & (alpha <= eps))]
+        lo = np.max(lower) if lower.size else -np.inf
+        hi = np.min(upper) if upper.size else np.inf
+        if np.isfinite(lo) and np.isfinite(hi):
+            b0 = float((lo + hi) / 2.0)
+        elif np.isfinite(lo):
+            b0 = float(lo)
+        elif np.isfinite(hi):
+            b0 = float(hi)
+        else:
+            b0 = 0.0
+    objective = float(np.sum(alpha) - 0.5 * coef @ fx)
+    return solvers.DualSolution(
+        alphas=alpha, intercept=b0, objective=objective, kkt_violation=float(viol),
+        updates=updates,
+    )

@@ -304,6 +304,17 @@ class TestScaling:
         with pytest.raises(TypeError):  # no longer settable apart from the bounds
             ScalingParams(mins=np.ones(1), maxs=np.ones(1), degenerate=np.array([False]))
 
+    @pytest.mark.parametrize(
+        "mins, maxs",
+        [([np.nan, 0.0], [np.nan, np.inf]), ([0.0], [np.inf]), ([-np.inf], [0.0]),
+         ([0.0, np.nan], [1.0, 1.0]), ([0.0], [np.nan])],
+        ids=["nan-and-inf", "inf-max", "minus-inf-min", "nan-min", "nan-max"],
+    )
+    def test_non_finite_bounds_raise(self, mins, maxs):
+        # a NaN bound passes the maxs < mins check; apply_scaling then returned NaN
+        with pytest.raises(DataError, match="finite"):
+            ScalingParams(mins=np.array(mins), maxs=np.array(maxs))
+
     def test_out_of_range_not_clipped(self):
         params = ScalingParams(mins=np.array([0.0]), maxs=np.array([1.0]))
         Z = apply_scaling(params, np.array([[2.0]]))

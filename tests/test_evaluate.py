@@ -22,6 +22,7 @@ from ordinalsr.evaluate import (
     write_rows_csv,
     write_summary_csv,
 )
+from ordinalsr import aol
 from ordinalsr.aol import build_subproblem, fit_aol_l1_linear, fit_aol_l2, fit_l2_from_gram
 from ordinalsr.evaluate import _holdout_score, _stratified_folds
 from ordinalsr.exceptions import DataError, UndefinedMetricError
@@ -174,6 +175,44 @@ class TestCvTune:
             [row[2] for row in cv.table], [row[2] for row in reference], rtol=0, atol=1e-9
         )
 
+
+    def test_first_lambda_starts_from_the_previous_sigma(self, monkeypatch):
+        """Each fold's first-lambda solve is cold at the first sigma and starts
+        from that fold's first-lambda alpha at the previous sigma after it; the
+        later lambdas walk the path, and the final refit is cold."""
+        calls = []  # (init, alphas) of every solve, in order
+        solve = aol.wsvm_dual_solve
+
+        def spy(gram, labels, caps, tol=1e-5, init=None):
+            sol = solve(gram, labels, caps, tol=tol, init=init)
+            calls.append((None if init is None else np.array(init), sol.alphas, tol))
+            return sol
+
+        monkeypatch.setattr(aol, "wsvm_dual_solve", spy)
+        sub = self._n8_sub()
+        lambdas, sigmas, folds = (0.01, 0.05, 0.25), (0.5, 1.0, 2.0), 3
+        rule, cv = cv_tune(sub, lambdas, sigma_grid=sigmas, folds=folds, seed=2)
+        assert len(calls) == len(sigmas) * folds * len(lambdas) + 1
+
+        def call(s, f, k):  # the grid runs sigma, then fold, then lambda
+            return calls[(s * folds + f) * len(lambdas) + k]
+
+        for s in range(len(sigmas)):
+            for f in range(folds):
+                init = call(s, f, 0)[0]
+                if s == 0:
+                    assert init is None
+                else:
+                    np.testing.assert_array_equal(init, call(s - 1, f, 0)[1])
+                for k in range(1, len(lambdas)):
+                    np.testing.assert_array_equal(
+                        call(s, f, k)[0], call(s, f, k - 1)[1] * (lambdas[k - 1] / lambdas[k])
+                    )
+        refit_init, _, refit_tol = calls[-1]
+        assert refit_init is None and refit_tol == 1e-5
+        direct = fit_aol_l2(sub, KernelSpec("gaussian", cv.best_sigma), cv.best_lambda)
+        for name in ("points", "coefs", "intercept"):
+            np.testing.assert_array_equal(getattr(rule, name), getattr(direct, name))
 
     def test_l1_table_matches_fits_on_fold_subproblems(self):
         """The L1 fold fits equal fit_aol_l1_linear on each fold's training rows."""

@@ -6,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import bounded_simplex_vector, l1_aol_lp_encoding, lp_vertex_oracle
-from ordinalsr import SRConfig, fit_sr, generate, get_setting, solvers
-from ordinalsr.evaluate import METHOD_PRESETS
+from _oracles import (
+    bounded_simplex_vector,
+    l1_aol_lp_encoding,
+    lp_vertex_oracle,
+    smo_serial,
+)
+from ordinalsr import SRConfig, aol, fit_sr, generate, get_setting, solvers
+from ordinalsr.aol import build_subproblem
+from ordinalsr.evaluate import METHOD_PRESETS, cv_tune
 from ordinalsr.exceptions import (
     ConvergenceError,
     DataError,
@@ -143,6 +149,34 @@ class TestWsvmDual:
         with pytest.raises(DataError):
             wsvm_dual_solve(np.eye(2), np.array([1.0, -1.0]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gram_raises(self, bad):
+        # a NaN entry used to run to max_updates and return alpha = [1, 1]
+        K = np.eye(2)
+        K[0, 1] = bad
+        with pytest.raises(DataError, match="gram"):
+            wsvm_dual_solve(K, np.array([1.0, -1.0]), np.ones(2))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.5, -2.0, 1.0], [0.0, 1.0, -1.0], [1.0, -1.0, np.nan], [1.0, -1.0, 2.0]],
+        ids=["fractions", "zero", "nan", "two"],
+    )
+    def test_labels_must_be_plus_or_minus_one(self, labels):
+        # labels (0.5, -2, 1) on I_3 returned alpha with sum(alpha * label) = -1.125
+        with pytest.raises(DataError, match="labels"):
+            wsvm_dual_solve(np.eye(3), np.array(labels), np.ones(3))
+
+    def test_nan_violation_at_the_update_cap_raises(self):
+        # finite entries whose differences overflow: quad is inf, the step t is
+        # 0, and (K[0] - K[1]) * 0 turns the state into NaN after one update;
+        # viol > 10 * tol is False for NaN, so that used to return quietly
+        K = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as exc:
+            wsvm_dual_solve(K, np.array([1.0, -1.0]), np.ones(2), max_updates=1)
+        assert exc.value.best.updates == 1
+        assert np.isnan(exc.value.best.kkt_violation)
+
     def test_updates_counts_pair_steps(self):
         K = self.FROZEN_X @ self.FROZEN_X.T
         sol = wsvm_dual_solve(K, self.FROZEN_LABELS, self.FROZEN_CAPS, tol=1e-8)
@@ -245,6 +279,70 @@ class TestWsvmWarmStart:
             warm_updates += warm.updates
             cold_updates += cold.updates
         assert warm_updates < cold_updates
+
+
+def _dual_bits(sol):
+    floats = np.array([sol.intercept, sol.objective, sol.kkt_violation])
+    return sol.alphas.tobytes(), floats.tobytes(), sol.updates
+
+
+def _assert_matches_serial(K, labels, caps, **kwargs):
+    """wsvm_dual_solve equals tests/_oracles.smo_serial bit for bit; returns it."""
+    try:
+        sol = wsvm_dual_solve(K, labels, caps, **kwargs)
+    except ConvergenceError as exc:
+        sol = exc.best
+    assert _dual_bits(sol) == _dual_bits(smo_serial(K, labels, caps, **kwargs))
+    return sol
+
+
+class TestWsvmMatchesSerialOracle:
+    """The stacked-state SMO loop against its frozen two-penalty-vector
+    predecessor: the same pairs in the same order, so alpha, intercept,
+    objective, violation and update count agree bit for bit."""
+
+    @pytest.mark.parametrize("start", ["cold", "lambda-path", "other-kernel"])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-9])
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_random_instances(self, kind, tol, start):
+        for seed in range(3):
+            m = 8 + 47 * seed
+            K, labels, w = _svm_problem(100 * seed + m, m, kind)
+            caps = _caps(w, 0.05)
+            init = None
+            if start == "lambda-path":  # the previous lambda's alpha, rescaled
+                init = wsvm_dual_solve(K, labels, _caps(w, 0.01), tol=tol).alphas * 0.2
+            elif start == "other-kernel":  # the same caps solved on another Gram
+                other, _, _ = _svm_problem(100 * seed + m, m,
+                                           "gaussian" if kind == "linear" else "linear")
+                init = wsvm_dual_solve(other, labels, caps, tol=tol).alphas
+            sol = _assert_matches_serial(K, labels, caps, tol=tol, init=init)
+            assert sol.updates > 0
+
+    def test_stopped_by_max_updates(self):
+        K, labels, w = _svm_problem(5, 120, "gaussian")
+        sol = _assert_matches_serial(K, labels, _caps(w, 0.01), tol=1e-9, max_updates=37)
+        assert sol.updates == 37 and sol.kkt_violation > 1e-8
+
+    def test_solves_of_a_gaussian_cv_grid(self, monkeypatch):
+        """Every solve of a 3-sigma CV grid, sigma warm starts included."""
+        recorded = []
+
+        def spy(gram, labels, caps, tol=1e-5, init=None):
+            recorded.append((np.array(gram), labels.copy(), caps.copy(), tol,
+                             None if init is None else np.array(init)))
+            return wsvm_dual_solve(gram, labels, caps, tol=tol, init=init)
+
+        data = generate(get_setting("N8"), 120, 7)
+        sub = build_subproblem(
+            data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
+        )
+        monkeypatch.setattr(aol, "wsvm_dual_solve", spy)
+        cv_tune(sub, (0.01, 0.05, 0.25), sigma_grid=(0.3, 0.6, 1.2), folds=3, seed=1)
+        assert len(recorded) == 28  # 3 sigmas x 3 folds x 3 lambdas + 1 refit
+        assert sum(init is not None for *_, init in recorded) == 24
+        for K, labels, caps, tol, init in recorded:
+            _assert_matches_serial(K, labels, caps, tol=tol, init=init)
 
 
 class TestSimplex:
