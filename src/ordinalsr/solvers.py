@@ -83,37 +83,94 @@ def ols_fit(X, y) -> LinearModel:
     return LinearModel(intercept=float(beta[0]), slopes=beta[1:])
 
 
-def _irls(A, y, max_iter, gtol, beta=None):
-    """Ridge-damped Newton ascent on the Bernoulli log-likelihood of y, batched.
+def _irls(D, y, max_iter, gtol, start, Zc=None, held=None):
+    """Ridge-damped Newton ascent on the Bernoulli log-likelihood of y, B fits at once.
 
-    A stacks designs (B, n, d) and beta their starts (B, d), zero when None.
-    The Hessians get a 1e-6 ridge, weights a 1e-10 floor, and steps are clipped
-    to |coef| <= 30; a design stops once its gradient norm falls below gtol.
-    Each design's arithmetic is its own, whatever else is in the stack.
-    Returns (coefficients (B, d), iterations (B,), converged (B,)).
+    Every fit shares the block D (n, s).  With Zc (B, n), fit b also has the
+    column Zc[b], as its last coefficient; with held (B,), fit b keeps its
+    coefficient held[b] at 0 (its row and column of the Newton system are
+    the identity's).  start (B, d) holds the starting coefficients.
+
+    Nothing of size B*n*d is built.  Each step computes, on (B, n) arrays,
+    eta = beta_S D' + beta_c * Zc (clipped to +-35), the gradient r D beside
+    the row-wise r.Zc, and the Hessian's shared block w O (O holds the
+    s(s+1)/2 row-wise products of D's columns), its cross terms (w * Zc) D
+    and its corner the row-wise w.Zc^2.  When every fit starts at the same
+    eta, the first step's p, w, shared gradient and shared Hessian block are
+    computed once.  The Hessians get a 1e-6 ridge, weights a 1e-10 floor,
+    and steps are clipped to |coef| <= 30; a fit stops once its gradient
+    norm falls below gtol.  Returns (coefficients (B, d), iterations (B,),
+    converged (B,), log-likelihoods (B,) at the eta where each fit stopped).
     """
-    B, _, d = A.shape
-    beta = np.zeros((B, d)) if beta is None else np.array(beta, dtype=float)
+    n, s = D.shape
+    beta = np.array(start, dtype=float)
+    B, d = beta.shape
+    iu, ju = np.triu_indices(s)
+    O = D[:, iu] * D[:, ju]
     iterations = np.full(B, max_iter)
     converged = np.zeros(B, dtype=bool)
-    ridge = _LOGISTIC_RIDGE * np.eye(d)
+    loglik = np.empty(B)
     active = np.arange(B)
-    for it in range(1, max_iter + 1):
-        eta = np.clip(np.matmul(A, beta[active, :, None])[..., 0], -35, 35)
-        p = 1.0 / (1.0 + np.exp(-eta))
-        grad = np.matmul((y - p)[:, None, :], A)[:, 0]
-        done = np.linalg.norm(grad, axis=1) < gtol
+    Za, held_a = Zc, held
+    shared = bool((beta == beta[:1]).all()) and (Zc is None or not beta[0, s:].any())
+    bufs = np.empty((4, B, n))  # eta, p, r-then-w and w * Zc of the active fits
+    for it in range(1, max_iter + 2):
+        eta, p, w = bufs[:3, : 1 if shared else active.size]
+        if shared:  # one eta, broadcast over the fits
+            np.matmul(D, beta[0, :s], out=eta[0])
+        else:
+            np.matmul(beta[active, :s], D.T, out=eta)
+            if Za is not None:
+                eta += np.multiply(beta[active, s, None], Za, out=p)
+        np.clip(eta, -35, 35, out=eta)
+        if it > max_iter:
+            loglik[active] = eta @ y - np.log1p(np.exp(eta)).sum(axis=1)
+            break
+        np.negative(eta, out=p)
+        np.exp(p, out=p)
+        p += 1.0
+        np.divide(1.0, p, out=p)
+        r = np.subtract(y, p, out=w)
+        grad = np.empty((active.size, d))
+        grad[:, :s] = r @ D
+        if Za is not None:
+            grad[:, s] = np.einsum("bn,bn->b", r, Za)
+        if held_a is not None:
+            grad[np.arange(active.size), held_a] = 0.0
+        done = np.sqrt((grad * grad).sum(axis=1)) < gtol  # np.linalg.norm's arithmetic
         if done.any():
+            stop = np.broadcast_to(eta, (active.size, n))[done]
+            loglik[active[done]] = stop @ y - np.log1p(np.exp(stop)).sum(axis=1)
             iterations[active[done]] = it
             converged[active[done]] = True
-            active, A, p, grad = (v[~done] for v in (active, A, p, grad))
+            keep = ~done
+            active, grad = active[keep], grad[keep]
             if not active.size:
                 break
-        w = np.maximum(p * (1.0 - p), 1e-10)
-        H = np.matmul(A.transpose(0, 2, 1) * w[:, None, :], A) + ridge
+            if not shared:
+                p, w = p[keep], w[: keep.sum()]
+            Za = None if Za is None else Za[keep]
+            held_a = None if held_a is None else held_a[keep]
+        np.subtract(1.0, p, out=w)
+        w *= p
+        np.maximum(w, 1e-10, out=w)
+        H = np.empty((active.size, d, d))
+        H[:, iu, ju] = H[:, ju, iu] = w @ O
+        if Za is not None:
+            wZ = np.multiply(w, Za, out=bufs[3, : active.size])
+            H[:, s, :s] = H[:, :s, s] = wZ @ D
+            H[:, s, s] = np.einsum("bn,bn->b", wZ, Za)
+        H.reshape(active.size, d * d)[:, :: d + 1] += _LOGISTIC_RIDGE
+        if held_a is not None:
+            rows = np.arange(active.size)
+            H[rows, held_a, :] = 0.0
+            H[rows, :, held_a] = 0.0
+            H[rows, held_a, held_a] = 1.0
         step = np.linalg.solve(H, grad[..., None])[..., 0]
-        beta[active] = np.clip(beta[active] + step, -_COEF_CAP, _COEF_CAP)
-    return beta, iterations, converged
+        step += beta[active]
+        beta[active] = np.clip(step, -_COEF_CAP, _COEF_CAP, out=step)
+        shared = False
+    return beta, iterations, converged, loglik
 
 
 def logistic_fit(X, labels) -> LogisticModel:
@@ -127,12 +184,17 @@ def logistic_fit(X, labels) -> LogisticModel:
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(labels, dtype=float)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise DataError("logistic_fit needs a 2-D X and one label per row")
+    if not np.all(np.isfinite(X)):
+        raise DataError("logistic_fit requires finite X")
     if set(np.unique(y)) - {0.0, 1.0}:
         raise DataError("labels must be 0/1")
     if np.unique(y).size < 2:
         raise DataError("logistic_fit needs both classes present")
-    A = np.column_stack([np.ones(X.shape[0]), X])
-    (beta,), (it,), (converged,) = _irls(A[None], y, _LOGISTIC_MAXIT, _LOGISTIC_GTOL)
+    D = np.column_stack([np.ones(X.shape[0]), X])
+    start = np.zeros((1, D.shape[1]))
+    (beta,), (it,), (converged,), _ = _irls(D, y, _LOGISTIC_MAXIT, _LOGISTIC_GTOL, start)
     if np.any(np.abs(beta) >= _COEF_CAP - 1e-12):
         converged = False
     return LogisticModel(
@@ -289,6 +351,10 @@ def wsvm_dual_solve(
         raise ConvergenceError(
             f"SMO hit {max_updates} pair updates with violation {viol:.3g}", best=sol
         )
+    if not np.all(np.isfinite(alpha)):
+        # finite gram entries whose differences overflow turn the state into
+        # NaN, and a NaN alpha leaves both masks, so the loop stops as if done
+        raise ConvergenceError("SMO state became non-finite; gram entries too large", best=sol)
     return sol
 
 

@@ -3,7 +3,9 @@
 Linear rules get selection for free through the L1 penalty.  Gaussian-kernel
 rules use a two-stage procedure: a forward-backward stepwise logistic screen
 over first- and second-order monomials scored by EBIC, followed by a kernel
-fit restricted to the covariates appearing in any selected monomial.
+fit restricted to the covariates appearing in any selected monomial.  Each
+pass of the screen fits its candidates in the one Newton loop of
+solvers._irls, over the shared block of the current model's columns.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
 EBIC_GAMMA = 0.5
 _NEWTON_ITERS = 25
 _NEWTON_GTOL = 1e-6
-_CHUNK_BYTES = 32 * 2**20  # cap on one chunk of stacked candidate designs
+_CHUNK_BYTES = 32 * 2**20  # cap on a chunk's Newton arrays: ~8 rows of n and 3 d x d per fit
 
 
 @dataclass(frozen=True)
@@ -52,15 +54,9 @@ def expand_second_order(X):
     p = X.shape[1]
     if p < 1:
         raise DataError("expand_second_order needs at least one covariate")
-    cols = [X]
-    desc = [(j,) for j in range(p)]
-    second = []
-    for j in range(p):
-        for k in range(j, p):
-            second.append(X[:, j] * X[:, k])
-            desc.append((j, k))
-    cols.append(np.column_stack(second))
-    return np.column_stack(cols), tuple(desc)
+    J, K = np.triu_indices(p)
+    desc = [(j,) for j in range(p)] + list(zip(J.tolist(), K.tolist()))
+    return np.column_stack([X, X[:, J] * X[:, K]]), tuple(desc)
 
 
 def _ebic(ll, k_terms, n, n_candidates, gamma=EBIC_GAMMA):
@@ -76,55 +72,70 @@ def _ebic(ll, k_terms, n, n_candidates, gamma=EBIC_GAMMA):
 def screen_stepwise(X_aug, labels, descriptors=None):
     """Forward-backward stepwise logistic screening scored by EBIC (gamma = EBIC_GAMMA).
 
-    X_aug columns are monomials (see expand_second_order); columns are
-    standardized internally so the screen is scale-invariant.  The
-    likelihood is unweighted.  Each pass fits all of its candidates together
-    in stacked Newton iterations: a forward candidate starts from the current
-    model's coefficients with a 0 appended, a backward one from them with the
-    dropped coefficient removed, which reaches the same maximum likelihood as
-    a cold start.
+    X_aug columns are monomials (see expand_second_order), finite; labels
+    are 0/1; descriptors name the columns.  Columns are standardized
+    internally so the screen is scale-invariant.  The likelihood is
+    unweighted.  Each pass fits all of its candidates in one Newton loop
+    (solvers._irls) over the current model's block [1 | Z_S]: a forward
+    candidate adds its own column and starts from the current model's
+    coefficients with a 0 appended, a backward one holds a dropped
+    coefficient at 0 and starts from the others, which reaches the same
+    maximum likelihood as a cold start.
     """
     X_aug = np.atleast_2d(np.asarray(X_aug, dtype=float))
     y = np.asarray(labels, dtype=float)
     n, P = X_aug.shape
+    if y.shape != (n,):
+        raise DataError("screen_stepwise needs one label per row of X_aug")
+    if not np.all(np.isfinite(X_aug)):
+        raise DataError("screen_stepwise requires a finite X_aug")
     if n < 20:
         raise DataError("screen_stepwise needs n >= 20")
+    if set(np.unique(y)) - {0.0, 1.0}:
+        raise DataError("screen_stepwise labels must be 0/1")
     if np.unique(y).size < 2:
         raise DataError("screen_stepwise needs both classes present")
     if descriptors is None:
         descriptors = tuple((j,) for j in range(P))
+    if len(descriptors) != P:
+        raise DataError("screen_stepwise needs one descriptor per column of X_aug")
     mu = X_aug.mean(axis=0)
     sd = X_aug.std(axis=0)
     usable = sd > 1e-12
-    Z = np.zeros_like(X_aug)
-    Z[:, usable] = (X_aug[:, usable] - mu[usable]) / sd[usable]
-    D = np.column_stack([np.ones(n), Z])  # intercept, then monomial j in column 1 + j
+    ZT = np.zeros((P, n))  # standardized monomial j in row j: a chunk's gather is contiguous
+    ZT[usable] = ((X_aug[:, usable] - mu[usable]) / sd[usable]).T
     cap = int(min(n / 5, 50))
     selected, fits, iterations, current = [], 0, 0, math.inf
 
-    def best_move(cols, starts, k_terms):
-        """Fit the candidate designs D[:, cols[i]] from starts[i], a chunk of
-        stacked designs at a time.  Returns the index of the candidate a scan
+    def best_move(starts, k_terms, cand=None, held=None):
+        """Fit the candidates over [1 | Z_S] from starts, a chunk at a time:
+        candidate i adds monomial cand[i] (forward) or holds coefficient
+        held[i] at 0 (backward).  Returns the index of the candidate a scan
         in candidate order accepts, each replacing the best so far when it
         beats it by more than 1e-8 (-1 if none beats the current model), its
         EBIC and every fit's coefficients."""
         nonlocal fits, iterations
-        m, d = cols.shape
+        D_S = np.column_stack([np.ones(n), ZT[selected].T])
+        m, d = starts.shape
         lls, betas = np.empty(m), np.empty((m, d))
-        chunk = max(1, _CHUNK_BYTES // (8 * n * d))
+        chunk = max(1, _CHUNK_BYTES // (8 * (8 * n + 3 * d * d)))
         for rows in (slice(lo, lo + chunk) for lo in range(0, m, chunk)):
-            # a C-ordered gather keeps each design's BLAS calls chunk-independent
-            A = D[np.arange(n)[:, None], cols[rows, None, :]]
-            beta, its, converged = _irls(A, y, _NEWTON_ITERS, _NEWTON_GTOL, starts[rows])
+            Zc = None if cand is None else ZT[cand[rows]]
+            hold = None if held is None else held[rows]
+            beta, its, converged, ll = _irls(
+                D_S, y, _NEWTON_ITERS, _NEWTON_GTOL, starts[rows], Zc, hold
+            )
             iterations += int(its.sum())
             # a likelihood with no maximum (separated classes) is scored where
             # a cold start stops, not wherever this start reached by the cap
-            if not converged.all():
-                beta[~converged], its, _ = _irls(A[~converged], y, _NEWTON_ITERS, _NEWTON_GTOL)
+            cold = ~converged
+            if cold.any():
+                beta[cold], its, _, ll[cold] = _irls(
+                    D_S, y, _NEWTON_ITERS, _NEWTON_GTOL, np.zeros((int(cold.sum()), d)),
+                    None if Zc is None else Zc[cold], None if hold is None else hold[cold],
+                )
                 iterations += int(its.sum())
-            eta = np.clip(np.matmul(A, beta[..., None])[..., 0], -35, 35)
-            lls[rows] = (eta * y).sum(axis=1) - np.log1p(np.exp(eta)).sum(axis=1)
-            betas[rows] = beta
+            lls[rows], betas[rows] = ll, beta
         fits += m
         best, best_val = -1, current
         for i, val in enumerate(_ebic(lls, k_terms, n, P)):
@@ -132,28 +143,30 @@ def screen_stepwise(X_aug, labels, descriptors=None):
                 best, best_val = i, float(val)
         return best, best_val, betas
 
-    _, current, betas = best_move(np.zeros((1, 1), dtype=int), np.zeros((1, 1)), 0)
+    _, current, betas = best_move(np.zeros((1, 1)), 0)
     beta, trace = betas[0], [("init", None, current)]
     improved = True
     while improved:
         improved = False
         if len(selected) < cap:  # forward: one more usable monomial
-            cand = [j for j in range(P) if j not in selected and usable[j]]
-            cols = np.array([[0] + [1 + s for s in selected] + [1 + j] for j in cand], dtype=int)
-            starts = np.tile(np.append(beta, 0.0), (len(cand), 1))
-            best, value, betas = best_move(cols.reshape(starts.shape), starts, len(selected) + 1)
+            avail = usable.copy()
+            avail[selected] = False
+            cand = np.flatnonzero(avail)
+            starts = np.tile(np.append(beta, 0.0), (cand.size, 1))
+            best, value, betas = best_move(starts, len(selected) + 1, cand=cand)
             if best >= 0:
-                selected.append(cand[best])
+                selected.append(int(cand[best]))
                 beta, current = betas[best], value
                 trace.append(("add", descriptors[cand[best]], current))
                 improved = True
         if len(selected) > 1:  # backward: one selected monomial fewer
             k = len(selected)
-            keep = np.array([[i for i in range(k + 1) if i != drop] for drop in range(1, k + 1)])
-            cols = np.array([0] + [1 + s for s in selected])[keep]
-            best, value, betas = best_move(cols, beta[keep], k - 1)
+            held = np.arange(1, k + 1)
+            starts = np.tile(beta, (k, 1))
+            starts[held - 1, held] = 0.0
+            best, value, betas = best_move(starts, k - 1, held=held)
             if best >= 0:
-                beta, current = betas[best], value
+                beta, current = np.delete(betas[best], held[best]), value
                 trace.append(("drop", descriptors[selected.pop(best)], current))
                 improved = True
     monomials = tuple(descriptors[j] for j in sorted(selected))

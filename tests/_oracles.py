@@ -7,9 +7,10 @@ are exponential and only suitable for the tiny instances the acceptance
 criteria prescribe.  The module also keeps small reference helpers for the
 unit tests: a direct kernel evaluation, the L1 zero-slope penalty level, a
 Monte Carlo check of the simulation settings, the one-candidate-at-a-time
-stepwise screen the batched one is checked against, the vectorised
-bounded simplex the Python-float pivot loop is checked against, and the
-two-penalty-vector SMO loop the stacked-state one is checked against.
+stepwise screen and the stacked-design batched screen the gather-free one is
+checked against, the vectorised bounded simplex the Python-float pivot loop
+is checked against, and the two-penalty-vector SMO loop the stacked-state one
+is checked against.
 """
 
 import itertools
@@ -276,6 +277,111 @@ def screen_stepwise_serial(X_aug, labels, descriptors=None, gamma=EBIC_GAMMA):
     return ScreenResult(
         selected_monomials=monomials, selected_covariates=covariates, trace=tuple(trace)
     )
+
+
+def _irls_batched(A, y, max_iter, gtol, beta=None):
+    """Ridge-damped Newton ascent on stacked designs A (B, n, d) from beta (B, d).
+
+    The same Newton steps as _irls, one batched np.matmul per product, each
+    design stopping once its gradient norm falls below gtol.  Returns
+    (coefficients (B, d), iterations (B,), converged (B,)).
+    """
+    B, _, d = A.shape
+    beta = np.zeros((B, d)) if beta is None else np.array(beta, dtype=float)
+    iterations = np.full(B, max_iter)
+    converged = np.zeros(B, dtype=bool)
+    ridge = 1e-6 * np.eye(d)
+    active = np.arange(B)
+    for it in range(1, max_iter + 1):
+        eta = np.clip(np.matmul(A, beta[active, :, None])[..., 0], -35, 35)
+        p = 1.0 / (1.0 + np.exp(-eta))
+        grad = np.matmul((y - p)[:, None, :], A)[:, 0]
+        done = np.linalg.norm(grad, axis=1) < gtol
+        if done.any():
+            iterations[active[done]] = it
+            converged[active[done]] = True
+            active, A, p, grad = (v[~done] for v in (active, A, p, grad))
+            if not active.size:
+                break
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        H = np.matmul(A.transpose(0, 2, 1) * w[:, None, :], A) + ridge
+        step = np.linalg.solve(H, grad[..., None])[..., 0]
+        beta[active] = np.clip(beta[active] + step, -30.0, 30.0)
+    return beta, iterations, converged
+
+
+def screen_stepwise_batched(X_aug, labels, descriptors=None):
+    """The batched screen the gather-free one is checked against.
+
+    Each pass gathers its candidates' designs [1 | Z_S | z_j] (or [1 | Z_S]
+    less one column) into (B, n, d) stacks of at most 32 MB and fits
+    them with _irls_batched, warm from the current model; a candidate that
+    reaches the 25-iteration cap is refitted from zero.  Its moves, fits and
+    newton_iterations are the reference counts.
+    """
+    X_aug = np.atleast_2d(np.asarray(X_aug, dtype=float))
+    y = np.asarray(labels, dtype=float)
+    n, P = X_aug.shape
+    if descriptors is None:
+        descriptors = tuple((j,) for j in range(P))
+    mu = X_aug.mean(axis=0)
+    sd = X_aug.std(axis=0)
+    usable = sd > 1e-12
+    Z = np.zeros_like(X_aug)
+    Z[:, usable] = (X_aug[:, usable] - mu[usable]) / sd[usable]
+    D = np.column_stack([np.ones(n), Z])
+    cap = int(min(n / 5, 50))
+    selected, fits, iterations, current = [], 0, 0, np.inf
+
+    def best_move(cols, starts, k_terms):
+        nonlocal fits, iterations
+        m, d = cols.shape
+        lls, betas = np.empty(m), np.empty((m, d))
+        chunk = max(1, 32 * 2**20 // (8 * n * d))
+        for rows in (slice(lo, lo + chunk) for lo in range(0, m, chunk)):
+            A = D[np.arange(n)[:, None], cols[rows, None, :]]
+            beta, its, converged = _irls_batched(A, y, 25, 1e-6, starts[rows])
+            iterations += int(its.sum())
+            if not converged.all():
+                beta[~converged], its, _ = _irls_batched(A[~converged], y, 25, 1e-6)
+                iterations += int(its.sum())
+            eta = np.clip(np.matmul(A, beta[..., None])[..., 0], -35, 35)
+            lls[rows] = (eta * y).sum(axis=1) - np.log1p(np.exp(eta)).sum(axis=1)
+            betas[rows] = beta
+        fits += m
+        best, best_val = -1, current
+        for i, val in enumerate(_ebic(lls, k_terms, n, P)):
+            if val < best_val - 1e-8:
+                best, best_val = i, float(val)
+        return best, best_val, betas
+
+    _, current, betas = best_move(np.zeros((1, 1), dtype=int), np.zeros((1, 1)), 0)
+    beta, trace = betas[0], [("init", None, current)]
+    improved = True
+    while improved:
+        improved = False
+        if len(selected) < cap:
+            cand = [j for j in range(P) if j not in selected and usable[j]]
+            cols = np.array([[0] + [1 + s for s in selected] + [1 + j] for j in cand], dtype=int)
+            starts = np.tile(np.append(beta, 0.0), (len(cand), 1))
+            best, value, betas = best_move(cols.reshape(starts.shape), starts, len(selected) + 1)
+            if best >= 0:
+                selected.append(cand[best])
+                beta, current = betas[best], value
+                trace.append(("add", descriptors[cand[best]], current))
+                improved = True
+        if len(selected) > 1:
+            k = len(selected)
+            keep = np.array([[i for i in range(k + 1) if i != drop] for drop in range(1, k + 1)])
+            cols = np.array([0] + [1 + s for s in selected])[keep]
+            best, value, betas = best_move(cols, beta[keep], k - 1)
+            if best >= 0:
+                beta, current = betas[best], value
+                trace.append(("drop", descriptors[selected.pop(best)], current))
+                improved = True
+    monomials = tuple(descriptors[j] for j in sorted(selected))
+    covariates = tuple(sorted({idx for mono in monomials for idx in mono}))
+    return ScreenResult(monomials, covariates, tuple(trace), fits, iterations)
 
 
 def bounded_simplex_vector(A, cost, upper, rhs, basis):

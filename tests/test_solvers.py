@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    _irls,
     bounded_simplex_vector,
     l1_aol_lp_encoding,
     lp_vertex_oracle,
@@ -78,6 +79,39 @@ class TestLogistic:
     def test_non_binary_labels_rejected(self):
         with pytest.raises(DataError):
             logistic_fit(np.zeros((3, 1)), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.arange(8.0).reshape(4, 2)
+        X[2, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            logistic_fit(X, np.array([0, 1, 0, 1]))
+
+    def test_wrong_length_labels_rejected(self):
+        with pytest.raises(DataError, match="one label per row"):
+            logistic_fit(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize(
+        "X, kind",
+        [
+            (np.random.default_rng(3).normal(size=(300, 4)), "noisy"),
+            (np.array([[-2.0], [-1.0], [1.0], [2.0]]), "separated"),
+            (np.random.default_rng(4).normal(size=(60, 3)), "separated"),
+        ],
+        ids=["noisy", "separated-1d", "separated-3d"],
+    )
+    def test_matches_one_design_newton_loop(self, X, kind):
+        noise = np.random.default_rng(5).normal(size=len(X)) if kind == "noisy" else 0.0
+        y = (X.sum(axis=1) + noise > 0).astype(int)
+        beta, its, converged = _irls(np.column_stack([np.ones(len(y)), X]), y, 100, 1e-8)
+        model = logistic_fit(X, y)
+        np.testing.assert_allclose(
+            np.r_[model.intercept, model.slopes], beta, rtol=1e-9, atol=1e-9
+        )
+        assert model.iterations == its
+        assert model.converged == (kind == "noisy")
+        if X.shape[1] == 3:  # this one runs into the coefficient cap
+            assert np.abs(model.slopes).max() == 30.0
 
 
 class TestWsvmDual:
@@ -176,6 +210,15 @@ class TestWsvmDual:
             wsvm_dual_solve(K, np.array([1.0, -1.0]), np.ones(2), max_updates=1)
         assert exc.value.best.updates == 1
         assert np.isnan(exc.value.best.kkt_violation)
+
+    def test_nan_alphas_without_an_update_cap_raise(self):
+        # the same Gram without the cap: both alphas turn NaN, neither index can
+        # end a pair, and the violation reads 0, which used to look converged
+        K = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as exc:
+            wsvm_dual_solve(K, np.array([1.0, -1.0]), np.ones(2))
+        assert "non-finite" in str(exc.value)
+        assert np.isnan(exc.value.best.alphas).all()
 
     def test_updates_counts_pair_steps(self):
         K = self.FROZEN_X @ self.FROZEN_X.T

@@ -37,6 +37,17 @@ class TestExpandSecondOrder:
         with pytest.raises(DataError):
             expand_second_order(np.zeros((2, 0)))
 
+    def test_columns_bit_equal_to_pairwise_loop(self, rng):
+        X = rng.normal(size=(50, 7)) * np.logspace(-3, 3, 7)
+        aug, desc = expand_second_order(X)
+        second, loop_desc = [], [(j,) for j in range(7)]
+        for j in range(7):
+            for k in range(j, 7):
+                second.append(X[:, j] * X[:, k])
+                loop_desc.append((j, k))
+        assert desc == tuple(loop_desc)
+        assert np.array_equal(aug, np.column_stack([X, np.column_stack(second)]))
+
 
 class TestScreenStepwise:
     def test_recovers_linear_signal(self, rng):
@@ -85,6 +96,37 @@ class TestScreenStepwise:
         with pytest.raises(DataError):
             screen_stepwise(np.random.default_rng(0).normal(size=(30, 2)), np.ones(30))
 
+    def _problem(self):
+        X = np.random.default_rng(0).uniform(-1, 1, size=(60, 3))
+        return X, (X[:, 0] > 0).astype(int)
+
+    def test_plus_minus_one_labels_rejected(self):
+        X, y = self._problem()
+        with pytest.raises(DataError, match="0/1"):
+            screen_stepwise(X, 2 * y - 1)
+
+    def test_zero_three_labels_rejected(self):
+        X, y = self._problem()
+        with pytest.raises(DataError, match="0/1"):
+            screen_stepwise(X, 3 * y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_rejected(self, bad):
+        X, y = self._problem()
+        X[5, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            screen_stepwise(X, y)
+
+    def test_wrong_length_labels_rejected(self):
+        X, y = self._problem()
+        with pytest.raises(DataError, match="one label per row"):
+            screen_stepwise(X, y[:-1])
+
+    def test_short_descriptors_rejected(self):
+        X, y = self._problem()
+        with pytest.raises(DataError, match="one descriptor per column"):
+            screen_stepwise(X, y, descriptors=((0,), (1,)))
+
     def test_scale_invariance(self, rng):
         X = rng.uniform(-1, 1, size=(150, 4))
         y = (X[:, 1] > 0).astype(int)
@@ -115,7 +157,8 @@ SCREEN_PROBLEMS = [
 
 
 class TestBatchedScreen:
-    """The batched, warm-started screen against the serial cold-start oracle."""
+    """The gather-free, warm-started screen against the serial cold-start oracle
+    and the frozen stacked-design screen."""
 
     @pytest.mark.parametrize("problem", SCREEN_PROBLEMS, ids=str)
     def test_same_moves_as_serial_oracle(self, problem, monkeypatch):
@@ -139,13 +182,35 @@ class TestBatchedScreen:
         assert res.newton_iterations >= res.fits
 
     @pytest.mark.parametrize(
+        "problem", [*SCREEN_PROBLEMS, dict(p=50, n=400, seed=1)], ids=str
+    )
+    def test_same_moves_and_counts_as_stacked_designs(self, problem):
+        aug, y, desc = _n8_screen_problem(**problem)
+        ref = _oracles.screen_stepwise_batched(aug, y, desc)
+        res = screen_stepwise(aug, y, desc)
+        assert [t[:2] for t in res.trace] == [t[:2] for t in ref.trace]
+        np.testing.assert_allclose(
+            [t[2] for t in res.trace], [t[2] for t in ref.trace], rtol=0, atol=1e-8
+        )
+        assert (res.fits, res.newton_iterations) == (ref.fits, ref.newton_iterations)
+
+    @pytest.mark.parametrize(
         "problem", [dict(p=20, n=40, seed=2), dict(p=20, n=200, seed=1)], ids=str
     )
-    def test_one_candidate_per_chunk_is_bit_identical(self, problem, monkeypatch):
+    def test_one_candidate_per_chunk_gives_the_same_screen(self, problem, monkeypatch):
+        # a chunk of one runs its products as BLAS gemv, not gemm, so the
+        # floats may move in the last bits, never the moves or the counts
         aug, y, desc = _n8_screen_problem(**problem)
         default = screen_stepwise(aug, y, desc)
         monkeypatch.setattr(varselect, "_CHUNK_BYTES", 1)
-        assert screen_stepwise(aug, y, desc) == default
+        single = screen_stepwise(aug, y, desc)
+        assert [t[:2] for t in single.trace] == [t[:2] for t in default.trace]
+        np.testing.assert_allclose(
+            [t[2] for t in single.trace], [t[2] for t in default.trace], rtol=0, atol=1e-12
+        )
+        assert (single.selected_monomials, single.fits, single.newton_iterations) == (
+            default.selected_monomials, default.fits, default.newton_iterations
+        )
 
 
 class TestMaskFeatures:
