@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError, DegenerateStepError
-from .kernels import KernelSpec, _gram_block, gram_matrix
-from .solvers import _check_positive, l1_hinge_dual_solve, logistic_fit, wsvm_dual_solve
+from .kernels import KernelSpec, _gram_block, _gram_into, gram_matrix
+from .solvers import _check_positive, _finite_gram, _smo, l1_hinge_dual_solve, logistic_fit
 
 __all__ = [
     "BinarySubproblem",
@@ -100,7 +100,10 @@ class KernelExpansionRule:
         """b0 + K(X, points) @ coefs, one block of rows at a time.
 
         A block has max(1, _BLOCK_BYTES // (8 * len(points))) rows, so its Gram
-        matrix stays near _BLOCK_BYTES however many rows X has.  A row's value
+        matrix stays near _BLOCK_BYTES however many rows X has.  Every block
+        of the call fills one pair of buffers (the Gram block and the
+        Gaussian's scratch block) by gram_matrix's operations in its order,
+        and its product is written straight into the result.  A row's value
         does not depend on the other rows, but BLAS may round it differently
         for another block size (a few ulps).
         """
@@ -114,10 +117,16 @@ class KernelExpansionRule:
         if self.coefs.size == 0:
             return np.full(X.shape[0], self.intercept)
         out = np.empty(X.shape[0])
-        rows = max(1, _BLOCK_BYTES // (8 * self.coefs.shape[0]))
+        rows = max(1, min(X.shape[0], _BLOCK_BYTES // (8 * self.coefs.shape[0])))
+        # two arrays, not one of twice the size: glibc raises its mmap and trim
+        # thresholds to the largest chunk freed, so one 8 MiB chunk would stay
+        # resident after the call
+        shape = (rows, self.coefs.shape[0])
+        gram, cross = np.empty(shape), np.empty(shape)
         for lo in range(0, X.shape[0], rows):
-            block = slice(lo, lo + rows)
-            out[block] = gram_matrix(self.kernel, X[block], self.points) @ self.coefs
+            r = min(rows, X.shape[0] - lo)
+            block = _gram_into(self.kernel, X[lo : lo + r], self.points, gram[:r], cross[:r])
+            np.matmul(block, self.coefs, out=out[lo : lo + r])
         out += self.intercept
         return out
 
@@ -216,11 +225,12 @@ def fit_l2_from_gram(labels, weights, gram, lam, tol=1e-5, init=None):
     """Shared core of fit_aol_l2: returns (coefs = alpha*label, intercept).
 
     Caps follow C_i = w_i / (2 lambda m) with m the active sample count.
-    gram must be symmetric; init is an optional feasible start for alpha.
+    gram must be symmetric and finite, checked where it was built, as _smo
+    does not check it; init is an optional feasible start for alpha.
     """
     m = labels.shape[0]
     caps = weights / (2.0 * lam * m)
-    sol = wsvm_dual_solve(gram, labels, caps, tol=tol, init=init)
+    sol = _smo(gram, labels, caps, tol=tol, init=init)
     return sol.alphas * labels, sol.intercept
 
 
@@ -232,11 +242,11 @@ def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam, tol=1e-5):
 
 def _fit_l2(sub, kernel, lam, gram_full, tol=1e-5):
     """fit_aol_l2, reading the active rows of gram_full (the kernel's Gram
-    matrix over all of sub's rows) when it is given."""
+    matrix over all of sub's rows, already checked finite) when it is given."""
     _check_positive("lam", lam)
     keep = _active(sub)
     X = sub.features[keep]
-    gram = gram_matrix(kernel, X, X) if gram_full is None else gram_full
+    gram = _finite_gram(gram_matrix(kernel, X, X)) if gram_full is None else gram_full
     if gram.shape[0] != X.shape[0]:  # gram_full has inactive rows; copy only then
         rows = np.flatnonzero(keep)
         gram = _gram_block(gram, rows, rows)

@@ -21,7 +21,10 @@ from .exceptions import (
     OrdinalSRError,
     UndefinedMetricError,
 )
-from .kernels import KernelSpec, _gram_block, gram_matrix
+from .kernels import (
+    KernelSpec, _gaussian_from_squared, _gram_block, _squared_distances, gram_matrix,
+)
+from .solvers import _finite_gram
 from .simgen import get_setting, generate
 
 __all__ = [
@@ -176,6 +179,7 @@ def cv_tune(
     seed=0,
     penalty="l2",
     cv_tol=1e-3,
+    _sq=None,
 ):
     """Tune and fit one binary step: returns (rule, CVResult).
 
@@ -198,8 +202,13 @@ def cv_tune(
     depend on sigma, so that start is feasible too, and only one start vector
     per fold outlives its sigma.  For L1 the design is the held-out features
     and each lambda is solved cold.  The rule is then fitted on all of sub at
-    the chosen lambda/sigma, cold at tol 1e-5, an L2 rule reading the chosen
-    sigma's Gram matrix from the search.
+    the chosen lambda/sigma, cold at tol 1e-5.
+
+    Every Gaussian sigma's Gram matrix is filled into one m x m buffer from
+    sub's squared distances D2 (_sq, when the caller holds them) by
+    gram_matrix's operations, so its entries are gram_matrix's.  Each sigma's
+    matrix is checked for finiteness once, where it is built, before any
+    solve; the refit rebuilds the chosen one if a later sigma overwrote it.
     """
     if penalty not in ("l2", "l1linear"):
         raise DataError(f"unknown penalty {penalty!r}")
@@ -210,12 +219,23 @@ def cv_tune(
     if sub.m < 4:
         raise DegenerateStepError(f"{sub.step_id}: too few subjects for CV")
     assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
+    sq = _sq
+    if sq is None and penalty == "l2" and any(s is not None for s in sigma_grid):
+        sq = _squared_distances(sub.features, sub.features)
+
+    def build_gram(kernel, out):
+        if kernel.kind == "linear":
+            return gram_matrix(kernel, sub.features, sub.features)
+        return _gaussian_from_squared(sq, kernel.bandwidth, out=out)
+
     table = []
-    best = None  # (rank, lambda, kernel, gram_full) of the winner so far
+    best = None  # (rank, lambda, kernel) of the winner so far
+    gram = None  # the Gram matrix of the sigma in hand, one buffer for every Gaussian sigma
     sigma_starts = [None] * folds  # each fold's first-lambda alpha at the previous sigma
     for sigma in sigma_grid:
         kernel = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
-        gram_full = gram_matrix(kernel, sub.features, sub.features) if penalty == "l2" else None
+        if penalty == "l2":
+            gram = _finite_gram(build_gram(kernel, gram))
         scores = [[] for _ in lambda_grid]
         for f in range(folds):
             te = np.flatnonzero(assign == f)
@@ -226,7 +246,7 @@ def cv_tune(
                 fits = [_l1_coefs(X_tr, labels, weights, lam) for lam in lambda_grid]
                 design = sub.features[te]
             else:
-                gram_tr = _gram_block(gram_full, active, active)
+                gram_tr = _gram_block(gram, active, active)
                 fits, alpha, lam_prev = [], None, None
                 for lam in lambda_grid:
                     init = sigma_starts[f] if alpha is None else alpha * (lam_prev / lam)
@@ -238,7 +258,7 @@ def cv_tune(
                     alpha, lam_prev = coefs * labels, lam
                     fits.append((coefs, b0))
                 gram_tr = None  # the training and held-out blocks are never held at once
-                design = _gram_block(gram_full, te, active)
+                design = _gram_block(gram, te, active)
             for (coefs, b0), fold_scores in zip(fits, scores):
                 pred = _sign_tie_negative(design @ coefs + b0)
                 fold_scores.append(_holdout_score(pred, sub, te))
@@ -251,15 +271,16 @@ def cv_tune(
             # the last of the highest (score, lambda, sigma) wins
             rank = (mean_score, float(lam), 0.0 if sigma is None else sigma)
             if best is None or rank >= best[0]:
-                best = (rank, float(lam), kernel, gram_full)
-        gram_full = None  # only the winner's Gram matrix outlives its sigma
-    _, lam, kernel, gram_full = best
+                best = (rank, float(lam), kernel)
+    _, lam, best_kernel = best
     if penalty == "l1linear":
         rule = fit_aol_l1_linear(sub, lam)
     else:
-        rule = _fit_l2(sub, kernel, lam, gram_full)
+        if best_kernel != kernel:  # a later sigma overwrote the winner's entries, checked then
+            gram = build_gram(best_kernel, gram)
+        rule = _fit_l2(sub, best_kernel, lam, gram)
     cv = CVResult(
-        best_lambda=lam, best_sigma=kernel.bandwidth, table=tuple(table), fold_seed=seed
+        best_lambda=lam, best_sigma=best_kernel.bandwidth, table=tuple(table), fold_seed=seed
     )
     return rule, cv
 

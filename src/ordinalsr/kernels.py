@@ -32,17 +32,33 @@ class KernelSpec:
                 raise DataError(f"gaussian bandwidth must be > 0, with a finite square: {bw!r}")
 
 
-def _squared_distances(A, B) -> np.ndarray:
+def _squared_distances(A, B, out=None, cross=None) -> np.ndarray:
     """Squared Euclidean distances between rows of A and rows of B, floored at 0.
 
     |a|^2 + |b|^2 comes first and 2 a'b is subtracted in place, so at most two
-    result-sized blocks are alive at once.
+    result-sized blocks are alive at once: out and cross, new unless given.
     """
-    out = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :]
-    cross = A @ B.T
+    out = np.add(np.sum(A**2, axis=1)[:, None], np.sum(B**2, axis=1)[None, :], out=out)
+    cross = np.matmul(A, B.T, out=cross)
     cross *= 2.0
     out -= cross
     return np.maximum(out, 0.0, out=out)
+
+
+def _gaussian_from_squared(sq, bandwidth, out=None) -> np.ndarray:
+    """exp(-sq / (2 bandwidth^2)) into out (a new array unless given; may be sq)."""
+    out = np.negative(sq, out=out)
+    out /= 2.0 * bandwidth**2
+    return np.exp(out, out=out)
+
+
+def _gram_into(spec: KernelSpec, A, B, out=None, cross=None) -> np.ndarray:
+    """gram_matrix(spec, A, B) for float arrays, written into out; cross is the
+    Gaussian's scratch block.  Both are new arrays unless given."""
+    if spec.kind == "linear":
+        return np.matmul(A, B.T, out=out)
+    sq = _squared_distances(A, B, out, cross)
+    return _gaussian_from_squared(sq, spec.bandwidth, out=sq)
 
 
 def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:
@@ -51,12 +67,7 @@ def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DataError("gram_matrix column counts differ")
-    if spec.kind == "linear":
-        return A @ B.T
-    out = _squared_distances(A, B)
-    np.negative(out, out=out)
-    out /= 2.0 * spec.bandwidth**2
-    return np.exp(out, out=out)
+    return _gram_into(spec, A, B)
 
 
 def _gram_block(gram, rows, cols) -> np.ndarray:
@@ -87,8 +98,14 @@ def median_bandwidth(X, seed=0) -> float:
             X.shape[0], MEDIAN_SUBSAMPLE_CAP, replace=False
         )
         X = X[np.sort(idx)]
-    iu = np.triu_indices(X.shape[0], k=1)
-    med = float(np.median(np.sqrt(_squared_distances(X, X)[iu])))
+    return _median_distance(_squared_distances(X, X))
+
+
+def _median_distance(sq) -> float:
+    """Median of sqrt(sq) above the diagonal of an m x m (m >= 2) matrix of squared
+    distances; the roots and the median's partition run in place on one copy."""
+    pairs = sq[np.triu(np.ones(sq.shape, dtype=bool), k=1)]
+    med = float(np.median(np.sqrt(pairs, out=pairs), overwrite_input=True))
     if med <= 0:
         raise DataError("all rows identical; median bandwidth undefined")
     return med

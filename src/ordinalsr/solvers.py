@@ -256,14 +256,25 @@ def wsvm_dual_solve(
     averages over free support vectors, falling back to the midpoint of the
     feasible interval.
     """
+    return _smo(_finite_gram(np.asarray(gram, dtype=float)), labels, caps, tol, max_updates, init)
+
+
+def _finite_gram(K):
+    """K, or DataError unless every entry is finite: one pass, made where K is built."""
+    if not np.all(np.isfinite(K)):
+        raise DataError("gram must be finite")
+    return K
+
+
+def _smo(gram, labels, caps, tol=1e-5, max_updates=1_000_000, init=None):
+    """wsvm_dual_solve without the m^2 finiteness pass over gram, which its
+    caller made once where gram was built; every other check stays."""
     K = np.asarray(gram, dtype=float)
     a = np.asarray(labels, dtype=float)
     C = np.asarray(caps, dtype=float)
     m = a.shape[0]
     if K.shape != (m, m) or C.shape != (m,):
         raise DataError("wsvm_dual_solve shape mismatch")
-    if not np.all(np.isfinite(K)):
-        raise DataError("gram must be finite")
     if np.any(np.abs(a) != 1.0):
         raise DataError("labels must be +-1")
     if np.any(C <= 0) or not np.all(np.isfinite(C)):

@@ -18,7 +18,9 @@ from .aol import KernelExpansionRule, SparseLinearRule, build_subproblem
 from .data import ScalingParams, TrialDataset, _check_integer, _read_text, apply_scaling, fit_scaling
 from .evaluate import cv_tune
 from .exceptions import DataError, DegenerateStepError
-from .kernels import KernelSpec, median_bandwidth
+from .kernels import (
+    MEDIAN_SUBSAMPLE_CAP, KernelSpec, _median_distance, _squared_distances, median_bandwidth,
+)
 from .solvers import ols_fit
 from .varselect import screen_mask
 
@@ -171,13 +173,18 @@ def _majority_rule(data, eligible, negative_arms, positive_arms, reason) -> Cons
     return ConstantRule(decision=1 if mass_pos > mass_neg else -1, reason=reason)
 
 
-def _resolve_sigma_grid(config, features, seed):
+def _resolve_sigma_grid(config, features, seed, sq=None):
+    """(None,), the config's grid or SIGMA_SCALES times the median bandwidth;
+    sq, the features' squared distances, gives the median when not subsampled."""
     if config.kernel_kind != "gaussian":
         return (None,)
     if config.sigma_grid is not None:
         return config.sigma_grid
     try:
-        med = median_bandwidth(features, seed=seed)
+        if sq is None or sq.shape[0] > MEDIAN_SUBSAMPLE_CAP:
+            med = median_bandwidth(features, seed=seed)
+        else:
+            med = _median_distance(sq)
     except DataError:
         med = 1.0
     return tuple(s * med for s in SIGMA_SCALES)
@@ -189,6 +196,7 @@ def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible,
 
     Two-stage selection masks the step's features once, up front, so the
     sigma grid and cv_tune see an ordinary L2 subproblem carrying its selection.
+    A Gaussian step's squared distances are computed once, here, for both.
     """
     try:
         sub = build_subproblem(
@@ -203,13 +211,17 @@ def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible,
         )
         if config.selection == "two-stage":
             sub = screen_mask(sub)
+        sq = None
+        if config.kernel_kind == "gaussian":
+            sq = _squared_distances(sub.features, sub.features)
         return cv_tune(
             sub,
             lambda_grid=config.lambda_grid,
-            sigma_grid=_resolve_sigma_grid(config, sub.features, seed),
+            sigma_grid=_resolve_sigma_grid(config, sub.features, seed, sq),
             folds=config.cv_folds,
             seed=seed,
             penalty=config.penalty,
+            _sq=sq,
         )
     except DegenerateStepError as exc:
         return _majority_rule(data, eligible, negative_arms, positive_arms, str(exc)), None

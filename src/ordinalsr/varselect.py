@@ -32,6 +32,7 @@ EBIC_GAMMA = 0.5
 _NEWTON_ITERS = 25
 _NEWTON_GTOL = 1e-6
 _CHUNK_BYTES = 32 * 2**20  # cap on a chunk's Newton arrays: ~8 rows of n and 3 d x d per fit
+_MIN_SCREEN_ROWS = 20  # a smaller step keeps every covariate (screen_mask's fallback)
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ def screen_stepwise(X_aug, labels, descriptors=None):
         raise DataError("screen_stepwise needs one label per row of X_aug")
     if not np.all(np.isfinite(X_aug)):
         raise DataError("screen_stepwise requires a finite X_aug")
-    if n < 20:
-        raise DataError("screen_stepwise needs n >= 20")
+    if n < _MIN_SCREEN_ROWS:
+        raise DataError(f"screen_stepwise needs n >= {_MIN_SCREEN_ROWS}")
     if set(np.unique(y)) - {0.0, 1.0}:
         raise DataError("screen_stepwise labels must be 0/1")
     if np.unique(y).size < 2:
@@ -198,10 +199,10 @@ def screen_mask(sub: BinarySubproblem, screen=None) -> BinarySubproblem:
     covariate with the fallback flag raised.
     """
     if screen is None:
-        try:
-            screen = screen_for_subproblem(sub)
-        except DataError:
+        if sub.m < _MIN_SCREEN_ROWS or np.unique(sub.labels).size < 2:
             screen = ScreenResult((), (), ())
+        else:  # any other DataError of the screen is the caller's to see
+            screen = screen_for_subproblem(sub)
     selected = screen.selected_covariates
     fallback = not selected
     if fallback:

@@ -9,8 +9,10 @@ unit tests: a direct kernel evaluation, the L1 zero-slope penalty level, a
 Monte Carlo check of the simulation settings, the one-candidate-at-a-time
 stepwise screen and the stacked-design batched screen the gather-free one is
 checked against, the vectorised bounded simplex the Python-float pivot loop
-is checked against, and the two-penalty-vector SMO loop the stacked-state one
-is checked against.
+is checked against, the two-penalty-vector SMO loop the stacked-state one
+is checked against, and the allocating Gram path (a new Gram matrix per
+sigma and per prediction block) the shared-distance, buffered one is checked
+against.
 """
 
 import itertools
@@ -544,3 +546,95 @@ def smo_serial(gram, labels, caps, tol=1e-5, max_updates=1_000_000, init=None):
         alphas=alpha, intercept=b0, objective=objective, kkt_violation=float(viol),
         updates=updates,
     )
+
+
+def _squared_distances_fresh(A, B):
+    """kernels._squared_distances as it was before its out= buffers: two new blocks."""
+    out = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :]
+    cross = A @ B.T
+    cross *= 2.0
+    out -= cross
+    return np.maximum(out, 0.0, out=out)
+
+
+def gram_matrix_fresh(spec, A, B):
+    """kernels.gram_matrix as it was before its out= buffers: new arrays per call."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    if spec.kind == "linear":
+        return A @ B.T
+    out = _squared_distances_fresh(A, B)
+    np.negative(out, out=out)
+    out /= 2.0 * spec.bandwidth**2
+    return np.exp(out, out=out)
+
+
+def decision_value_per_block(rule, X, block_bytes):
+    """KernelExpansionRule.decision_value with one gram_matrix_fresh call per
+    block of max(1, block_bytes // (8 * len(points))) rows, as it was before
+    the block buffers; decision_value must match it bit for bit."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if len(rule.selected_features) != rule.n_features:
+        mask = np.zeros(rule.n_features)
+        mask[list(rule.selected_features)] = 1.0
+        X = X * mask
+    out = np.empty(X.shape[0])
+    rows = max(1, block_bytes // (8 * rule.coefs.shape[0]))
+    for lo in range(0, X.shape[0], rows):
+        block = slice(lo, lo + rows)
+        out[block] = gram_matrix_fresh(rule.kernel, X[block], rule.points) @ rule.coefs
+    out += rule.intercept
+    return out
+
+
+def cv_tune_per_sigma_gram(sub, lambda_grid, sigma_grid, folds=5, seed=0, cv_tol=1e-3):
+    """The L2 path of evaluate.cv_tune as it was before it shared one distance
+    matrix: gram_matrix_fresh per sigma, every solve through the checking
+    solvers.wsvm_dual_solve, and the winner's Gram matrix held for the refit.
+
+    Returns (rule, best_lambda, best_sigma, table); cv_tune must match it bit
+    for bit.
+    """
+    from ordinalsr import aol, evaluate
+    from ordinalsr.kernels import KernelSpec, _gram_block
+
+    if sub.m < 2 * folds:
+        folds = max(2, sub.m // 2)
+    assign, folds = evaluate._stratified_folds(sub.labels, sub.weights, folds, seed)
+    table, best = [], None
+    sigma_starts = [None] * folds
+    for sigma in sigma_grid:
+        kernel = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
+        gram_full = gram_matrix_fresh(kernel, sub.features, sub.features)
+        scores = [[] for _ in lambda_grid]
+        for f in range(folds):
+            te = np.flatnonzero(assign == f)
+            active = np.flatnonzero((assign != f) & (sub.weights > 0))
+            labels, weights = sub.labels[active], sub.weights[active]
+            gram_tr = _gram_block(gram_full, active, active)
+            fits, alpha, lam_prev = [], None, None
+            for lam in lambda_grid:
+                init = sigma_starts[f] if alpha is None else alpha * (lam_prev / lam)
+                caps = weights / (2.0 * lam * labels.shape[0])
+                sol = solvers.wsvm_dual_solve(gram_tr, labels, caps, tol=cv_tol, init=init)
+                coefs = sol.alphas * labels
+                if alpha is None:
+                    sigma_starts[f] = coefs * labels
+                alpha, lam_prev = coefs * labels, lam
+                fits.append((coefs, sol.intercept))
+            design = _gram_block(gram_full, te, active)
+            for (coefs, b0), fold_scores in zip(fits, scores):
+                pred = np.where(design @ coefs + b0 > 0, 1, -1)
+                fold_scores.append(evaluate._holdout_score(pred, sub, te))
+        for lam, fold_scores in zip(lambda_grid, scores):
+            if all(np.isnan(fold_scores)):
+                mean_score = float("-inf")
+            else:
+                mean_score = float(np.nanmean(fold_scores))
+            table.append((float(lam), sigma, mean_score))
+            rank = (mean_score, float(lam), 0.0 if sigma is None else sigma)
+            if best is None or rank >= best[0]:
+                best = (rank, float(lam), kernel, gram_full)
+    _, lam, kernel, gram_full = best
+    rule = aol._fit_l2(sub, kernel, lam, gram_full)
+    return rule, lam, kernel.bandwidth, tuple(table)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ordinalsr.aol as aol
-from _oracles import lambda_max
+from _oracles import decision_value_per_block, lambda_max
 from conftest import make_subproblem
 from ordinalsr.aol import (
     KernelExpansionRule,
@@ -172,7 +172,7 @@ def test_invalid_lambda_raises_before_any_solver(monkeypatch, fit, lam):
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran with an invalid lambda")
 
-    for name in ("wsvm_dual_solve", "l1_hinge_dual_solve"):
+    for name in ("_smo", "l1_hinge_dual_solve"):
         monkeypatch.setattr(aol, name, unreachable)
     sub = make_subproblem(np.arange(6.0)[:, None], [1, -1, 1, -1, 1, -1], np.ones(6))
     with pytest.raises(DataError, match="lam"):
@@ -283,14 +283,15 @@ class TestBlockedKernelDecision:
 
     @staticmethod
     def _gram_rows(monkeypatch):
-        """Row count of every gram_matrix call decision_value makes."""
+        """Row count of every block Gram matrix decision_value fills."""
         calls = []
+        fill = aol._gram_into
 
-        def spy(spec, A, B):
+        def spy(spec, A, B, out=None, cross=None):
             calls.append(A.shape[0])
-            return gram_matrix(spec, A, B)
+            return fill(spec, A, B, out, cross)
 
-        monkeypatch.setattr(aol, "gram_matrix", spy)
+        monkeypatch.setattr(aol, "_gram_into", spy)
         return calls
 
     @pytest.mark.parametrize(
@@ -334,6 +335,36 @@ class TestBlockedKernelDecision:
         assert got.shape == (0,) and got.dtype == float
         assert rule.predict(np.empty((0, 3))).shape == (0,)
         assert rows == []
+
+    @pytest.mark.parametrize("block_rows, n_rows", [(7, 28), (7, 30), (64, 30), (1, 5)],
+                             ids=["full-last", "partial-last", "one-partial", "one-row"])
+    @pytest.mark.parametrize(
+        "kernel, selected",
+        [(KernelSpec("gaussian", 0.7), None), (KernelSpec("gaussian", 1.3), (0, 2)),
+         (KernelSpec("linear"), None)],
+        ids=["gaussian", "masked", "linear"],
+    )
+    def test_block_buffers_are_bit_identical_to_fresh_blocks(
+        self, monkeypatch, rng, block_rows, n_rows, kernel, selected
+    ):
+        """Filling one pair of buffers gives the floats of a new gram_matrix per
+        block, for full and partial last blocks."""
+        rule = KernelExpansionRule(
+            points=rng.uniform(-1, 1, size=(13, 3)), coefs=rng.normal(size=13),
+            intercept=0.3, kernel=kernel, n_features=3, selected_features=selected,
+        )
+        X = rng.uniform(-1.5, 1.5, size=(n_rows, 3))
+        monkeypatch.setattr(aol, "_BLOCK_BYTES", 8 * 13 * block_rows)
+        got = rule.decision_value(X)
+        want = decision_value_per_block(rule, X, aol._BLOCK_BYTES)
+        assert got.tobytes() == want.tobytes()
+
+    def test_default_budget_is_bit_identical_to_fresh_blocks(self, rng):
+        # 300 points: 1747-row blocks, so 4000 rows end in a partial block
+        rule = self._rule(rng, 300, (0, 1))
+        X = rng.uniform(-1.5, 1.5, size=(4000, 3))
+        want = decision_value_per_block(rule, X, aol._BLOCK_BYTES)
+        assert rule.decision_value(X).tobytes() == want.tobytes()
 
     def test_peak_memory_is_bounded_by_the_block_budget(self, rng):
         # one-shot, 10k rows x 800 points held two 64 MB blocks at once

@@ -1,10 +1,12 @@
 """Tests for evaluation metrics, CV tuning, and the benchmark runner."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from _oracles import cv_tune_per_sigma_gram
 from conftest import make_subproblem
 from ordinalsr.data import TrialDataset
 from ordinalsr.evaluate import (
@@ -26,9 +28,10 @@ from ordinalsr import aol
 from ordinalsr.aol import build_subproblem, fit_aol_l1_linear, fit_aol_l2, fit_l2_from_gram
 from ordinalsr.evaluate import _holdout_score, _stratified_folds
 from ordinalsr.exceptions import DataError, UndefinedMetricError
-from ordinalsr.kernels import KernelSpec, gram_matrix
-from ordinalsr.simgen import SETTINGS, generate
+from ordinalsr.kernels import KernelSpec, _squared_distances, gram_matrix, median_bandwidth
+from ordinalsr.simgen import SETTINGS, generate, get_setting
 from ordinalsr.solvers import ols_fit
+from ordinalsr.sr import SIGMA_SCALES, SRConfig, _resolve_sigma_grid
 from ordinalsr.varselect import ScreenResult, screen_mask
 
 
@@ -181,14 +184,14 @@ class TestCvTune:
         from that fold's first-lambda alpha at the previous sigma after it; the
         later lambdas walk the path, and the final refit is cold."""
         calls = []  # (init, alphas) of every solve, in order
-        solve = aol.wsvm_dual_solve
+        solve = aol._smo
 
         def spy(gram, labels, caps, tol=1e-5, init=None):
             sol = solve(gram, labels, caps, tol=tol, init=init)
             calls.append((None if init is None else np.array(init), sol.alphas, tol))
             return sol
 
-        monkeypatch.setattr(aol, "wsvm_dual_solve", spy)
+        monkeypatch.setattr(aol, "_smo", spy)
         sub = self._n8_sub()
         lambdas, sigmas, folds = (0.01, 0.05, 0.25), (0.5, 1.0, 2.0), 3
         rule, cv = cv_tune(sub, lambdas, sigma_grid=sigmas, folds=folds, seed=2)
@@ -284,6 +287,99 @@ class TestCvTune:
         probe = np.zeros((2, sub.p))
         probe[1, 1] = 0.9  # a masked covariate
         assert rule.decision_value(probe)[0] == rule.decision_value(probe)[1]
+
+
+class TestOneDistanceMatrix:
+    """cv_tune derives every Gaussian Gram matrix of a step from one distance
+    matrix in one buffer; the tables, choices and rules are bit for bit those
+    of a new gram_matrix per sigma (tests/_oracles.cv_tune_per_sigma_gram)."""
+
+    LAMBDAS = (0.01, 0.05, 0.25)
+
+    @staticmethod
+    def _n8_sub(n=150, seed=5, p=None):
+        data = generate(get_setting("N8", p=p), n, seed=seed)
+        return build_subproblem(
+            data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
+        )
+
+    def _assert_bit_identical(self, sub, sigmas, **kwargs):
+        rule, cv = cv_tune(sub, self.LAMBDAS, sigma_grid=sigmas, folds=3, seed=2, **kwargs)
+        want, lam, sigma, table = cv_tune_per_sigma_gram(sub, self.LAMBDAS, sigmas, 3, 2)
+        assert repr(cv.table) == repr(table)  # float reprs round-trip exactly
+        assert (cv.best_lambda, cv.best_sigma) == (lam, sigma)
+        assert type(rule) is type(want)
+        for name in ("points", "coefs", "intercept", "slopes"):
+            if hasattr(want, name):
+                assert np.asarray(getattr(rule, name)).tobytes() == np.asarray(
+                    getattr(want, name)).tobytes()
+        X = np.random.default_rng(0).uniform(-1, 1, size=(500, sub.p))
+        assert rule.decision_value(X).tobytes() == want.decision_value(X).tobytes()
+        return cv
+
+    @pytest.mark.parametrize(
+        "sigmas",
+        [(0.3, 0.6, 1.2), (1.2, 0.6, 0.3), (0.6, 0.6), (None, 0.6), (0.6, None)],
+        ids=["increasing", "decreasing", "repeated", "linear-first", "linear-last"],
+    )
+    def test_explicit_grid(self, sigmas):
+        self._assert_bit_identical(self._n8_sub(), sigmas)
+
+    def test_the_winner_is_rebuilt_when_a_later_sigma_overwrote_it(self):
+        """Both refit cases happen: the winner is the last sigma built, or not."""
+        sub = self._n8_sub()
+        last = [self._assert_bit_identical(sub, s).best_sigma == s[-1]
+                for s in ((0.3, 0.6, 1.2), (1.2, 0.3, 0.6))]  # 0.6 wins both
+        assert last == [False, True]
+
+    def test_median_derived_grid(self):
+        """The sr path: one D2 gives the median bandwidth and every Gram matrix."""
+        sub = self._n8_sub(n=300, seed=8)
+        sq = _squared_distances(sub.features, sub.features)
+        grid = _resolve_sigma_grid(SRConfig(kernel_kind="gaussian"), sub.features, 4, sq)
+        med = median_bandwidth(sub.features, seed=4)
+        assert repr(grid) == repr(tuple(s * med for s in SIGMA_SCALES))
+        self._assert_bit_identical(sub, grid, _sq=sq)
+
+    def test_zero_weight_rows(self):
+        sub = self._n8_sub()
+        sub = replace(sub, weights=np.where(np.arange(sub.m) % 7 == 0, 0.0, sub.weights))
+        self._assert_bit_identical(sub, (0.3, 0.6, 1.2))
+
+    def test_two_stage_masked_features(self):
+        sub = screen_mask(self._n8_sub(p=6), ScreenResult(((0, 1),), (0, 1), ()))
+        assert not sub.features[:, 2:].any()
+        self._assert_bit_identical(sub, (0.3, 0.6, 1.2))
+
+    def test_non_finite_gram_raises_before_any_solve(self, monkeypatch):
+        """A 1e200 feature makes D2 NaN (inf - inf): DataError, and no SMO runs."""
+        solves = []
+        monkeypatch.setattr(aol, "_smo", lambda *args, **kwargs: solves.append(args))
+        sub = self._n8_sub()
+        features = sub.features.copy()
+        features[3, 0] = 1e200
+        sub = replace(sub, features=features)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sigmas in ((0.6,), (None,)):
+                with pytest.raises(DataError, match="gram must be finite"):
+                    cv_tune(sub, self.LAMBDAS, sigma_grid=sigmas, folds=3, seed=2)
+            with pytest.raises(DataError, match="gram must be finite"):
+                fit_aol_l2(sub, KernelSpec("gaussian", 0.6), 0.05)
+        assert solves == []
+
+    def test_peak_memory_holds_two_m_by_m_blocks(self):
+        """D2 and the one Gram buffer, plus a fold's training block; holding a
+        winner's Gram matrix beside a new one and its two distance blocks
+        peaked above three m x m blocks."""
+        sub = self._n8_sub(n=400, seed=3)
+        assert sub.m == 400 and np.all(sub.weights > 0)
+        tracemalloc.start()
+        try:
+            cv_tune(sub, self.LAMBDAS, sigma_grid=(0.3, 0.6, 1.2), folds=3, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.8 * 8 * sub.m**2
 
 
 class TestBenchmark:

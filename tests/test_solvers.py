@@ -192,6 +192,20 @@ class TestWsvmDual:
             wsvm_dual_solve(K, np.array([1.0, -1.0]), np.ones(2))
 
     @pytest.mark.parametrize(
+        "labels, caps, tol, match",
+        [([1.0, 2.0], [1.0, 1.0], 1e-5, "labels"), ([1.0, -1.0], [1.0, 0.0], 1e-5, "caps"),
+         ([1.0, -1.0], [1.0, np.nan], 1e-5, "caps"), ([1.0, -1.0], [1.0, 1.0], np.nan, "tol"),
+         ([1.0, -1.0, 1.0], [1.0, 1.0], 1e-5, "shape")],
+        ids=["labels", "zero-cap", "nan-cap", "nan-tol", "shape"],
+    )
+    def test_the_unchecked_gram_entry_keeps_every_other_check(self, labels, caps, tol, match):
+        """solvers._smo, which cv_tune's solves use on Gram matrices checked
+        where they were built, skips only the m^2 finiteness pass (the NaN-alpha
+        check on exit runs under wsvm_dual_solve's tests below)."""
+        with pytest.raises(DataError, match=match):
+            solvers._smo(np.eye(2), np.array(labels), np.array(caps), tol=tol)
+
+    @pytest.mark.parametrize(
         "labels",
         [[0.5, -2.0, 1.0], [0.0, 1.0, -1.0], [1.0, -1.0, np.nan], [1.0, -1.0, 2.0]],
         ids=["fractions", "zero", "nan", "two"],
@@ -380,7 +394,7 @@ class TestWsvmMatchesSerialOracle:
         sub = build_subproblem(
             data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
         )
-        monkeypatch.setattr(aol, "wsvm_dual_solve", spy)
+        monkeypatch.setattr(aol, "_smo", spy)
         cv_tune(sub, (0.01, 0.05, 0.25), sigma_grid=(0.3, 0.6, 1.2), folds=3, seed=1)
         assert len(recorded) == 28  # 3 sigmas x 3 folds x 3 lambdas + 1 refit
         assert sum(init is not None for *_, init in recorded) == 24

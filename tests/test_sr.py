@@ -15,7 +15,9 @@ import ordinalsr.evaluate as evaluate_module
 from ordinalsr.aol import KernelExpansionRule, SparseLinearRule
 from ordinalsr.data import ScalingParams, TrialDataset
 from ordinalsr.exceptions import DataError, OrdinalSRError
-from ordinalsr.kernels import KernelSpec, median_bandwidth
+from ordinalsr.kernels import (
+    MEDIAN_SUBSAMPLE_CAP, KernelSpec, _squared_distances, median_bandwidth,
+)
 from ordinalsr.simgen import SETTINGS, generate, get_setting
 from ordinalsr.sr import (
     _RETIRED_CONFIG,
@@ -287,6 +289,21 @@ class TestSigmaGrid:
     def test_identical_rows_fall_back_to_unit_median(self):
         grid = _resolve_sigma_grid(SRConfig(kernel_kind="gaussian"), np.ones((5, 2)), seed=0)
         assert grid == SIGMA_SCALES
+        X = np.ones((5, 2))  # the same from the step's squared distances
+        grid = _resolve_sigma_grid(SRConfig(kernel_kind="gaussian"), X, 0, _squared_distances(X, X))
+        assert grid == SIGMA_SCALES
+
+    def test_step_distances_give_median_bandwidths_arithmetic(self):
+        """Below the subsample cap the median comes from the step's D2 and is
+        median_bandwidth's float; above it the subsample path runs."""
+        config = SRConfig(kernel_kind="gaussian")
+        X = self._features()
+        grid = _resolve_sigma_grid(config, X, 4, _squared_distances(X, X))
+        assert repr(grid) == repr(_resolve_sigma_grid(config, X, seed=4))
+        X = np.random.default_rng(5).uniform(-1, 1, size=(MEDIAN_SUBSAMPLE_CAP + 1, 2))
+        med = median_bandwidth(X, seed=4)
+        assert _resolve_sigma_grid(config, X, 4, _squared_distances(X, X)) == tuple(
+            s * med for s in SIGMA_SCALES)
 
 
 class TestMajorityRule:

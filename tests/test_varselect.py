@@ -276,6 +276,27 @@ class TestTwoStage:
         assert rule.selection_fallback
         assert rule.selected_features == tuple(range(3))
 
+    @pytest.mark.parametrize("case", ["labels-two", "nan-feature"])
+    def test_other_screen_errors_propagate(self, rng, case):
+        """Only a step too small or single-class to screen falls back."""
+        X = rng.uniform(-1, 1, size=(60, 3))
+        labels = np.array([1, -1] * 30)
+        if case == "labels-two":
+            labels = 2 * labels
+        else:
+            X[5, 1] = np.nan
+        with pytest.raises(DataError):
+            screen_mask(make_subproblem(X, labels, np.ones(60)))
+
+    @pytest.mark.parametrize("n, labels", [(19, [1, -1]), (60, [1, 1])],
+                             ids=["too-small", "single-class"])
+    def test_too_small_or_single_class_falls_back(self, rng, n, labels):
+        X = rng.uniform(-1, 1, size=(n, 3))
+        sub = make_subproblem(X, np.resize(labels, n), np.ones(n))
+        masked = screen_mask(sub)
+        assert (masked.selected_features, masked.selection_fallback) == ((0, 1, 2), True)
+        np.testing.assert_array_equal(masked.features, X)
+
     def test_accuracy_beats_unscreened_in_high_dimensions(self, rng):
         sub = self._circle_subproblem(rng, n=200, p=40)
         from ordinalsr.aol import fit_aol_l2
