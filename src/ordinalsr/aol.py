@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, _gram_block, _gram_into, gram_matrix
-from .solvers import _check_positive, _finite_gram, _smo, l1_hinge_dual_solve, logistic_fit
+from .solvers import _check_positive, _finite_gram, _l1_path, _smo, logistic_fit
 
 __all__ = [
     "BinarySubproblem",
@@ -275,12 +275,12 @@ def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
     """
     _check_positive("lam", lam)
     keep = _active(sub)
-    slopes, b0 = _l1_coefs(sub.features[keep], sub.labels[keep], sub.weights[keep], lam)
+    ((slopes, b0),) = _l1_coefs(sub.features[keep], sub.labels[keep], sub.weights[keep], (lam,))
     selected = tuple(int(j) for j in np.flatnonzero(slopes))
     return SparseLinearRule(intercept=b0, slopes=slopes, selected_features=selected)
 
 
-def _l1_coefs(X, labels, weights, lam):
-    """(slopes, intercept) of l1_hinge_dual_solve, slopes within COEF_SNAP of 0 set to 0."""
-    sol = l1_hinge_dual_solve(X, labels, weights, lam)
-    return np.where(np.abs(sol.slopes) <= COEF_SNAP, 0.0, sol.slopes), sol.intercept
+def _l1_coefs(X, labels, weights, lambdas):
+    """(slopes, intercept) of _l1_path per lambda, slopes within COEF_SNAP of 0 set to 0."""
+    path = _l1_path(X, labels, weights, lambdas)
+    return [(np.where(np.abs(s.slopes) <= COEF_SNAP, 0.0, s.slopes), s.intercept) for s in path]

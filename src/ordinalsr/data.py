@@ -40,12 +40,17 @@ def _check_integer(name, value, low):
 _MAX_EXACT_INT = 2.0**53
 
 
+def _float_array(name, values):
+    """values as a float array; DataError unless all are numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{name} must be numbers") from None
+
+
 def _whole_numbers(name, values):
     """values as an int array; DataError unless all are whole numbers below 2**53."""
-    try:
-        v = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(f"{name} labels must be numbers") from None
+    v = _float_array(f"{name} labels", values)
     whole = (np.abs(v) < _MAX_EXACT_INT) & (np.trunc(v) == v)  # NaN fails both
     if not whole.all():
         raise DataError(f"{name} label {v[~whole][0]:g} is not a whole number below 2**53")
@@ -75,13 +80,13 @@ class TrialDataset:
     feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=float)
+        X = _float_array("features", self.features)
         if X.ndim != 2:
             raise DataError("features must be a 2-D matrix")
         if not np.all(np.isfinite(X)):
             raise DataError("features contain non-finite values")
         a = _whole_numbers("treatment", self.treatment)
-        y = np.asarray(self.outcome, dtype=float)
+        y = _float_array("outcomes", self.outcome)
         n = X.shape[0]
         if a.shape != (n,) or y.shape != (n,):
             raise DataError("treatment/outcome length does not match features")
@@ -95,7 +100,7 @@ class TrialDataset:
             raise DataError("outcomes contain non-finite values")
         prop = self.propensity
         if prop is not None:
-            prop = np.asarray(prop, dtype=float)
+            prop = _float_array("propensities", prop)
             if prop.shape != (n,):
                 raise DataError("propensity length mismatch")
             if not np.all((prop > 0) & (prop <= 1)):  # NaN fails too
@@ -193,13 +198,15 @@ def fit_scaling(data) -> ScalingParams:
 def apply_scaling(params: ScalingParams, features) -> np.ndarray:
     """Affine map of each column onto [-1, 1]; out-of-range values are not clipped.
 
-    Degenerate (constant) training columns map to 0.
+    Degenerate (constant) training columns map to 0; non-finite features raise DataError.
     """
-    X = np.asarray(features, dtype=float)
+    X = _float_array("features", features)
     if X.ndim == 1:
         X = X[None, :]
-    if X.shape[1] != params.p:
-        raise DataError(f"expected {params.p} features, got {X.shape[1]}")
+    if X.ndim != 2 or X.shape[1] != params.p:
+        raise DataError(f"expected rows of {params.p} features, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise DataError("features contain non-finite values")
     span = params.maxs - params.mins
     safe = np.where(params.degenerate, 1.0, span)
     out = 2.0 * (X - params.mins) / safe - 1.0

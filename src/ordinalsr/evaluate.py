@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aol import _fit_l2, _l1_coefs, _sign_tie_negative, fit_aol_l1_linear, fit_l2_from_gram
-from .data import _write_csv
+from .data import _whole_numbers, _write_csv
 from .exceptions import (
     DataError,
     DegenerateStepError,
@@ -101,6 +101,8 @@ def value_estimate(pred, data) -> float:
 def itr_effect(pred, data) -> float:
     """Value among rule-concordant subjects minus value among the rest."""
     pred = np.asarray(pred)
+    if pred.shape != (data.n,):
+        raise DataError("prediction length mismatch")
     matched = pred == data.treatment
     if not matched.any() or matched.all():
         raise UndefinedMetricError("itr_effect needs matched and unmatched subjects")
@@ -109,8 +111,11 @@ def itr_effect(pred, data) -> float:
 
 
 def assignment_proportions(pred, k_arms) -> tuple:
-    pred = np.asarray(pred)
-    counts = np.bincount(pred, minlength=k_arms + 1)[1 : k_arms + 1]
+    """Share of pred in each arm 1..k_arms; pred is a non-empty vector of arms."""
+    pred = _whole_numbers("arm", pred)
+    if pred.ndim != 1 or not pred.size or pred.min() < 1 or pred.max() > k_arms:
+        raise DataError(f"assignment_proportions needs a non-empty vector of arms in 1..{k_arms}")
+    counts = np.bincount(pred, minlength=k_arms + 1)[1:]
     return tuple(counts / pred.size)
 
 
@@ -200,9 +205,9 @@ def cv_tune(
     the same fold reached at the previous sigma for that lambda (cold at the
     first sigma): a fold's training rows, caps and equality constraint do not
     depend on sigma, so that start is feasible too, and only one start vector
-    per fold outlives its sigma.  For L1 the design is the held-out features
-    and each lambda is solved cold.  The rule is then fitted on all of sub at
-    the chosen lambda/sigma, cold at tol 1e-5.
+    per fold outlives its sigma.  For L1 the design is the held-out features,
+    and each lambda but the first starts from the previous one's final basis.
+    The rule is then refitted on all of sub at the chosen point, cold (SMO: tol 1e-5).
 
     Every Gaussian sigma's Gram matrix is filled into one m x m buffer from
     sub's squared distances D2 (_sq, when the caller holds them) by
@@ -243,7 +248,7 @@ def cv_tune(
             labels, weights = sub.labels[active], sub.weights[active]
             if penalty == "l1linear":
                 X_tr = sub.features[active]
-                fits = [_l1_coefs(X_tr, labels, weights, lam) for lam in lambda_grid]
+                fits = _l1_coefs(X_tr, labels, weights, lambda_grid)
                 design = sub.features[te]
             else:
                 gram_tr = _gram_block(gram, active, active)

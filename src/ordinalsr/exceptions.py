@@ -26,7 +26,7 @@ class ConvergenceError(OrdinalSRError):
 
 
 class InfeasibleLPError(OrdinalSRError):
-    """Phase-1 simplex ended with a positive artificial objective."""
+    """No feasible point: phase 1 ended positive, or a dual pivot found no column to enter."""
 
 
 class UnboundedLPError(OrdinalSRError):

@@ -1,11 +1,11 @@
 """Core numerical workhorses.
 
-Contains the optimizers everything else is built on: ordinary least squares
-(ridge-jittered normal equations), IRLS logistic regression, an SMO-style
-solver for the weighted hinge-loss dual, and one bounded-variable revised
-simplex (Dantzig pricing, Bland's rule after a degenerate run).  That simplex
-solves the (1+2p)-row dual LP of the L1-penalized weighted hinge loss, and
-runs both phases of the general LP solver simplex_solve.
+The optimizers everything else is built on: least squares (ridge-jittered
+normal equations), IRLS logistic regression, SMO for the weighted hinge-loss
+dual, and one bounded-variable revised simplex (Dantzig pricing, Bland's rule
+after a degenerate run, dual pivots from a warm start).  It solves the
+(1+2p)-row dual LP of the L1-penalized weighted hinge loss, each lambda of a
+grid from the last one's basis, and both phases of simplex_solve.
 """
 
 from __future__ import annotations
@@ -411,32 +411,77 @@ _LP_TOL = 1e-9
 _DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes over
 
 
-def _bounded_simplex(A, cost, upper, rhs, basis):
+def _bounded_simplex(A, cost, upper, rhs, basis, at_upper=None):
     """Bounded-variable revised simplex: min cost'x s.t. Ax = rhs, 0 <= x <= upper.
 
-    basis holds one column index per row, a feasible start with every other
-    variable at 0; it is updated in place.  The basis inverse gets a rank-1
-    update when the basis changes; a bound flip (a nonbasic variable moving
-    between 0 and its finite upper bound) keeps it and the reduced costs.  A
-    variable whose upper bound is 0 never enters.  Pricing is Dantzig's
-    largest reduced cost until a run of degenerate pivots, then Bland's
-    smallest index until the objective moves again, which rules out cycling.
-    The ratio test is one pass over the few rows (1+2p for the L1 dual) on
-    Python floats.  The final vertex x and the dual prices are solved from
-    the final basis, not read off the updates.  Returns (x, prices, pivots),
-    where pivots counts basis changes plus bound flips; UnboundedLPError when
-    the objective has no lower bound.
+    basis holds one column index per row and at_upper flags the nonbasic
+    variables at their upper bound (None: none, from a feasible basis); both
+    are updated in place.  A given start must be primal feasible or, as a
+    final basis is after a change to rhs alone, dual feasible.  While x_B
+    leaves its bounds, dual pivots come first: the row of largest violation
+    leaves, and of the columns whose move reduces it, the one of smallest
+    |d_j / rho_j| enters (rho is that row of Binv A; ties go to the largest
+    |rho_j|), else InfeasibleLPError.  The basis inverse gets a rank-1 update
+    when the basis changes; a bound flip (a nonbasic variable moving between 0 and its
+    finite upper bound) keeps it and the reduced costs.  A variable whose
+    upper bound is 0 never enters.  Pricing is Dantzig's largest reduced cost
+    until a run of degenerate pivots, then Bland's smallest index (and the
+    violated row of smallest basis index) until the objective moves again,
+    which rules out cycling.  The ratio test is one pass over the few rows
+    (1+2p for the L1 dual) on Python floats.  x and the dual prices are solved
+    from the final basis.  Returns (x, prices, pivots), pivots counting dual
+    pivots, basis changes and bound flips; UnboundedLPError when the
+    objective has no lower bound.
     """
-    at_upper = np.zeros(A.shape[1], dtype=bool)
+    warm = at_upper is not None
+    at_upper = at_upper if warm else np.zeros(A.shape[1], dtype=bool)
     # gain = d * sgn is the objective decrease per unit step; sgn is -1 at the
     # lower bound, +1 at the upper, 0 when basic or when the upper bound is 0
-    sgn = np.where(upper > 0, -1.0, 0.0)
+    sgn = np.where(upper > 0, np.where(at_upper, 1.0, -1.0), 0.0)
     sgn[basis] = 0.0
     Binv = np.linalg.inv(A[:, basis])
-    xB = Binv @ rhs
+    xB = Binv @ (rhs - A[:, at_upper] @ upper[at_upper])
     basic_upper = upper[basis].tolist()
     d = cost - (cost[basis] @ Binv) @ A
     pivots = degenerate_run = 0
+
+    def exchange(r, enter, alpha, move, to_upper):
+        """enter, moved by move, replaces basis[r], which leaves at upper if to_upper, else 0."""
+        np.subtract(xB, move * alpha, out=xB)
+        xB[r] = (upper.item(enter) if sgn.item(enter) > 0 else 0.0) + move
+        leave = basis.item(r)
+        at_upper[leave], at_upper[enter] = to_upper, False
+        sgn[leave] = (1.0 if to_upper else -1.0) if upper.item(leave) > 0 else 0.0
+        sgn[enter] = 0.0
+        basis[r] = enter
+        basic_upper[r] = upper.item(enter)
+        prow = Binv[r] / alpha[r]
+        np.subtract(Binv, alpha[:, None] * prow, out=Binv)
+        Binv[r] = prow
+
+    while warm:
+        bland = degenerate_run >= _DEGENERATE_RUN
+        viol = [max(-x, x - u) for x, u in zip(xB.tolist(), basic_upper)]
+        out = [i for i, v in enumerate(viol) if v > _LP_TOL]
+        if not out:
+            break
+        r = min(out, key=basis.item) if bland else max(out, key=viol.__getitem__)
+        pivots += 1
+        rise = xB.item(r) < 0  # the leaving variable goes to 0, else to its upper bound
+        rho = Binv[r] @ A
+        toward = sgn * rho if rise else sgn * -rho  # |rho_j| where a move of j helps row r
+        cand = (toward > _LP_TOL).nonzero()[0]
+        if not cand.size:
+            raise InfeasibleLPError("no column can bring a basic variable back to its bounds")
+        ratio = np.minimum(d[cand] * sgn[cand], 0.0) / toward[cand]  # -|d_j / rho_j|
+        best = ratio.max()
+        tied = cand[ratio >= best]
+        enter = int(tied[0] if bland else tied[toward[tied].argmax()])
+        alpha = Binv @ A[:, enter]
+        move = (xB.item(r) - (0.0 if rise else basic_upper[r])) / alpha.item(r)
+        d -= (d.item(enter) / rho.item(enter)) * rho
+        exchange(r, enter, alpha, move, not rise)
+        degenerate_run = degenerate_run + 1 if best >= -_LP_TOL else 0
     while True:
         gain = d * sgn
         bland = degenerate_run >= _DEGENERATE_RUN
@@ -470,18 +515,7 @@ def _bounded_simplex(A, cost, upper, rhs, basis):
             sgn[enter] = sign
             degenerate_run = 0
             continue
-        leave = basis.item(r)
-        xB -= step * delta
-        xB[r] = (u_enter if sign < 0 else 0.0) + sign * step
-        to_upper = at_upper[leave] = delta.item(r) < 0  # leave rises to its upper bound
-        at_upper[enter] = False
-        sgn[leave] = (1.0 if to_upper else -1.0) if upper.item(leave) > 0 else 0.0
-        sgn[enter] = 0.0
-        basis[r] = enter
-        basic_upper[r] = u_enter
-        prow = Binv[r] / alpha[r]
-        Binv -= alpha[:, None] * prow
-        Binv[r] = prow
+        exchange(r, enter, alpha, sign * step, delta.item(r) < 0)  # leave rises to its upper bound
         degenerate_run = degenerate_run + 1 if step <= _LP_TOL else 0
         d = cost - (cost[basis] @ Binv) @ A
     B = A[:, basis]
@@ -540,8 +574,8 @@ class HingeL1Solution:
     """Minimizer of (1/m) sum w_i max(0, 1 - y_i (b0 + x_i'b)) + lam ||b||_1.
 
     objective is that primal value at (intercept, slopes); duality_gap is it
-    minus the dual value sum(u).  pivots counts simplex iterations: basis
-    changes plus bound flips.
+    minus the dual value sum(u).  pivots counts simplex iterations: dual
+    pivots, basis changes and bound flips.
     """
 
     intercept: float
@@ -570,7 +604,15 @@ def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
     final basis: b0 = -pi_0 and b_j = pi-_j - pi+_j.  ConvergenceError is
     raised when the primal and dual objectives differ by more than
     1e-9 * max(1, |objective|), or when the simplex finds an unbounded ray.
+    This is the one-lambda case of _l1_path.
     """
+    return _l1_path(X, labels, weights, (lam,))[0]
+
+
+def _l1_path(X, labels, weights, lambdas):
+    """l1_hinge_dual_solve per lambda, in order, from one LP built once (lambda
+    moves only its right-hand side): the first lambda cold, each later one from
+    the previous final basis and bound statuses, or cold again if that fails."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(labels, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -583,7 +625,8 @@ def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
         raise DataError("labels must be +-1 with both classes present")
     if np.any(w <= 0):
         raise DataError("weights must be positive")
-    _check_positive("lam", lam)
+    for lam in lambdas:
+        _check_positive("lam", lam)
     rows = 1 + 2 * p
     yx = (y[:, None] * X).T
     A = np.zeros((rows, m + 2 * p))
@@ -593,29 +636,34 @@ def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
     A[1:, m:] = np.eye(2 * p)
     cost = np.concatenate([-np.ones(m), np.zeros(2 * p)])
     upper = np.concatenate([w / m, np.full(2 * p, np.inf)])
-    rhs = np.concatenate([[0.0], np.full(2 * p, float(lam))])
-    basis = np.concatenate([[0], m + np.arange(2 * p)])
-    try:
-        u, pi, pivots = _bounded_simplex(A, cost, upper, rhs, basis)
-    except UnboundedLPError:
-        raise ConvergenceError("L1 hinge dual simplex found an unbounded ray") from None
-    intercept = float(-pi[0])
-    slopes = pi[1 + p :] - pi[1 : 1 + p]
-    margins = y * (intercept + X @ slopes)
-    objective = float(
-        np.mean(w * np.maximum(0.0, 1.0 - margins)) + lam * np.sum(np.abs(slopes))
-    )
-    gap = objective - float(np.sum(u[:m]))
-    sol = HingeL1Solution(
-        intercept=intercept,
-        slopes=slopes,
-        objective=objective,
-        duality_gap=gap,
-        pivots=pivots,
-    )
-    if abs(gap) > _GAP_RTOL * max(1.0, abs(objective)):
-        raise ConvergenceError(
-            f"L1 hinge dual simplex: duality gap {gap:.3g} after {pivots} pivots",
-            best=sol,
-        )
-    return sol
+    start = np.concatenate([[0], m + np.arange(2 * p)])
+
+    def solve(lam):
+        rhs = np.concatenate([[0.0], np.full(2 * p, float(lam))])
+        try:
+            u, pi, pivots = _bounded_simplex(A, cost, upper, rhs, basis, at_upper)
+        except UnboundedLPError:
+            raise ConvergenceError("L1 hinge dual simplex found an unbounded ray") from None
+        intercept = float(-pi[0])
+        slopes = pi[1 + p :] - pi[1 : 1 + p]
+        hinge = np.mean(w * np.maximum(0.0, 1.0 - y * (intercept + X @ slopes)))
+        objective = float(hinge + lam * np.sum(np.abs(slopes)))
+        gap = objective - float(np.sum(u[:m]))
+        sol = HingeL1Solution(intercept, slopes, objective, gap, pivots)
+        if abs(gap) > _GAP_RTOL * max(1.0, abs(objective)):
+            msg = f"L1 hinge dual simplex: duality gap {gap:.3g} after {pivots} pivots"
+            raise ConvergenceError(msg, best=sol)
+        return sol
+
+    # the start is feasible, so from it the dual loop makes no pivot
+    path, basis, at_upper = [], start.copy(), np.zeros(m + 2 * p, dtype=bool)
+    for lam in lambdas:
+        try:
+            sol = solve(lam)
+        except (ConvergenceError, InfeasibleLPError):
+            if not path:
+                raise
+            basis[:], at_upper[:] = start, False
+            sol = solve(lam)
+        path.append(sol)
+    return path

@@ -290,9 +290,8 @@ def predict_ordinal(model: SRModel, features) -> np.ndarray:
     use_r_steps=False (ablation) a settled sequential step assigns its own arm
     directly and no R-rule runs.
     """
-    X = np.asarray(features, dtype=float)
-    single = X.ndim == 1
-    Xs = apply_scaling(model.scaling, X)
+    Xs = apply_scaling(model.scaling, features)  # DataError on a wrong shape or a non-finite entry
+    single = np.ndim(features) == 1
     n = Xs.shape[0]
     K = model.k_arms
     pred = np.zeros(n, dtype=int)

@@ -112,6 +112,13 @@ class TestTrialDataset:
                 k_arms=2,
             )
 
+    @pytest.mark.parametrize("field", ["features", "outcome", "propensity"])
+    def test_non_numeric_values_raise_data_error(self, field):
+        values = dict(features=np.zeros((3, 1)), outcome=np.zeros(3), propensity=None)
+        values[field] = [["a"], ["b"], ["c"]] if field == "features" else ["1.0", "x", "2"]
+        with pytest.raises(DataError, match="must be numbers"):
+            TrialDataset(treatment=[1, 1, 2], k_arms=2, **values)
+
     def test_bad_propensity_rejected(self):
         for bad in ([0.0, 0.5, 0.5], [0.5, 0.5, 1.5], [np.nan, 0.5, 0.5]):
             with pytest.raises(DataError):
@@ -324,6 +331,17 @@ class TestScaling:
         params = ScalingParams(mins=np.zeros(2), maxs=np.ones(2))
         with pytest.raises(DataError):
             apply_scaling(params, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [([[0.0, np.nan]], "non-finite"), ([[np.inf, 0.0], [0.0, 0.0]], "non-finite"),
+         ([-np.inf, 0.0], "non-finite"), (np.zeros((2, 2, 2)), "features"),
+         ([["a", "b"]], "must be numbers")],
+    )
+    def test_rows_must_be_finite_numbers_of_the_right_shape(self, rows, match):
+        params = ScalingParams(mins=np.zeros(2), maxs=np.ones(2))
+        with pytest.raises(DataError, match=match):
+            apply_scaling(params, rows)
 
     @settings(max_examples=50, deadline=None)
     @given(

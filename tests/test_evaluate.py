@@ -11,6 +11,7 @@ from conftest import make_subproblem
 from ordinalsr.data import TrialDataset
 from ordinalsr.evaluate import (
     METHOD_PRESETS,
+    assignment_proportions,
     cv_tune,
     disagreement,
     evaluate_rule,
@@ -84,6 +85,24 @@ class TestMetrics:
         data = _observational(np.ones(3, dtype=bool), [1.0, 2.0, 3.0])
         with pytest.raises(UndefinedMetricError):
             itr_effect(np.full(3, 2), data)
+
+    def test_itr_effect_rejects_a_prediction_of_the_wrong_length(self):
+        data = _observational(np.array([True, False, True]), [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="length"):
+            itr_effect(np.full(4, 2), data)
+
+    def test_assignment_proportions(self):
+        assert assignment_proportions([1, 3, 3, 2], 3) == (0.25, 0.25, 0.5)
+        assert assignment_proportions(np.array([2.0, 2.0]), 4) == (0.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "pred", [[], [0, 1, 2], [5, 1, 2], [-1, 1, 2], [1.5, 2.0], ["a"], [[1, 2], [2, 3]],
+                 [np.nan, 1.0]],
+        ids=["empty", "zero", "above-k", "negative", "fraction", "text", "matrix", "nan"],
+    )
+    def test_assignment_proportions_rejects_bad_arm_vectors(self, pred):
+        with pytest.raises(DataError):
+            assignment_proportions(pred, 3)
 
     def test_evaluate_rule_report(self):
         test = generate(SETTINGS["P1"], 500, seed=0)
@@ -234,6 +253,20 @@ class TestCvTune:
                 scores.append(_holdout_score(pred, sub, te))
             reference.append((lam, None, float(np.mean(scores))))
         assert list(cv.table) == reference
+
+    def test_each_l1_fold_solves_its_lambda_grid_in_one_path(self, monkeypatch):
+        """One _l1_path call per fold takes the whole grid; the refit is one cold lambda."""
+        calls = []
+
+        def spy(X, labels, weights, lambdas):
+            calls.append(tuple(lambdas))
+            return path(X, labels, weights, lambdas)
+
+        path = aol._l1_path
+        monkeypatch.setattr(aol, "_l1_path", spy)
+        lambdas = (0.25, 0.01, 0.05)
+        _, cv = cv_tune(self._n8_sub(), lambdas, folds=4, seed=3, penalty="l1linear")
+        assert calls == [lambdas] * 4 + [(cv.best_lambda,)]
 
     def test_empty_grid_raises_data_error(self, rng):
         sub = self._linear_sub(rng)

@@ -1,6 +1,8 @@
 """Tests for the numerical workhorses: OLS, logistic IRLS, SMO dual, simplex,
 and the dual simplex for the L1 hinge fit."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -770,11 +772,17 @@ class TestBoundedSimplexMatchesVectorLoop:
 
     @pytest.fixture
     def recorded(self, monkeypatch):
+        """Every LP solved, from its cold start: an L1 path's solve (one given
+        at_upper) is recorded from the L1 start basis {u_0, slacks}."""
         lps = []
 
-        def spy(A, cost, upper, rhs, basis):
-            lps.append(tuple(v.copy() for v in (A, cost, upper, rhs, basis)))
-            return self.ENGINE(A, cost, upper, rhs, basis)
+        def spy(A, cost, upper, rhs, basis, at_upper=None):
+            start = basis
+            if at_upper is not None:
+                p = (A.shape[0] - 1) // 2
+                start = np.concatenate([[0], A.shape[1] - 2 * p + np.arange(2 * p)])
+            lps.append(tuple(v.copy() for v in (A, cost, upper, rhs, start)))
+            return self.ENGINE(A, cost, upper, rhs, basis, at_upper)
 
         monkeypatch.setattr(solvers, "_bounded_simplex", spy)
         return lps
@@ -860,3 +868,151 @@ class TestBoundedSimplexMatchesVectorLoop:
         self.assert_same([lp], monkeypatch)
         x, prices, pivots, _ = _solve(self.ENGINE, lp)
         assert pivots == 1 and prices.size == 0 and x.tolist() == [2.0, 0.0]
+
+
+def _step_problem(setting, n, seed):
+    """The first S-step of a simulated trial, its positive-weight rows: (X, labels, weights)."""
+    data = generate(get_setting(setting), n, seed)
+    sub = build_subproblem(
+        data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
+    )
+    keep = sub.weights > 0
+    return sub.features[keep], sub.labels[keep].astype(float), sub.weights[keep]
+
+
+class TestL1Path:
+    """solvers._l1_path: the first lambda cold, each later one warm from the previous basis."""
+
+    GRIDS = {
+        "ascending": (0.002, 0.01, 0.05, 0.25),
+        "descending": (0.25, 0.05, 0.01, 0.002),
+        "unsorted": (0.05, 0.002, 0.25, 0.01),
+        "repeated": (0.01, 0.01, 0.25, 0.25, 0.25, 0.05),
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("n", [40, 200])
+    @pytest.mark.parametrize("setting", ["P1", "N8"])
+    def test_every_lambda_matches_a_cold_solve(self, setting, n, grid):
+        X, labels, weights = _step_problem(setting, n, seed=n + 7)
+        path = solvers._l1_path(X, labels, weights, grid)
+        assert len(path) == len(grid)
+        for k, (lam, warm) in enumerate(zip(grid, path)):
+            cold = l1_hinge_dual_solve(X, labels, weights, lam)
+            if k == 0:  # the first lambda is the cold solve itself
+                assert _bits(astuple(warm)) == _bits(astuple(cold))
+            np.testing.assert_allclose(warm.slopes, cold.slopes, rtol=0, atol=1e-10)
+            assert warm.intercept == pytest.approx(cold.intercept, rel=0, abs=1e-10)
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=0)
+            if k and lam == grid[k - 1]:  # the previous final basis is optimal already
+                assert warm.pivots == 0
+
+    def test_warm_solves_take_fewer_pivots(self):
+        X, labels, weights = _step_problem("P1", 200, seed=101)
+        grid = self.GRIDS["ascending"]
+        warm = sum(sol.pivots for sol in solvers._l1_path(X, labels, weights, grid)[1:])
+        cold = sum(l1_hinge_dual_solve(X, labels, weights, lam).pivots for lam in grid[1:])
+        assert 0 < warm < cold / 2
+
+    @pytest.mark.parametrize("fault", ["no-entering-column", "duality-gap"])
+    def test_a_failed_warm_solve_is_solved_again_cold(self, monkeypatch, fault):
+        X, labels, weights = _step_problem("N8", 200, seed=3)
+        grid = self.GRIDS["unsorted"]
+        engine, starts = solvers._bounded_simplex, []
+
+        def faulty(A, cost, upper, rhs, basis, at_upper):
+            first_slack = A.shape[1] - (A.shape[0] - 1)
+            start = [0, *range(first_slack, A.shape[1])]
+            cold = basis.tolist() == start and not at_upper.any()
+            starts.append("cold" if cold else "warm")
+            if cold:
+                return engine(A, cost, upper, rhs, basis, at_upper)
+            if fault == "no-entering-column":
+                raise InfeasibleLPError("no column can bring a basic variable back")
+            x, prices, pivots = engine(A, cost, upper, rhs, basis, at_upper)
+            return x, prices * 0.5, pivots
+
+        monkeypatch.setattr(solvers, "_bounded_simplex", faulty)
+        path = solvers._l1_path(X, labels, weights, grid)
+        assert starts == ["cold"] + ["warm", "cold"] * (len(grid) - 1)
+        monkeypatch.undo()
+        for lam, sol in zip(grid, path):
+            cold = l1_hinge_dual_solve(X, labels, weights, lam)
+            assert _bits(astuple(sol)) == _bits(astuple(cold))
+
+    def test_duplicated_rows_under_the_smallest_index_rule(self, monkeypatch, rng):
+        # a degenerate-run threshold of 0 runs both phases by Bland's rule from
+        # the first pivot, on an LP whose tripled rows make many pivots degenerate
+        base = rng.uniform(-1, 1, size=(12, 3))
+        X = np.vstack([base, base, base])
+        labels = np.tile(np.where(base[:, 1] > 0, 1.0, -1.0), 3)
+        labels[:4] = -labels[:4]
+        weights = np.ones(36)
+        grid = (0.3, 0.001, 0.03, 0.001)
+        monkeypatch.setattr(solvers, "_DEGENERATE_RUN", 0)
+        path = solvers._l1_path(X, labels, weights, grid)
+        assert all(sol.pivots > 0 for sol in path[1:3])
+        monkeypatch.undo()
+        for lam, sol in zip(grid, path):
+            _, _, objective = _primal_l1_fit(X, labels, weights, lam)
+            assert sol.objective == pytest.approx(objective, abs=1e-10)
+            assert abs(sol.duality_gap) <= 1e-9 * max(1.0, sol.objective)
+
+
+class TestDualPhase:
+    """Hand-sized warm starts of _bounded_simplex whose dual pivots are known.
+
+    One row x0 + x1 + x2 + s = b with costs (-3, -2, -1, 0), x0..x2 in [0, 1]
+    and s >= 0: the optimum fills the cheapest variables first, and every
+    reduced cost below follows from the one basic variable's cost.
+    """
+
+    A = np.array([[1.0, 1.0, 1.0, 1.0]])
+    COST = np.array([-3.0, -2.0, -1.0, 0.0])
+    UPPER = np.array([1.0, 1.0, 1.0, np.inf])
+
+    def solve(self, b, basis, at_upper):
+        basis, at_upper = np.array(basis), np.array(at_upper)
+        x, prices, pivots = solvers._bounded_simplex(
+            self.A, self.COST, self.UPPER, np.array([b]), basis, at_upper
+        )
+        return x.tolist(), prices.tolist(), pivots, basis.tolist(), at_upper.tolist()
+
+    def test_one_dual_pivot_takes_the_smallest_ratio(self):
+        # from b = 2.5's optimum (x2 basic, x0 and x1 at 1) b falls to 1.5, so
+        # x2 = -0.5.  x0 (|d/rho| = 2) and x1 (|d/rho| = 1) can raise it; x1
+        # enters at 0.5 and the vertex is optimal.  Had x0 entered, a primal
+        # pivot would have been needed too.
+        got = self.solve(1.5, [2], [True, True, False, False])
+        assert got == ([1.0, 0.5, 0.0, 0.0], [-2.0], 1, [1], [True, False, False, False])
+
+    def test_an_entering_column_may_overshoot_and_leave_next(self):
+        # at b = 0.5, x1 enters as above but at -0.5; only x0 can then raise it
+        got = self.solve(0.5, [2], [True, True, False, False])
+        assert got == ([0.5, 0.0, 0.0, 0.0], [-3.0], 2, [0], [False, False, False, False])
+
+    def test_a_basic_variable_above_its_upper_bound_leaves_at_it(self):
+        # from b = 0.5's optimum b rises to 2.5: x0 = 2.5 leaves at 1 for x1
+        # (ratio 1 of x1, x2, s = 1, 2, 3), x1 = 1.5 then leaves at 1 for x2
+        got = self.solve(2.5, [0], [False, False, False, False])
+        assert got == ([1.0, 1.0, 0.5, 0.0], [-1.0], 2, [2], [True, True, False, False])
+
+    @pytest.mark.parametrize("run, pivots, x", [(50, 1, [1.0, 0.0, 0.0]), (0, 2, [0.0, 0.5, 0.0])])
+    def test_a_ratio_tie_enters_by_largest_row_entry_or_smallest_index(
+        self, monkeypatch, run, pivots, x
+    ):
+        # min -x0 - 2x1 s.t. x0 + 2x1 + s = 1 from the basis {s}, x0 and x1 at
+        # 1: s = -2, and x0 and x1 tie at |d/rho| = 1.  x1 (|rho| = 2) enters
+        # at 0 and is optimal; under Bland's rule x0 enters at -1 and leaves
+        # for x1 at 0.5, a vertex of the same objective
+        monkeypatch.setattr(solvers, "_DEGENERATE_RUN", run)
+        A = np.array([[1.0, 2.0, 1.0]])
+        cost, upper = np.array([-1.0, -2.0, 0.0]), np.array([1.0, 1.0, np.inf])
+        basis, at_upper = np.array([2]), np.array([True, True, False])
+        got = solvers._bounded_simplex(A, cost, upper, np.array([1.0]), basis, at_upper)
+        assert got[2] == pivots and basis.tolist() == [1] and got[0].tolist() == x
+
+    def test_no_column_can_restore_the_bound(self):
+        # b = -1 with every variable at 0: s = -1 and nothing can raise it
+        with pytest.raises(InfeasibleLPError):
+            self.solve(-1.0, [3], [False, False, False, False])

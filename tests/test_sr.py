@@ -263,6 +263,35 @@ class TestFitSr:
         assert set(np.unique(pred)) <= {1, 2, 3}
 
 
+class TestPredictInputs:
+    """predict_ordinal checks its rows once, where it scales them, before any rule runs."""
+
+    @pytest.fixture(scope="class", params=["P1-linear", "N8-gaussian"])
+    @staticmethod
+    def model(request):
+        setting, kind = request.param.split("-")
+        config = SRConfig(kernel_kind=kind, lambda_grid=(0.05,), seed=1)
+        return fit_sr(generate(SETTINGS[setting], 120, seed=4), config)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_raises(self, model, bad):
+        X = np.zeros((3, model.scaling.p))
+        X[1, -1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            predict_ordinal(model, X)
+        with pytest.raises(DataError, match="non-finite"):
+            predict_ordinal(model, X[1])
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 7), (7,), (2, 3, 2)])
+    def test_a_wrong_shape_raises(self, model, shape):
+        with pytest.raises(DataError, match="features"):
+            predict_ordinal(model, np.zeros(shape))
+
+    def test_text_rows_raise(self, model):
+        with pytest.raises(DataError, match="must be numbers"):
+            predict_ordinal(model, [["x"] * model.scaling.p])
+
+
 class TestSigmaGrid:
     """The bandwidths a Gaussian step is tuned over."""
 
