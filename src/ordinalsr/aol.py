@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, _gram_block, _gram_into, gram_matrix
-from .solvers import _check_positive, _finite_gram, _l1_path, _smo, logistic_fit
+from .solvers import _L1DualLP, _check_positive, _finite_gram, _l1_path, _smo, logistic_fit
 
 __all__ = [
     "BinarySubproblem",
@@ -274,13 +274,20 @@ def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
     count.  Slopes below 1e-8 in magnitude are snapped to exactly zero.
     """
     _check_positive("lam", lam)
-    keep = _active(sub)
-    ((slopes, b0),) = _l1_coefs(sub.features[keep], sub.labels[keep], sub.weights[keep], (lam,))
+    rows = np.flatnonzero(_active(sub))
+    return _l1_rule(_L1DualLP(sub.features, sub.labels, sub.weights), rows, lam)
+
+
+def _l1_rule(lp, rows, lam, start=None):
+    """fit_aol_l1_linear's rule on rows of lp (sub's _L1DualLP), solved from start."""
+    ((slopes, b0),), _ = _l1_coefs(lp, rows, (lam,), start)
     selected = tuple(int(j) for j in np.flatnonzero(slopes))
     return SparseLinearRule(intercept=b0, slopes=slopes, selected_features=selected)
 
 
-def _l1_coefs(X, labels, weights, lambdas):
-    """(slopes, intercept) of _l1_path per lambda, slopes within COEF_SNAP of 0 set to 0."""
-    path = _l1_path(X, labels, weights, lambdas)
-    return [(np.where(np.abs(s.slopes) <= COEF_SNAP, 0.0, s.slopes), s.intercept) for s in path]
+def _l1_coefs(lp, rows, lambdas, start=None):
+    """(slopes, intercept) of _l1_path per lambda, slopes within COEF_SNAP of 0
+    set to 0, and the path's final bases."""
+    path, bases = _l1_path(lp, rows, lambdas, start)
+    fits = [(np.where(np.abs(s.slopes) <= COEF_SNAP, 0.0, s.slopes), s.intercept) for s in path]
+    return fits, bases

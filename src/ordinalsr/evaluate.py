@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aol import _fit_l2, _l1_coefs, _sign_tie_negative, fit_aol_l1_linear, fit_l2_from_gram
+from .aol import _fit_l2, _l1_coefs, _l1_rule, _sign_tie_negative, fit_l2_from_gram
 from .data import _whole_numbers, _write_csv
 from .exceptions import (
     DataError,
@@ -24,7 +24,7 @@ from .exceptions import (
 from .kernels import (
     KernelSpec, _gaussian_from_squared, _gram_block, _squared_distances, gram_matrix,
 )
-from .solvers import _finite_gram
+from .solvers import _L1DualLP, _finite_gram
 from .simgen import get_setting, generate
 
 __all__ = [
@@ -191,9 +191,9 @@ def cv_tune(
     The grid search maximizes the held-out binary IPW value (ratio form).
     penalty "l2" fits the kernel rule of each sigma in sigma_grid (None means
     the linear kernel); "l1linear" fits the L1 linear rule, whose callers pass
-    sigma_grid=(None,).  A screened step arrives with its features already
-    masked and its selection set (see varselect.screen_mask).  Ties break
-    toward larger lambda, then larger sigma (simpler rules).
+    sigma_grid=(None,), else DataError.  A screened step arrives with its
+    features already masked and its selection set (see varselect.screen_mask).
+    Ties break toward larger lambda, then larger sigma (simpler rules).
 
     One fold loop serves both penalties.  A fold fits one (coefs, b0) per
     lambda on its positive-weight training rows, then scores its held-out rows
@@ -205,9 +205,14 @@ def cv_tune(
     the same fold reached at the previous sigma for that lambda (cold at the
     first sigma): a fold's training rows, caps and equality constraint do not
     depend on sigma, so that start is feasible too, and only one start vector
-    per fold outlives its sigma.  For L1 the design is the held-out features,
-    and each lambda but the first starts from the previous one's final basis.
-    The rule is then refitted on all of sub at the chosen point, cold (SMO: tol 1e-5).
+    per fold outlives its sigma.  The L2 rule is then refitted on all of sub
+    at the chosen point, cold (SMO: tol 1e-5).
+
+    For L1 the design is the held-out features, and one dual LP serves the
+    step (solvers._L1DualLP): fold 0's first lambda is solved cold, each
+    later fold's first lambda from the previous fold's first-lambda basis,
+    each later lambda from the previous lambda's, and the refit on all
+    positive-weight rows from the last fold's basis at the chosen lambda.
 
     Every Gaussian sigma's Gram matrix is filled into one m x m buffer from
     sub's squared distances D2 (_sq, when the caller holds them) by
@@ -219,6 +224,8 @@ def cv_tune(
         raise DataError(f"unknown penalty {penalty!r}")
     if not len(lambda_grid) or not len(sigma_grid):
         raise DataError("cv_tune needs non-empty lambda and sigma grids")
+    if penalty == "l1linear" and tuple(sigma_grid) != (None,):
+        raise DataError("the L1 linear rule has no kernel: its sigma_grid is (None,)")
     if sub.m < 2 * folds:
         folds = max(2, sub.m // 2)
     if sub.m < 4:
@@ -233,8 +240,10 @@ def cv_tune(
             return gram_matrix(kernel, sub.features, sub.features)
         return _gaussian_from_squared(sq, kernel.bandwidth, out=out)
 
+    if penalty == "l1linear":
+        lp, start = _L1DualLP(sub.features, sub.labels, sub.weights), None
     table = []
-    best = None  # (rank, lambda, kernel) of the winner so far
+    best = None  # (rank, lambda index, kernel) of the winner so far
     gram = None  # the Gram matrix of the sigma in hand, one buffer for every Gaussian sigma
     sigma_starts = [None] * folds  # each fold's first-lambda alpha at the previous sigma
     for sigma in sigma_grid:
@@ -245,12 +254,12 @@ def cv_tune(
         for f in range(folds):
             te = np.flatnonzero(assign == f)
             active = np.flatnonzero((assign != f) & (sub.weights > 0))
-            labels, weights = sub.labels[active], sub.weights[active]
             if penalty == "l1linear":
-                X_tr = sub.features[active]
-                fits = _l1_coefs(X_tr, labels, weights, lambda_grid)
+                fits, bases = _l1_coefs(lp, active, lambda_grid, start)
+                start = bases[0]  # the next fold's first lambda starts here
                 design = sub.features[te]
             else:
+                labels, weights = sub.labels[active], sub.weights[active]
                 gram_tr = _gram_block(gram, active, active)
                 fits, alpha, lam_prev = [], None, None
                 for lam in lambda_grid:
@@ -268,7 +277,7 @@ def cv_tune(
                 pred = _sign_tie_negative(design @ coefs + b0)
                 fold_scores.append(_holdout_score(pred, sub, te))
             design = None  # nor across folds
-        for lam, fold_scores in zip(lambda_grid, scores):
+        for k, (lam, fold_scores) in enumerate(zip(lambda_grid, scores)):
             mean_score = float(np.nanmean(fold_scores)) if not all(
                 math.isnan(s) for s in fold_scores
             ) else float("-inf")
@@ -276,10 +285,11 @@ def cv_tune(
             # the last of the highest (score, lambda, sigma) wins
             rank = (mean_score, float(lam), 0.0 if sigma is None else sigma)
             if best is None or rank >= best[0]:
-                best = (rank, float(lam), kernel)
-    _, lam, best_kernel = best
+                best = (rank, k, kernel)
+    _, k, best_kernel = best
+    lam = float(lambda_grid[k])
     if penalty == "l1linear":
-        rule = fit_aol_l1_linear(sub, lam)
+        rule = _l1_rule(lp, np.flatnonzero(sub.weights > 0), lam, bases[k])
     else:
         if best_kernel != kernel:  # a later sigma overwrote the winner's entries, checked then
             gram = build_gram(best_kernel, gram)

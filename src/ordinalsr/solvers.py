@@ -3,9 +3,10 @@
 The optimizers everything else is built on: least squares (ridge-jittered
 normal equations), IRLS logistic regression, SMO for the weighted hinge-loss
 dual, and one bounded-variable revised simplex (Dantzig pricing, Bland's rule
-after a degenerate run, dual pivots from a warm start).  It solves the
-(1+2p)-row dual LP of the L1-penalized weighted hinge loss, each lambda of a
-grid from the last one's basis, and both phases of simplex_solve.
+after a degenerate run, dual pivots from a warm start).  It solves both
+phases of simplex_solve and the (1+2p)-row dual LP of the L1-penalized
+weighted hinge loss, built once per step, each solve but the first from an
+earlier final basis of it.
 """
 
 from __future__ import annotations
@@ -416,10 +417,11 @@ def _bounded_simplex(A, cost, upper, rhs, basis, at_upper=None):
 
     basis holds one column index per row and at_upper flags the nonbasic
     variables at their upper bound (None: none, from a feasible basis); both
-    are updated in place.  A given start must be primal feasible or, as a
-    final basis is after a change to rhs alone, dual feasible.  While x_B
-    leaves its bounds, dual pivots come first: the row of largest violation
-    leaves, and of the columns whose move reduces it, the one of smallest
+    are updated in place.  A given start must be primal feasible or dual
+    feasible, as a final basis is after a change to rhs, or to upper once
+    each nonbasic variable sits at the bound its reduced cost prefers.
+    While x_B leaves its bounds, dual pivots come first: the row of largest
+    violation leaves, and of the columns whose move reduces it, the one of smallest
     |d_j / rho_j| enters (rho is that row of Binv A; ties go to the largest
     |rho_j|), else InfeasibleLPError.  The basis inverse gets a rank-1 update
     when the basis changes; a bound flip (a nonbasic variable moving between 0 and its
@@ -601,69 +603,108 @@ def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
     by _bounded_simplex; a bound flip moves a u_i between 0 and w_i/m.  The
     start basis {u_0 in row 0 at value 0, every slack at lam} is feasible, so
     there is no phase 1.  The primal comes from the dual prices pi of the
-    final basis: b0 = -pi_0 and b_j = pi-_j - pi+_j.  ConvergenceError is
-    raised when the primal and dual objectives differ by more than
-    1e-9 * max(1, |objective|), or when the simplex finds an unbounded ray.
-    This is the one-lambda case of _l1_path.
+    final basis, its columns sorted: b0 = -pi_0 and b_j = pi-_j - pi+_j.
+    ConvergenceError is raised when the primal and dual objectives differ by
+    more than 1e-9 * max(1, |objective|), or when the simplex finds an
+    unbounded ray.  This is the one-lambda, every-row case of _l1_path.
     """
-    return _l1_path(X, labels, weights, (lam,))[0]
+    lp = _L1DualLP(X, labels, weights)
+    return _l1_path(lp, np.arange(lp.y.size), (lam,))[0][0]
 
 
-def _l1_path(X, labels, weights, lambdas):
-    """l1_hinge_dual_solve per lambda, in order, from one LP built once (lambda
-    moves only its right-hand side): the first lambda cold, each later one from
-    the previous final basis and bound statuses, or cold again if that fails."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(labels, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    m, p = X.shape
-    if y.shape != (m,) or w.shape != (m,):
-        raise DataError("l1_hinge_dual_solve shape mismatch")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(w))):
-        raise DataError("l1_hinge_dual_solve requires finite inputs")
-    if np.any(np.abs(y) != 1.0) or np.unique(y).size < 2:
+class _L1DualLP:
+    """The dual LP of l1_hinge_dual_solve over every row of X (weights may be
+    0 on rows no row set holds), built once and solved by _l1_path."""
+
+    def __init__(self, X, labels, weights):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        y = np.asarray(labels, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        m, p = X.shape
+        if y.shape != (m,) or w.shape != (m,):
+            raise DataError("l1_hinge_dual_solve shape mismatch")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(w))):
+            raise DataError("l1_hinge_dual_solve requires finite inputs")
+        if np.any(np.abs(y) != 1.0):
+            raise DataError("labels must be +-1 with both classes present")
+        if np.any(w < 0):
+            raise DataError("weights must be positive")
+        yx = (y[:, None] * X).T
+        A = np.zeros((1 + 2 * p, m + 2 * p))
+        A[0, :m] = y
+        A[1 : 1 + p, :m] = yx
+        A[1 + p :, :m] = -yx
+        A[1:, m:] = np.eye(2 * p)
+        self.X, self.y, self.w, self.A = X, y, w, A
+        self.cost = np.concatenate([-np.ones(m), np.zeros(2 * p)])
+
+
+def _l1_path(lp, rows, lambdas, start=None):
+    """l1_hinge_dual_solve on rows of lp (an _L1DualLP) per lambda, in order.
+
+    rows, increasing indices of positive-weight rows of both classes, get
+    upper bounds w_i/len(rows) and the other u's 0, so they never enter.
+    The first lambda starts from start, a (basis, at_upper, prices) this
+    returned for any rows of lp, or cold from {u of rows[0], every slack};
+    each later one from the previous final basis.  The reduced costs
+    d = -1 - pi'A_j of a basis depend on neither rows nor lambda, so a start
+    whose nonbasic u's sit at the bound d prefers (upper where d < 0 and
+    upper > 0, else 0; kept where d = 0) is dual feasible, and dual pivots
+    drive out the basic u's now outside their bounds.  A warm solve that
+    fails is solved again cold.  Returns the solutions and each one's basis.
+    """
+    for lam in lambdas:
+        _check_positive("lam", lam)
+    y, w = lp.y[rows], lp.w[rows]
+    if np.unique(y).size < 2:
         raise DataError("labels must be +-1 with both classes present")
     if np.any(w <= 0):
         raise DataError("weights must be positive")
-    for lam in lambdas:
-        _check_positive("lam", lam)
-    rows = 1 + 2 * p
-    yx = (y[:, None] * X).T
-    A = np.zeros((rows, m + 2 * p))
-    A[0, :m] = y
-    A[1 : 1 + p, :m] = yx
-    A[1 + p :, :m] = -yx
-    A[1:, m:] = np.eye(2 * p)
-    cost = np.concatenate([-np.ones(m), np.zeros(2 * p)])
-    upper = np.concatenate([w / m, np.full(2 * p, np.inf)])
-    start = np.concatenate([[0], m + np.arange(2 * p)])
+    X = lp.X[rows]
+    n, p = lp.y.size, lp.X.shape[1]
+    upper = np.zeros(n + 2 * p)
+    upper[rows] = w / rows.size
+    upper[n:] = np.inf
+    cold = np.concatenate([rows[:1], n + np.arange(2 * p)])
+    if start is None:
+        basis, at_upper = cold.copy(), np.zeros(n + 2 * p, dtype=bool)
+    else:
+        basis, at_upper, prices = start[0].copy(), start[1].copy(), start[2]
+        d = lp.cost[:n] - prices @ lp.A[:, :n]
+        at_upper[:n] = ((d < 0) | ((d == 0) & at_upper[:n])) & (upper[:n] > 0)
+        at_upper[basis] = False
 
     def solve(lam):
         rhs = np.concatenate([[0.0], np.full(2 * p, float(lam))])
         try:
-            u, pi, pivots = _bounded_simplex(A, cost, upper, rhs, basis, at_upper)
+            u, _, pivots = _bounded_simplex(lp.A, lp.cost, upper, rhs, basis, at_upper)
         except UnboundedLPError:
             raise ConvergenceError("L1 hinge dual simplex found an unbounded ray") from None
+        # prices from the sorted basis: the fit then depends on the final
+        # basis alone, not on the order in which pivots placed its columns
+        basis.sort()
+        pi = np.linalg.solve(lp.A[:, basis].T, lp.cost[basis])
         intercept = float(-pi[0])
         slopes = pi[1 + p :] - pi[1 : 1 + p]
         hinge = np.mean(w * np.maximum(0.0, 1.0 - y * (intercept + X @ slopes)))
         objective = float(hinge + lam * np.sum(np.abs(slopes)))
-        gap = objective - float(np.sum(u[:m]))
+        gap = objective - float(np.sum(u[rows]))
         sol = HingeL1Solution(intercept, slopes, objective, gap, pivots)
         if abs(gap) > _GAP_RTOL * max(1.0, abs(objective)):
             msg = f"L1 hinge dual simplex: duality gap {gap:.3g} after {pivots} pivots"
             raise ConvergenceError(msg, best=sol)
-        return sol
+        return sol, pi
 
-    # the start is feasible, so from it the dual loop makes no pivot
-    path, basis, at_upper = [], start.copy(), np.zeros(m + 2 * p, dtype=bool)
+    # the cold start is feasible, so from it the dual loop makes no pivot
+    path, bases = [], []
     for lam in lambdas:
         try:
-            sol = solve(lam)
+            sol, pi = solve(lam)
         except (ConvergenceError, InfeasibleLPError):
-            if not path:
+            if start is None and not path:
                 raise
-            basis[:], at_upper[:] = start, False
-            sol = solve(lam)
+            basis[:], at_upper[:] = cold, False
+            sol, pi = solve(lam)
         path.append(sol)
-    return path
+        bases.append((basis.copy(), at_upper.copy(), pi))
+    return path, bases

@@ -25,7 +25,7 @@ from ordinalsr.evaluate import (
     write_rows_csv,
     write_summary_csv,
 )
-from ordinalsr import aol
+from ordinalsr import aol, evaluate, solvers
 from ordinalsr.aol import build_subproblem, fit_aol_l1_linear, fit_aol_l2, fit_l2_from_gram
 from ordinalsr.evaluate import _holdout_score, _stratified_folds
 from ordinalsr.exceptions import DataError, UndefinedMetricError
@@ -254,19 +254,60 @@ class TestCvTune:
             reference.append((lam, None, float(np.mean(scores))))
         assert list(cv.table) == reference
 
-    def test_each_l1_fold_solves_its_lambda_grid_in_one_path(self, monkeypatch):
-        """One _l1_path call per fold takes the whole grid; the refit is one cold lambda."""
-        calls = []
+    def test_each_l1_step_builds_one_lp_and_starts_cold_once(self, monkeypatch):
+        """One dual LP per step; each fold solves the whole grid on it, fold 0
+        cold and every later fold from the previous fold's first-lambda basis;
+        the refit starts from the last fold's basis at the chosen lambda."""
+        builds, calls, solves = [], [], []
 
-        def spy(X, labels, weights, lambdas):
-            calls.append(tuple(lambdas))
-            return path(X, labels, weights, lambdas)
+        def build(*args):
+            builds.append(lp_class(*args))
+            return builds[-1]
 
-        path = aol._l1_path
-        monkeypatch.setattr(aol, "_l1_path", spy)
+        def path(lp, rows, lambdas, start=None):
+            calls.append((lp, rows, tuple(lambdas), start))
+            result = l1_path(lp, rows, lambdas, start)
+            calls[-1] += result
+            return result
+
+        def engine(*args):
+            solves.append(args[4].copy())  # the start basis
+            return bounded_simplex(*args)
+
+        lp_class, l1_path = evaluate._L1DualLP, aol._l1_path
+        bounded_simplex = solvers._bounded_simplex
+        monkeypatch.setattr(evaluate, "_L1DualLP", build)
+        monkeypatch.setattr(aol, "_l1_path", path)
+        monkeypatch.setattr(solvers, "_bounded_simplex", engine)
+        sub = self._n8_sub()
         lambdas = (0.25, 0.01, 0.05)
-        _, cv = cv_tune(self._n8_sub(), lambdas, folds=4, seed=3, penalty="l1linear")
-        assert calls == [lambdas] * 4 + [(cv.best_lambda,)]
+        _, cv = cv_tune(sub, lambdas, folds=4, seed=3, penalty="l1linear")
+        assert len(builds) == 1 and all(call[0] is builds[0] for call in calls)
+        assert [call[2] for call in calls] == [lambdas] * 4 + [(cv.best_lambda,)]
+        assert calls[0][3] is None
+        for previous, call in zip(calls, calls[1:4]):
+            assert call[3] is previous[5][0]
+        k = max(i for i, lam in enumerate(lambdas) if lam == cv.best_lambda)
+        assert calls[4][3] is calls[3][5][k]
+        np.testing.assert_array_equal(calls[4][1], np.flatnonzero(sub.weights > 0))
+        # one solve per lambda and fold and one for the refit: no cold re-solve,
+        # and only the first starts at the cold basis of its rows
+        assert len(solves) == 4 * len(lambdas) + 1
+        slacks = builds[0].y.size + np.arange(2 * sub.p)
+        cold = [np.append(call[1][0], slacks).tolist() for call in calls]
+        starts = [basis.tolist() for basis in solves]
+        assert starts[0] == cold[0]
+        assert all(basis not in cold for basis in starts[1:])
+
+    def test_l1_rejects_a_sigma_grid(self):
+        """The L1 rule is linear: a sigma grid other than (None,) is a DataError,
+        not a fold loop per sigma that reports a sigma it never used."""
+        sub = self._n8_sub()
+        for sigmas in ((0.5, 1.0), (None, 1.0), (0.5,)):
+            with pytest.raises(DataError, match="sigma"):
+                cv_tune(sub, (0.05,), sigma_grid=sigmas, folds=3, penalty="l1linear")
+        _, cv = cv_tune(sub, (0.05,), sigma_grid=[None], folds=3, penalty="l1linear")
+        assert cv.best_sigma is None
 
     def test_empty_grid_raises_data_error(self, rng):
         sub = self._linear_sub(rng)

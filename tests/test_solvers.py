@@ -17,7 +17,7 @@ from _oracles import (
 )
 from ordinalsr import SRConfig, aol, fit_sr, generate, get_setting, solvers
 from ordinalsr.aol import build_subproblem
-from ordinalsr.evaluate import METHOD_PRESETS, cv_tune
+from ordinalsr.evaluate import METHOD_PRESETS, _stratified_folds, cv_tune
 from ordinalsr.exceptions import (
     ConvergenceError,
     DataError,
@@ -870,18 +870,56 @@ class TestBoundedSimplexMatchesVectorLoop:
         assert pivots == 1 and prices.size == 0 and x.tolist() == [2.0, 0.0]
 
 
-def _step_problem(setting, n, seed):
-    """The first S-step of a simulated trial, its positive-weight rows: (X, labels, weights)."""
+def _step(setting, n, seed):
+    """The first S-step of a simulated trial: its BinarySubproblem."""
     data = generate(get_setting(setting), n, seed)
-    sub = build_subproblem(
+    return build_subproblem(
         data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
     )
+
+
+def _step_problem(setting, n, seed):
+    """The first S-step's positive-weight rows: (X, labels, weights)."""
+    sub = _step(setting, n, seed)
     keep = sub.weights > 0
     return sub.features[keep], sub.labels[keep].astype(float), sub.weights[keep]
 
 
+def _path(X, labels, weights, grid, start=None):
+    """solvers._l1_path on every row of X's LP: (solutions, bases)."""
+    lp = solvers._L1DualLP(X, labels, weights)
+    return solvers._l1_path(lp, np.arange(len(labels)), grid, start)
+
+
+def _same(sol, cold):
+    """sol's intercept, slopes (-0 read as 0) and objective equal cold's bit
+    for bit.  The duality gap is not compared: where the optimum is
+    degenerate (every slope 0 at a large lambda), u is not unique."""
+    def key(s):
+        return _bits((s.intercept, s.slopes + 0.0, s.objective))
+
+    return key(sol) == key(cold)
+
+
+def _fold_rows(setting, n, seed, folds=5):
+    """The first S-step's LP over all its rows, each CV fold's positive-weight
+    training rows, as cv_tune draws them, and all positive-weight rows."""
+    sub = _step(setting, n, seed)
+    assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
+    rows = [np.flatnonzero((assign != f) & (sub.weights > 0)) for f in range(folds)]
+    lp = solvers._L1DualLP(sub.features, sub.labels, sub.weights)
+    return lp, rows, np.flatnonzero(sub.weights > 0)
+
+
+def _cold(lp, rows, lam):
+    """l1_hinge_dual_solve on an LP built from rows alone."""
+    return l1_hinge_dual_solve(lp.X[rows], lp.y[rows], lp.w[rows], lam)
+
+
 class TestL1Path:
-    """solvers._l1_path: the first lambda cold, each later one warm from the previous basis."""
+    """solvers._l1_path: the first lambda from a given start or cold, each
+    later one warm from the previous basis, and every fit bit for bit a cold
+    solve's (the prices are solved from the sorted final basis)."""
 
     GRIDS = {
         "ascending": (0.002, 0.01, 0.05, 0.25),
@@ -895,50 +933,98 @@ class TestL1Path:
     @pytest.mark.parametrize("setting", ["P1", "N8"])
     def test_every_lambda_matches_a_cold_solve(self, setting, n, grid):
         X, labels, weights = _step_problem(setting, n, seed=n + 7)
-        path = solvers._l1_path(X, labels, weights, grid)
+        path, _ = _path(X, labels, weights, grid)
         assert len(path) == len(grid)
         for k, (lam, warm) in enumerate(zip(grid, path)):
             cold = l1_hinge_dual_solve(X, labels, weights, lam)
             if k == 0:  # the first lambda is the cold solve itself
                 assert _bits(astuple(warm)) == _bits(astuple(cold))
-            np.testing.assert_allclose(warm.slopes, cold.slopes, rtol=0, atol=1e-10)
-            assert warm.intercept == pytest.approx(cold.intercept, rel=0, abs=1e-10)
-            assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=0)
+            assert _same(warm, cold)
             if k and lam == grid[k - 1]:  # the previous final basis is optimal already
                 assert warm.pivots == 0
 
     def test_warm_solves_take_fewer_pivots(self):
         X, labels, weights = _step_problem("P1", 200, seed=101)
         grid = self.GRIDS["ascending"]
-        warm = sum(sol.pivots for sol in solvers._l1_path(X, labels, weights, grid)[1:])
+        warm = sum(sol.pivots for sol in _path(X, labels, weights, grid)[0][1:])
         cold = sum(l1_hinge_dual_solve(X, labels, weights, lam).pivots for lam in grid[1:])
         assert 0 < warm < cold / 2
 
+    @pytest.mark.parametrize("n", [40, 200])
+    @pytest.mark.parametrize("setting", ["P1", "N8"])
+    def test_folds_and_refit_started_from_other_row_sets_match_cold_solves(self, setting, n):
+        """As in cv_tune: each fold's first lambda starts from the previous
+        fold's first-lambda basis, the refit on all rows from the last fold's
+        basis at its lambda; all match cold solves on their rows in fewer pivots."""
+        lp, folds, everyone = _fold_rows(setting, n, seed=n + 7)
+        grid = self.GRIDS["ascending"]
+        start = None
+        for f, rows in enumerate(folds):
+            path, bases = solvers._l1_path(lp, rows, grid, start)
+            colds = [_cold(lp, rows, lam) for lam in grid]
+            assert all(_same(sol, cold) for sol, cold in zip(path, colds))
+            warm = sum(sol.pivots for sol in path[f == 0 :])
+            assert warm < sum(cold.pivots for cold in colds[f == 0 :])
+            start = bases[0]
+        for lam, base in zip(grid, bases):
+            (refit,), _ = solvers._l1_path(lp, everyone, (lam,), base)
+            cold = _cold(lp, everyone, lam)
+            assert _same(refit, cold) and refit.pivots < cold.pivots
+
+    def test_dual_pivots_drive_out_the_rows_a_new_row_set_leaves_out(self, monkeypatch):
+        # fold 0's final basis holds u's of fold 1's held-out rows, strictly
+        # inside their bounds; their upper bound is 0 in fold 1, so they start
+        # above it and leave, and every u basic at the end is one of fold 1's
+        lp, folds, _ = _fold_rows("P1", 200, seed=101)
+        engine, solved = solvers._bounded_simplex, []
+
+        def recorded(*args):
+            solved.append(engine(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(solvers, "_bounded_simplex", recorded)
+        _, bases = solvers._l1_path(lp, folds[0], (0.05,))
+        monkeypatch.undo()
+        n = lp.y.size
+        out = [j for j in bases[0][0].tolist() if j < n and j not in set(folds[1].tolist())]
+        assert out and np.all(solved[0][0][out] > 1e-9)
+        (sol,), after = solvers._l1_path(lp, folds[1], (0.05,), bases[0])
+        final = after[0][0].tolist()
+        assert not set(out) & set(final)
+        assert set(j for j in final if j < n) <= set(folds[1].tolist())
+        assert _same(sol, _cold(lp, folds[1], 0.05)) and sol.pivots > 0
+
     @pytest.mark.parametrize("fault", ["no-entering-column", "duality-gap"])
     def test_a_failed_warm_solve_is_solved_again_cold(self, monkeypatch, fault):
-        X, labels, weights = _step_problem("N8", 200, seed=3)
+        """Every warm start fails: each later lambda of fold 0, each lambda of
+        fold 1 (from fold 0's first basis) and the refit (from fold 1's basis)
+        is solved again cold, and all of them match cold solves."""
+        lp, folds, everyone = _fold_rows("N8", 200, seed=3)
         grid = self.GRIDS["unsorted"]
         engine, starts = solvers._bounded_simplex, []
 
         def faulty(A, cost, upper, rhs, basis, at_upper):
-            first_slack = A.shape[1] - (A.shape[0] - 1)
-            start = [0, *range(first_slack, A.shape[1])]
-            cold = basis.tolist() == start and not at_upper.any()
+            slacks = list(range(A.shape[1] - (A.shape[0] - 1), A.shape[1]))
+            first_row = int((upper > 0).argmax())  # the cold start's basic u
+            cold = basis.tolist() == [first_row, *slacks] and not at_upper.any()
             starts.append("cold" if cold else "warm")
             if cold:
                 return engine(A, cost, upper, rhs, basis, at_upper)
             if fault == "no-entering-column":
                 raise InfeasibleLPError("no column can bring a basic variable back")
             x, prices, pivots = engine(A, cost, upper, rhs, basis, at_upper)
-            return x, prices * 0.5, pivots
+            return x * 0.5, prices, pivots
 
         monkeypatch.setattr(solvers, "_bounded_simplex", faulty)
-        path = solvers._l1_path(X, labels, weights, grid)
-        assert starts == ["cold"] + ["warm", "cold"] * (len(grid) - 1)
+        fold0, bases = solvers._l1_path(lp, folds[0], grid)
+        fold1, bases = solvers._l1_path(lp, folds[1], grid, bases[0])
+        (refit,), _ = solvers._l1_path(lp, everyone, grid[:1], bases[0])
+        tries = ["cold"] + ["warm", "cold"] * (len(grid) - 1)
+        assert starts == tries + ["warm", "cold"] * len(grid) + ["warm", "cold"]
         monkeypatch.undo()
-        for lam, sol in zip(grid, path):
-            cold = l1_hinge_dual_solve(X, labels, weights, lam)
-            assert _bits(astuple(sol)) == _bits(astuple(cold))
+        for rows, path in ((folds[0], fold0), (folds[1], fold1), (everyone, [refit])):
+            for lam, sol in zip(grid, path):
+                assert _bits(astuple(sol)) == _bits(astuple(_cold(lp, rows, lam)))
 
     def test_duplicated_rows_under_the_smallest_index_rule(self, monkeypatch, rng):
         # a degenerate-run threshold of 0 runs both phases by Bland's rule from
@@ -950,7 +1036,7 @@ class TestL1Path:
         weights = np.ones(36)
         grid = (0.3, 0.001, 0.03, 0.001)
         monkeypatch.setattr(solvers, "_DEGENERATE_RUN", 0)
-        path = solvers._l1_path(X, labels, weights, grid)
+        path, _ = _path(X, labels, weights, grid)
         assert all(sol.pivots > 0 for sol in path[1:3])
         monkeypatch.undo()
         for lam, sol in zip(grid, path):

@@ -472,7 +472,7 @@ class TestConfigValidation:
         """The penalty alone picks the rule fitter inside cv_tune; a two-stage
         step is an L2 fit on masked features that carries the screen's selection."""
         calls = []
-        for name in ("_fit_l2", "fit_aol_l1_linear"):
+        for name in ("_fit_l2", "_l1_rule"):
             fitter = getattr(evaluate_module, name)
 
             def recorded(*args, _name=name, _fitter=fitter, **kwargs):
@@ -486,8 +486,8 @@ class TestConfigValidation:
         # so each fitted step calls its rule fitter once, for the final fit
         cases = [
             (SRConfig(**fast), "_fit_l2"),
-            (SRConfig(penalty="l1linear", **fast), "fit_aol_l1_linear"),
-            (SRConfig(selection="embedded", **fast), "fit_aol_l1_linear"),
+            (SRConfig(penalty="l1linear", **fast), "_l1_rule"),
+            (SRConfig(selection="embedded", **fast), "_l1_rule"),
             (
                 SRConfig(
                     kernel_kind="gaussian", selection="two-stage", sigma_grid=(0.6,), **fast
