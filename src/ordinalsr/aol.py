@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _feature_rows
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, _gram_block, _gram_into, gram_matrix
 from .solvers import _L1DualLP, _check_positive, _finite_gram, _l1_path, _smo, logistic_fit
@@ -65,10 +66,16 @@ class SparseLinearRule:
     def __post_init__(self):
         _set_selection(self, self.slopes.shape[0])
 
+    @property
+    def n_features(self):
+        return self.slopes.shape[0]
+
     def decision_value(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.slopes.shape[0]:
-            raise DataError("feature dimension mismatch in rule")
+        """b0 + X @ slopes; DataError unless X holds finite rows of n_features features."""
+        return self._decision_value(_feature_rows(X, self.n_features))
+
+    def _decision_value(self, X):
+        """decision_value of rows already checked, as predict_ordinal's are."""
         return self.intercept + X @ self.slopes
 
     def predict(self, X):
@@ -97,7 +104,12 @@ class KernelExpansionRule:
         _set_selection(self, self.n_features)
 
     def decision_value(self, X):
-        """b0 + K(X, points) @ coefs, one block of rows at a time.
+        """b0 + K(X, points) @ coefs; DataError unless X holds finite rows of
+        n_features features."""
+        return self._decision_value(_feature_rows(X, self.n_features))
+
+    def _decision_value(self, X):
+        """decision_value of rows already checked, one block of rows at a time.
 
         A block has max(1, _BLOCK_BYTES // (8 * len(points))) rows, so its Gram
         matrix stays near _BLOCK_BYTES however many rows X has.  Every block
@@ -107,9 +119,6 @@ class KernelExpansionRule:
         does not depend on the other rows, but BLAS may round it differently
         for another block size (a few ulps).
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
-            raise DataError("feature dimension mismatch in rule")
         if len(self.selected_features) != self.n_features:
             mask = np.zeros(self.n_features)
             mask[list(self.selected_features)] = 1.0
@@ -280,14 +289,14 @@ def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
 
 def _l1_rule(lp, rows, lam, start=None):
     """fit_aol_l1_linear's rule on rows of lp (sub's _L1DualLP), solved from start."""
-    ((slopes, b0),), _ = _l1_coefs(lp, rows, (lam,), start)
+    ((slopes, b0),), _ = _l1_coefs(lp, rows, (lam,), (start,))
     selected = tuple(int(j) for j in np.flatnonzero(slopes))
     return SparseLinearRule(intercept=b0, slopes=slopes, selected_features=selected)
 
 
-def _l1_coefs(lp, rows, lambdas, start=None):
+def _l1_coefs(lp, rows, lambdas, starts=None):
     """(slopes, intercept) of _l1_path per lambda, slopes within COEF_SNAP of 0
     set to 0, and the path's final bases."""
-    path, bases = _l1_path(lp, rows, lambdas, start)
+    path, bases = _l1_path(lp, rows, lambdas, starts)
     fits = [(np.where(np.abs(s.slopes) <= COEF_SNAP, 0.0, s.slopes), s.intercept) for s in path]
     return fits, bases

@@ -195,18 +195,26 @@ def fit_scaling(data) -> ScalingParams:
     return ScalingParams(mins=X.min(axis=0), maxs=X.max(axis=0))
 
 
+def _feature_rows(features, p):
+    """features as a 2-D float array of finite rows of p features (any count
+    when p is None; a vector is one row); DataError otherwise."""
+    X = _float_array("features", features)
+    if X.ndim == 1:
+        X = X[None, :]
+    if X.ndim != 2 or p not in (None, X.shape[1]):
+        want = "features" if p is None else f"{p} features"
+        raise DataError(f"expected rows of {want}, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise DataError("features contain non-finite values")
+    return X
+
+
 def apply_scaling(params: ScalingParams, features) -> np.ndarray:
     """Affine map of each column onto [-1, 1]; out-of-range values are not clipped.
 
     Degenerate (constant) training columns map to 0; non-finite features raise DataError.
     """
-    X = _float_array("features", features)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != params.p:
-        raise DataError(f"expected rows of {params.p} features, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise DataError("features contain non-finite values")
+    X = _feature_rows(features, params.p)
     span = params.maxs - params.mins
     safe = np.where(params.degenerate, 1.0, span)
     out = 2.0 * (X - params.mins) / safe - 1.0

@@ -64,9 +64,17 @@ class CVResult:
     fold_seed: int
 
 
+def _arms(pred, k_arms=None):
+    """pred as an int array of arms; DataError unless every entry is a whole
+    number, and in 1..k_arms when k_arms is given."""
+    pred = _whole_numbers("arm", pred)
+    if k_arms is not None and pred.size and (pred.min() < 1 or pred.max() > k_arms):
+        raise DataError(f"predicted arms must lie in 1..{k_arms}")
+    return pred
+
+
 def misclassification(pred, truth) -> float:
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
+    pred, truth = _arms(pred), _arms(truth)
     if pred.shape != truth.shape or pred.size == 0:
         raise DataError("misclassification needs equal non-empty vectors")
     return float(np.mean(pred != truth))
@@ -74,8 +82,7 @@ def misclassification(pred, truth) -> float:
 
 def disagreement(pred, truth) -> float:
     """Mean |pred - truth|: penalizes far misses more than near ones."""
-    pred = np.asarray(pred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
+    pred, truth = _arms(pred), _arms(truth)
     if pred.shape != truth.shape or pred.size == 0:
         raise DataError("disagreement needs equal non-empty vectors")
     return float(np.mean(np.abs(pred - truth)))
@@ -89,7 +96,7 @@ def _ipw_mean(outcome, propensity, matched):
 
 def value_estimate(pred, data) -> float:
     """Self-normalized IPW value of an assignment vector against observed data."""
-    pred = np.asarray(pred)
+    pred = _arms(pred, data.k_arms)
     if pred.shape != (data.n,):
         raise DataError("prediction length mismatch")
     matched = pred == data.treatment
@@ -100,7 +107,7 @@ def value_estimate(pred, data) -> float:
 
 def itr_effect(pred, data) -> float:
     """Value among rule-concordant subjects minus value among the rest."""
-    pred = np.asarray(pred)
+    pred = _arms(pred, data.k_arms)
     if pred.shape != (data.n,):
         raise DataError("prediction length mismatch")
     matched = pred == data.treatment
@@ -112,9 +119,9 @@ def itr_effect(pred, data) -> float:
 
 def assignment_proportions(pred, k_arms) -> tuple:
     """Share of pred in each arm 1..k_arms; pred is a non-empty vector of arms."""
-    pred = _whole_numbers("arm", pred)
-    if pred.ndim != 1 or not pred.size or pred.min() < 1 or pred.max() > k_arms:
-        raise DataError(f"assignment_proportions needs a non-empty vector of arms in 1..{k_arms}")
+    pred = _arms(pred, k_arms)
+    if pred.ndim != 1 or not pred.size:
+        raise DataError("assignment_proportions needs a non-empty vector of arms")
     counts = np.bincount(pred, minlength=k_arms + 1)[1:]
     return tuple(counts / pred.size)
 
@@ -209,10 +216,11 @@ def cv_tune(
     at the chosen point, cold (SMO: tol 1e-5).
 
     For L1 the design is the held-out features, and one dual LP serves the
-    step (solvers._L1DualLP): fold 0's first lambda is solved cold, each
-    later fold's first lambda from the previous fold's first-lambda basis,
-    each later lambda from the previous lambda's, and the refit on all
-    positive-weight rows from the last fold's basis at the chosen lambda.
+    step (solvers._L1DualLP): fold 0's first lambda is solved cold and each
+    of its later lambdas from the previous lambda's basis; each later fold
+    starts every lambda from the previous fold's final basis at that lambda,
+    and the refit on all positive-weight rows from the last fold's basis at
+    the chosen lambda.
 
     Every Gaussian sigma's Gram matrix is filled into one m x m buffer from
     sub's squared distances D2 (_sq, when the caller holds them) by
@@ -241,7 +249,7 @@ def cv_tune(
         return _gaussian_from_squared(sq, kernel.bandwidth, out=out)
 
     if penalty == "l1linear":
-        lp, start = _L1DualLP(sub.features, sub.labels, sub.weights), None
+        lp, bases = _L1DualLP(sub.features, sub.labels, sub.weights), None
     table = []
     best = None  # (rank, lambda index, kernel) of the winner so far
     gram = None  # the Gram matrix of the sigma in hand, one buffer for every Gaussian sigma
@@ -255,8 +263,8 @@ def cv_tune(
             te = np.flatnonzero(assign == f)
             active = np.flatnonzero((assign != f) & (sub.weights > 0))
             if penalty == "l1linear":
-                fits, bases = _l1_coefs(lp, active, lambda_grid, start)
-                start = bases[0]  # the next fold's first lambda starts here
+                # each lambda starts from the previous fold's basis at it
+                fits, bases = _l1_coefs(lp, active, lambda_grid, bases)
                 design = sub.features[te]
             else:
                 labels, weights = sub.labels[active], sub.weights[active]

@@ -415,25 +415,61 @@ _DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes 
 def _bounded_simplex(A, cost, upper, rhs, basis, at_upper=None):
     """Bounded-variable revised simplex: min cost'x s.t. Ax = rhs, 0 <= x <= upper.
 
+    The pivots of _simplex_pivots, then x and the dual prices solved from the
+    final basis in the order the pivots left its columns.  basis and at_upper
+    are updated in place.  Returns (x, prices, pivots).
+    """
+    at_upper, pivots = _simplex_pivots(A, cost, upper, rhs, basis, at_upper)
+    x, prices = _vertex(A, cost, upper, rhs, basis, at_upper)
+    return x, prices, pivots
+
+
+def _vertex(A, cost, upper, rhs, basis, at_upper):
+    """(x, dual prices) of the basis: nonbasic variables at 0 or, where
+    at_upper, at their upper bound; two solves with the basis matrix."""
+    B = A[:, basis]
+    x = np.where(at_upper, upper, 0.0)
+    x[basis] = np.linalg.solve(B, rhs - A[:, at_upper] @ upper[at_upper])
+    return x, np.linalg.solve(B.T, cost[basis])
+
+
+def _leaving_row(xB, basic_upper, basis, bland):
+    """The dual pivot's leaving row: the first row of largest violation
+    max(-x, x - upper) above _LP_TOL, or under Bland's rule the violated row
+    of smallest basis index; -1 when every row is within its bounds.  A NaN
+    row never leaves."""
+    viol = np.fmax(np.fmax(-xB, xB - basic_upper), 0.0)  # NaN reads 0
+    r = int(viol.argmax())
+    if not viol.item(r) > _LP_TOL:
+        return -1
+    if bland:
+        out = (viol > _LP_TOL).nonzero()[0]
+        r = int(out[basis[out].argmin()])
+    return r
+
+
+def _simplex_pivots(A, cost, upper, rhs, basis, at_upper=None):
+    """The pivot loop of _bounded_simplex: returns (at_upper, pivots).
+
     basis holds one column index per row and at_upper flags the nonbasic
     variables at their upper bound (None: none, from a feasible basis); both
     are updated in place.  A given start must be primal feasible or dual
     feasible, as a final basis is after a change to rhs, or to upper once
     each nonbasic variable sits at the bound its reduced cost prefers.
     While x_B leaves its bounds, dual pivots come first: the row of largest
-    violation leaves, and of the columns whose move reduces it, the one of smallest
-    |d_j / rho_j| enters (rho is that row of Binv A; ties go to the largest
-    |rho_j|), else InfeasibleLPError.  The basis inverse gets a rank-1 update
+    violation leaves (_leaving_row; a NaN row never does), and of the columns
+    whose move reduces it, the one of smallest |d_j / rho_j| enters (rho is
+    that row of Binv A; ties go to the largest |rho_j|), else
+    InfeasibleLPError.  The basis inverse gets a rank-1 update
     when the basis changes; a bound flip (a nonbasic variable moving between 0 and its
     finite upper bound) keeps it and the reduced costs.  A variable whose
     upper bound is 0 never enters.  Pricing is Dantzig's largest reduced cost
     until a run of degenerate pivots, then Bland's smallest index (and the
     violated row of smallest basis index) until the objective moves again,
     which rules out cycling.  The ratio test is one pass over the few rows
-    (1+2p for the L1 dual) on Python floats.  x and the dual prices are solved
-    from the final basis.  Returns (x, prices, pivots), pivots counting dual
-    pivots, basis changes and bound flips; UnboundedLPError when the
-    objective has no lower bound.
+    (1+2p for the L1 dual) on Python floats.  pivots counts dual pivots,
+    basis changes and bound flips; UnboundedLPError when the objective has
+    no lower bound.
     """
     warm = at_upper is not None
     at_upper = at_upper if warm else np.zeros(A.shape[1], dtype=bool)
@@ -443,7 +479,7 @@ def _bounded_simplex(A, cost, upper, rhs, basis, at_upper=None):
     sgn[basis] = 0.0
     Binv = np.linalg.inv(A[:, basis])
     xB = Binv @ (rhs - A[:, at_upper] @ upper[at_upper])
-    basic_upper = upper[basis].tolist()
+    basic_upper = upper[basis]
     d = cost - (cost[basis] @ Binv) @ A
     pivots = degenerate_run = 0
 
@@ -461,13 +497,11 @@ def _bounded_simplex(A, cost, upper, rhs, basis, at_upper=None):
         np.subtract(Binv, alpha[:, None] * prow, out=Binv)
         Binv[r] = prow
 
-    while warm:
+    while warm and xB.size:
         bland = degenerate_run >= _DEGENERATE_RUN
-        viol = [max(-x, x - u) for x, u in zip(xB.tolist(), basic_upper)]
-        out = [i for i, v in enumerate(viol) if v > _LP_TOL]
-        if not out:
+        r = _leaving_row(xB, basic_upper, basis, bland)
+        if r < 0:
             break
-        r = min(out, key=basis.item) if bland else max(out, key=viol.__getitem__)
         pivots += 1
         rise = xB.item(r) < 0  # the leaving variable goes to 0, else to its upper bound
         rho = Binv[r] @ A
@@ -480,7 +514,7 @@ def _bounded_simplex(A, cost, upper, rhs, basis, at_upper=None):
         tied = cand[ratio >= best]
         enter = int(tied[0] if bland else tied[toward[tied].argmax()])
         alpha = Binv @ A[:, enter]
-        move = (xB.item(r) - (0.0 if rise else basic_upper[r])) / alpha.item(r)
+        move = (xB.item(r) - (0.0 if rise else basic_upper.item(r))) / alpha.item(r)
         d -= (d.item(enter) / rho.item(enter)) * rho
         exchange(r, enter, alpha, move, not rise)
         degenerate_run = degenerate_run + 1 if best >= -_LP_TOL else 0
@@ -497,7 +531,7 @@ def _bounded_simplex(A, cost, upper, rhs, basis, at_upper=None):
         delta = sign * alpha
         # ratio test; a tie leaves by largest |alpha| (Dantzig) or smallest basis index
         step, r, key = math.inf, -1, math.inf
-        for i, (t, x, u) in enumerate(zip(delta.tolist(), xB.tolist(), basic_upper)):
+        for i, (t, x, u) in enumerate(zip(delta.tolist(), xB.tolist(), basic_upper.tolist())):
             if t > _LP_TOL:
                 ratio = max(x, 0.0) / t
             elif t < -_LP_TOL:
@@ -520,11 +554,7 @@ def _bounded_simplex(A, cost, upper, rhs, basis, at_upper=None):
         exchange(r, enter, alpha, sign * step, delta.item(r) < 0)  # leave rises to its upper bound
         degenerate_run = degenerate_run + 1 if step <= _LP_TOL else 0
         d = cost - (cost[basis] @ Binv) @ A
-    B = A[:, basis]
-    x = np.where(at_upper, upper, 0.0)
-    x[basis] = np.linalg.solve(B, rhs - A[:, at_upper] @ upper[at_upper])
-    prices = np.linalg.solve(B.T, cost[basis])
-    return x, prices, pivots
+    return at_upper, pivots
 
 
 def simplex_solve(lp: LinearProgram) -> LPSolution:
@@ -639,19 +669,22 @@ class _L1DualLP:
         self.cost = np.concatenate([-np.ones(m), np.zeros(2 * p)])
 
 
-def _l1_path(lp, rows, lambdas, start=None):
+def _l1_path(lp, rows, lambdas, starts=None):
     """l1_hinge_dual_solve on rows of lp (an _L1DualLP) per lambda, in order.
 
     rows, increasing indices of positive-weight rows of both classes, get
     upper bounds w_i/len(rows) and the other u's 0, so they never enter.
-    The first lambda starts from start, a (basis, at_upper, prices) this
-    returned for any rows of lp, or cold from {u of rows[0], every slack};
-    each later one from the previous final basis.  The reduced costs
-    d = -1 - pi'A_j of a basis depend on neither rows nor lambda, so a start
-    whose nonbasic u's sit at the bound d prefers (upper where d < 0 and
-    upper > 0, else 0; kept where d = 0) is dual feasible, and dual pivots
-    drive out the basic u's now outside their bounds.  A warm solve that
-    fails is solved again cold.  Returns the solutions and each one's basis.
+    lambdas[k] starts from starts[k], a (basis, at_upper, prices) this
+    returned for any rows of lp; where starts (or starts[k]) is None, from
+    the previous lambda's final basis, or cold from {u of rows[0], every
+    slack} for the first.  The reduced costs d = -1 - pi'A_j of a basis
+    depend on neither rows nor lambda, so a start whose nonbasic u's sit at
+    the bound d prefers (upper where d < 0 and upper > 0, else 0; kept where
+    d = 0) is dual feasible, and dual pivots drive out the basic u's now
+    outside their bounds.  A warm solve that fails is solved again cold.
+    u and the prices are solved once, from the final basis sorted, so the
+    fit depends on that basis alone, not on the order in which pivots placed
+    its columns.  Returns the solutions and each one's basis.
     """
     for lam in lambdas:
         _check_positive("lam", lam)
@@ -666,24 +699,16 @@ def _l1_path(lp, rows, lambdas, start=None):
     upper[rows] = w / rows.size
     upper[n:] = np.inf
     cold = np.concatenate([rows[:1], n + np.arange(2 * p)])
-    if start is None:
-        basis, at_upper = cold.copy(), np.zeros(n + 2 * p, dtype=bool)
-    else:
-        basis, at_upper, prices = start[0].copy(), start[1].copy(), start[2]
-        d = lp.cost[:n] - prices @ lp.A[:, :n]
-        at_upper[:n] = ((d < 0) | ((d == 0) & at_upper[:n])) & (upper[:n] > 0)
-        at_upper[basis] = False
+    basis, at_upper = cold.copy(), np.zeros(n + 2 * p, dtype=bool)
 
     def solve(lam):
         rhs = np.concatenate([[0.0], np.full(2 * p, float(lam))])
         try:
-            u, _, pivots = _bounded_simplex(lp.A, lp.cost, upper, rhs, basis, at_upper)
+            _, pivots = _simplex_pivots(lp.A, lp.cost, upper, rhs, basis, at_upper)
         except UnboundedLPError:
             raise ConvergenceError("L1 hinge dual simplex found an unbounded ray") from None
-        # prices from the sorted basis: the fit then depends on the final
-        # basis alone, not on the order in which pivots placed its columns
         basis.sort()
-        pi = np.linalg.solve(lp.A[:, basis].T, lp.cost[basis])
+        u, pi = _vertex(lp.A, lp.cost, upper, rhs, basis, at_upper)
         intercept = float(-pi[0])
         slopes = pi[1 + p :] - pi[1 : 1 + p]
         hinge = np.mean(w * np.maximum(0.0, 1.0 - y * (intercept + X @ slopes)))
@@ -697,11 +722,16 @@ def _l1_path(lp, rows, lambdas, start=None):
 
     # the cold start is feasible, so from it the dual loop makes no pivot
     path, bases = [], []
-    for lam in lambdas:
+    for k, (lam, start) in enumerate(zip(lambdas, starts or (None,) * len(lambdas))):
+        if start is not None:
+            basis[:], at_upper[:] = start[0], start[1]
+            d = lp.cost[:n] - start[2] @ lp.A[:, :n]
+            at_upper[:n] = ((d < 0) | ((d == 0) & at_upper[:n])) & (upper[:n] > 0)
+            at_upper[basis] = False
         try:
             sol, pi = solve(lam)
         except (ConvergenceError, InfeasibleLPError):
-            if start is None and not path:
+            if k == 0 and start is None:
                 raise
             basis[:], at_upper[:] = cold, False
             sol, pi = solve(lam)

@@ -14,8 +14,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .aol import KernelExpansionRule, SparseLinearRule, build_subproblem
-from .data import ScalingParams, TrialDataset, _check_integer, _read_text, apply_scaling, fit_scaling
+from .aol import KernelExpansionRule, SparseLinearRule, _sign_tie_negative, build_subproblem
+from .data import (
+    ScalingParams, TrialDataset, _check_integer, _feature_rows, _read_text, apply_scaling,
+    fit_scaling,
+)
 from .evaluate import cv_tune
 from .exceptions import DataError, DegenerateStepError
 from .kernels import (
@@ -102,6 +105,9 @@ class ConstantRule:
     decision: int
     reason: str
     selected_features: tuple = ()
+    # None takes rows of any feature count; a fitted or loaded rule has its
+    # model's (the model file does not store it)
+    n_features: int = None
 
     def __post_init__(self):
         if self.decision not in (-1, 1):
@@ -111,12 +117,14 @@ class ConstantRule:
             raise DataError(f"a constant rule's reason is one line of text, not {self.reason!r}")
 
     def decision_value(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """The decision for each row; DataError unless X holds finite rows of n_features."""
+        return self._decision_value(_feature_rows(X, self.n_features))
+
+    def _decision_value(self, X):
         return np.full(X.shape[0], float(self.decision))
 
     def predict(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.full(X.shape[0], self.decision, dtype=int)
+        return _sign_tie_negative(self.decision_value(X))
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,12 @@ class SRModel:
             raise DataError("need exactly K-1 sequential rules")
         if len(self.reestimation_rules) != self.k_arms - 2:
             raise DataError("need exactly K-2 re-estimation rules")
+        # predict_ordinal hands the rules its checked rows of scaling.p features
+        for rule in self.sequential_rules + self.reestimation_rules:
+            if rule.n_features not in (None, self.scaling.p):
+                raise DataError(
+                    f"a rule over {rule.n_features} features in a model of {self.scaling.p}"
+                )
 
 
 def eligibility_sequential(data: TrialDataset, k, prior_equals) -> np.ndarray:
@@ -170,7 +184,8 @@ def _majority_rule(data, eligible, negative_arms, positive_arms, reason) -> Cons
     w = 1.0 / data.effective_propensity()[pool]
     mass_pos = w[np.isin(arms, positive_arms)].sum()
     mass_neg = w[np.isin(arms, negative_arms)].sum()
-    return ConstantRule(decision=1 if mass_pos > mass_neg else -1, reason=reason)
+    decision = 1 if mass_pos > mass_neg else -1
+    return ConstantRule(decision=decision, reason=reason, n_features=data.p)
 
 
 def _resolve_sigma_grid(config, features, seed, sq=None):
@@ -281,6 +296,11 @@ def fit_sr(data: TrialDataset, config: SRConfig) -> SRModel:
     )
 
 
+def _decide(rule, X):
+    """rule.predict(X) for rows predict_ordinal has checked, not checked again."""
+    return _sign_tie_negative(rule._decision_value(X))
+
+
 def predict_ordinal(model: SRModel, features) -> np.ndarray:
     """Ensemble the binary rules into arm assignments in 1..K.
 
@@ -290,21 +310,23 @@ def predict_ordinal(model: SRModel, features) -> np.ndarray:
     use_r_steps=False (ablation) a settled sequential step assigns its own arm
     directly and no R-rule runs.
     """
-    Xs = apply_scaling(model.scaling, features)  # DataError on a wrong shape or a non-finite entry
+    # DataError on a wrong shape or a non-finite entry; the rules then take the
+    # checked rows without checking them again
+    Xs = apply_scaling(model.scaling, features)
     single = np.ndim(features) == 1
     n = Xs.shape[0]
     K = model.k_arms
     pred = np.zeros(n, dtype=int)
     rows = np.arange(n)  # rows no S-rule has settled yet
     for k in range(1, K - 1):
-        settles = model.sequential_rules[k - 1].predict(Xs[rows]) == -1
+        settles = _decide(model.sequential_rules[k - 1], Xs[rows]) == -1
         settled, rows = rows[settles], rows[~settles]
         if model.config.use_r_steps:
-            r_dec = model.reestimation_rules[k - 1].predict(Xs[settled])
+            r_dec = _decide(model.reestimation_rules[k - 1], Xs[settled])
             pred[settled] = np.where(r_dec == -1, k, k + 1)
         else:
             pred[settled] = k
-    last = model.sequential_rules[K - 2].predict(Xs[rows])
+    last = _decide(model.sequential_rules[K - 2], Xs[rows])
     pred[rows] = np.where(last == -1, K - 1, K)
     return int(pred[0]) if single else pred
 
@@ -462,6 +484,8 @@ def load_model(path) -> SRModel:
                 grid = np.array([_floats(row) for row in rows])
                 grid = grid.reshape(len(rows), values["n_features"] + 1)
                 values.update(coefs=grid[:, 0], points=grid[:, 1:])
+            if cls is ConstantRule:
+                values["n_features"] = len(bounds)
             rules.append(cls(**values))
         if i != len(lines):
             raise DataError(f"line {i + 1}: text after the last rule")

@@ -9,7 +9,8 @@ unit tests: a direct kernel evaluation, the L1 zero-slope penalty level, a
 Monte Carlo check of the simulation settings, the one-candidate-at-a-time
 stepwise screen and the stacked-design batched screen the gather-free one is
 checked against, the vectorised bounded simplex the Python-float pivot loop
-is checked against, the two-penalty-vector SMO loop the stacked-state one
+is checked against, the Python-float scan for a dual pivot's leaving row
+the numpy one is checked against, the two-penalty-vector SMO loop the stacked-state one
 is checked against, and the allocating Gram path (a new Gram matrix per
 sigma and per prediction block) the shared-distance, buffered one is checked
 against.
@@ -456,6 +457,18 @@ def bounded_simplex_vector(A, cost, upper, rhs, basis):
     x[basis] = np.linalg.solve(B, rhs - A[:, at_upper] @ upper[at_upper])
     prices = np.linalg.solve(B.T, cost[basis])
     return x, prices, pivots
+
+
+def leaving_row_list(xB, basic_upper, basis, bland):
+    """The reference for solvers._leaving_row, which must pick the same row:
+    the violations max(-x, x - u) as Python floats, the rows above
+    solvers._LP_TOL in a list, and the first of largest violation among them
+    (or, by Bland's rule, the one of smallest basis index); -1 when none."""
+    viol = [max(-x, x - u) for x, u in zip(xB.tolist(), basic_upper.tolist())]
+    out = [i for i, v in enumerate(viol) if v > solvers._LP_TOL]
+    if not out:
+        return -1
+    return min(out, key=basis.item) if bland else max(out, key=viol.__getitem__)
 
 
 def smo_serial(gram, labels, caps, tol=1e-5, max_updates=1_000_000, init=None):

@@ -91,6 +91,31 @@ class TestMetrics:
         with pytest.raises(DataError, match="length"):
             itr_effect(np.full(4, 2), data)
 
+    @pytest.mark.parametrize(
+        "bad", [[np.nan] * 4, [1.5, 2.0, 3.0, 1.0], ["1"] * 3 + ["x"], [np.inf, 1, 1, 1]],
+        ids=["nan", "fraction", "text", "inf"],
+    )
+    def test_misclassification_and_disagreement_take_only_whole_number_arms(self, bad):
+        truth = np.array([1, 3, 1, 1])
+        for metric in (misclassification, disagreement):
+            with pytest.raises(DataError, match="arm"):
+                metric(bad, truth)
+            with pytest.raises(DataError, match="arm"):
+                metric(truth, bad)
+        # numeric text and floats of whole numbers are arms, as TrialDataset reads them
+        assert misclassification(["1", "3", "3", "1"], truth) == 0.25
+        assert disagreement(np.array([1.0, 3.0, 3.0, 1.0]), truth) == 0.5
+
+    @pytest.mark.parametrize(
+        "pred", [[0, 2, 2, 2], [2, 2, 4, 2], [20] * 4, [-1] * 4, [np.nan] * 4, [2.5] * 4],
+        ids=["zero", "above-k", "ten-times", "negative", "nan", "fraction"],
+    )
+    def test_value_and_itr_effect_take_only_arms_in_1_to_k(self, pred):
+        data = _observational(np.array([True, True, False, False]), [4.0, 6.0, 1.0, 3.0])
+        for metric in (value_estimate, itr_effect):
+            with pytest.raises(DataError, match="arm"):
+                metric(pred, data)
+
     def test_assignment_proportions(self):
         assert assignment_proportions([1, 3, 3, 2], 3) == (0.25, 0.25, 0.5)
         assert assignment_proportions(np.array([2.0, 2.0]), 4) == (0.0, 1.0, 0.0, 0.0)
@@ -256,29 +281,30 @@ class TestCvTune:
 
     def test_each_l1_step_builds_one_lp_and_starts_cold_once(self, monkeypatch):
         """One dual LP per step; each fold solves the whole grid on it, fold 0
-        cold and every later fold from the previous fold's first-lambda basis;
-        the refit starts from the last fold's basis at the chosen lambda."""
+        from one cold start, every later fold starting each lambda from the
+        previous fold's basis at that lambda; the refit starts from the last
+        fold's basis at the chosen lambda."""
         builds, calls, solves = [], [], []
 
         def build(*args):
             builds.append(lp_class(*args))
             return builds[-1]
 
-        def path(lp, rows, lambdas, start=None):
-            calls.append((lp, rows, tuple(lambdas), start))
-            result = l1_path(lp, rows, lambdas, start)
+        def path(lp, rows, lambdas, starts=None):
+            calls.append((lp, rows, tuple(lambdas), starts))
+            result = l1_path(lp, rows, lambdas, starts)
             calls[-1] += result
             return result
 
         def engine(*args):
             solves.append(args[4].copy())  # the start basis
-            return bounded_simplex(*args)
+            return pivot_loop(*args)
 
         lp_class, l1_path = evaluate._L1DualLP, aol._l1_path
-        bounded_simplex = solvers._bounded_simplex
+        pivot_loop = solvers._simplex_pivots
         monkeypatch.setattr(evaluate, "_L1DualLP", build)
         monkeypatch.setattr(aol, "_l1_path", path)
-        monkeypatch.setattr(solvers, "_bounded_simplex", engine)
+        monkeypatch.setattr(solvers, "_simplex_pivots", engine)
         sub = self._n8_sub()
         lambdas = (0.25, 0.01, 0.05)
         _, cv = cv_tune(sub, lambdas, folds=4, seed=3, penalty="l1linear")
@@ -286,18 +312,24 @@ class TestCvTune:
         assert [call[2] for call in calls] == [lambdas] * 4 + [(cv.best_lambda,)]
         assert calls[0][3] is None
         for previous, call in zip(calls, calls[1:4]):
-            assert call[3] is previous[5][0]
+            assert len(call[3]) == len(lambdas)
+            assert all(start is base for start, base in zip(call[3], previous[5]))
         k = max(i for i, lam in enumerate(lambdas) if lam == cv.best_lambda)
-        assert calls[4][3] is calls[3][5][k]
+        assert len(calls[4][3]) == 1 and calls[4][3][0] is calls[3][5][k]
         np.testing.assert_array_equal(calls[4][1], np.flatnonzero(sub.weights > 0))
         # one solve per lambda and fold and one for the refit: no cold re-solve,
-        # and only the first starts at the cold basis of its rows
+        # and only the first starts at the cold basis of its rows; every later
+        # fold's solve starts at the previous fold's final basis at its lambda
         assert len(solves) == 4 * len(lambdas) + 1
         slacks = builds[0].y.size + np.arange(2 * sub.p)
         cold = [np.append(call[1][0], slacks).tolist() for call in calls]
         starts = [basis.tolist() for basis in solves]
         assert starts[0] == cold[0]
         assert all(basis not in cold for basis in starts[1:])
+        finals = [[base[0].tolist() for base in call[5]] for call in calls]
+        for f in range(1, 4):
+            assert starts[3 * f : 3 * f + 3] == finals[f - 1]
+        assert starts[12] == finals[3][k]
 
     def test_l1_rejects_a_sigma_grid(self):
         """The L1 rule is linear: a sigma grid other than (None,) is a DataError,

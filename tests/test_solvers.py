@@ -12,6 +12,7 @@ from _oracles import (
     _irls,
     bounded_simplex_vector,
     l1_aol_lp_encoding,
+    leaving_row_list,
     lp_vertex_oracle,
     smo_serial,
 )
@@ -740,7 +741,7 @@ class TestL1HingeDual:
         def never(*args):
             raise AssertionError("the simplex ran")
 
-        monkeypatch.setattr(solvers, "_bounded_simplex", never)
+        monkeypatch.setattr(solvers, "_simplex_pivots", never)
         X = np.zeros((3, 1))
         with pytest.raises(DataError, match="lam"):
             l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.ones(3), lam)
@@ -769,11 +770,14 @@ class TestBoundedSimplexMatchesVectorLoop:
     bit, under Dantzig pricing and under Bland's rule from the first pivot."""
 
     ENGINE = staticmethod(solvers._bounded_simplex)
+    PIVOTS = staticmethod(solvers._simplex_pivots)
 
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """Every LP solved, from its cold start: an L1 path's solve (one given
-        at_upper) is recorded from the L1 start basis {u_0, slacks}."""
+        """Every LP solved, from its cold start: the spy sits on the pivot loop,
+        which simplex_solve reaches through _bounded_simplex and an L1 path
+        directly; an L1 path's solve (one given at_upper) is recorded from the
+        L1 start basis {u_0, slacks}."""
         lps = []
 
         def spy(A, cost, upper, rhs, basis, at_upper=None):
@@ -782,12 +786,13 @@ class TestBoundedSimplexMatchesVectorLoop:
                 p = (A.shape[0] - 1) // 2
                 start = np.concatenate([[0], A.shape[1] - 2 * p + np.arange(2 * p)])
             lps.append(tuple(v.copy() for v in (A, cost, upper, rhs, start)))
-            return self.ENGINE(A, cost, upper, rhs, basis, at_upper)
+            return self.PIVOTS(A, cost, upper, rhs, basis, at_upper)
 
-        monkeypatch.setattr(solvers, "_bounded_simplex", spy)
+        monkeypatch.setattr(solvers, "_simplex_pivots", spy)
         return lps
 
     def assert_same(self, lps, monkeypatch):
+        monkeypatch.undo()  # the replay is not recorded
         for run in (solvers._DEGENERATE_RUN, 0):
             with monkeypatch.context() as patch:
                 patch.setattr(solvers, "_DEGENERATE_RUN", run)
@@ -917,9 +922,10 @@ def _cold(lp, rows, lam):
 
 
 class TestL1Path:
-    """solvers._l1_path: the first lambda from a given start or cold, each
-    later one warm from the previous basis, and every fit bit for bit a cold
-    solve's (the prices are solved from the sorted final basis)."""
+    """solvers._l1_path: each lambda from its given start, or else the first
+    cold and each later one warm from the previous basis, and every fit bit
+    for bit a cold solve's (u and the prices are solved from the sorted
+    final basis)."""
 
     GRIDS = {
         "ascending": (0.002, 0.01, 0.05, 0.25),
@@ -953,42 +959,66 @@ class TestL1Path:
     @pytest.mark.parametrize("n", [40, 200])
     @pytest.mark.parametrize("setting", ["P1", "N8"])
     def test_folds_and_refit_started_from_other_row_sets_match_cold_solves(self, setting, n):
-        """As in cv_tune: each fold's first lambda starts from the previous
-        fold's first-lambda basis, the refit on all rows from the last fold's
-        basis at its lambda; all match cold solves on their rows in fewer pivots."""
+        """As in cv_tune: fold 0 walks the grid from a cold start, each later
+        fold starts every lambda from the previous fold's basis at that
+        lambda, and the refit on all rows from the last fold's basis at its
+        lambda; all match cold solves on their rows in fewer pivots."""
         lp, folds, everyone = _fold_rows(setting, n, seed=n + 7)
-        grid = self.GRIDS["ascending"]
-        start = None
+        grid = self.GRIDS["unsorted"]
+        bases = None
         for f, rows in enumerate(folds):
-            path, bases = solvers._l1_path(lp, rows, grid, start)
+            path, after = solvers._l1_path(lp, rows, grid, bases)
             colds = [_cold(lp, rows, lam) for lam in grid]
             assert all(_same(sol, cold) for sol, cold in zip(path, colds))
             warm = sum(sol.pivots for sol in path[f == 0 :])
             assert warm < sum(cold.pivots for cold in colds[f == 0 :])
-            start = bases[0]
+            bases = after
         for lam, base in zip(grid, bases):
-            (refit,), _ = solvers._l1_path(lp, everyone, (lam,), base)
+            (refit,), _ = solvers._l1_path(lp, everyone, (lam,), (base,))
             cold = _cold(lp, everyone, lam)
             assert _same(refit, cold) and refit.pivots < cold.pivots
+
+    def test_each_lambda_starts_from_its_own_start(self, monkeypatch):
+        """Given one start per lambda, lambda k starts from starts[k]: the
+        engine sees starts[k]'s basis, and a repeated start gives the same
+        solve; a None entry continues from the previous final basis."""
+        lp, folds, _ = _fold_rows("P1", 200, seed=101)
+        grid = self.GRIDS["ascending"]
+        _, bases = solvers._l1_path(lp, folds[0], grid)
+        engine, seen = solvers._simplex_pivots, []
+
+        def recorded(A, cost, upper, rhs, basis, at_upper):
+            seen.append(basis.copy())
+            return engine(A, cost, upper, rhs, basis, at_upper)
+
+        monkeypatch.setattr(solvers, "_simplex_pivots", recorded)
+        starts = [bases[3], bases[1], None, bases[3]]
+        path, after = solvers._l1_path(lp, folds[1], grid, starts)
+        assert [b.tolist() for b in seen[:2]] == [bases[3][0].tolist(), bases[1][0].tolist()]
+        assert seen[2].tolist() == after[1][0].tolist()  # the previous lambda's final basis
+        assert seen[3].tolist() == bases[3][0].tolist()
+        monkeypatch.undo()
+        for lam, sol in zip(grid, path):
+            assert _same(sol, _cold(lp, folds[1], lam))
 
     def test_dual_pivots_drive_out_the_rows_a_new_row_set_leaves_out(self, monkeypatch):
         # fold 0's final basis holds u's of fold 1's held-out rows, strictly
         # inside their bounds; their upper bound is 0 in fold 1, so they start
         # above it and leave, and every u basic at the end is one of fold 1's
         lp, folds, _ = _fold_rows("P1", 200, seed=101)
-        engine, solved = solvers._bounded_simplex, []
+        vertex, solved = solvers._vertex, []
 
         def recorded(*args):
-            solved.append(engine(*args))
+            solved.append(vertex(*args))
             return solved[-1]
 
-        monkeypatch.setattr(solvers, "_bounded_simplex", recorded)
+        monkeypatch.setattr(solvers, "_vertex", recorded)
         _, bases = solvers._l1_path(lp, folds[0], (0.05,))
         monkeypatch.undo()
         n = lp.y.size
         out = [j for j in bases[0][0].tolist() if j < n and j not in set(folds[1].tolist())]
         assert out and np.all(solved[0][0][out] > 1e-9)
-        (sol,), after = solvers._l1_path(lp, folds[1], (0.05,), bases[0])
+        (sol,), after = solvers._l1_path(lp, folds[1], (0.05,), bases)
         final = after[0][0].tolist()
         assert not set(out) & set(final)
         assert set(j for j in final if j < n) <= set(folds[1].tolist())
@@ -997,28 +1027,30 @@ class TestL1Path:
     @pytest.mark.parametrize("fault", ["no-entering-column", "duality-gap"])
     def test_a_failed_warm_solve_is_solved_again_cold(self, monkeypatch, fault):
         """Every warm start fails: each later lambda of fold 0, each lambda of
-        fold 1 (from fold 0's first basis) and the refit (from fold 1's basis)
-        is solved again cold, and all of them match cold solves."""
+        fold 1 (from fold 0's basis at that lambda) and the refit (from fold
+        1's basis) is solved again cold, and all of them match cold solves."""
         lp, folds, everyone = _fold_rows("N8", 200, seed=3)
         grid = self.GRIDS["unsorted"]
-        engine, starts = solvers._bounded_simplex, []
+        pivots, vertex, starts = solvers._simplex_pivots, solvers._vertex, []
 
         def faulty(A, cost, upper, rhs, basis, at_upper):
             slacks = list(range(A.shape[1] - (A.shape[0] - 1), A.shape[1]))
             first_row = int((upper > 0).argmax())  # the cold start's basic u
             cold = basis.tolist() == [first_row, *slacks] and not at_upper.any()
             starts.append("cold" if cold else "warm")
-            if cold:
-                return engine(A, cost, upper, rhs, basis, at_upper)
-            if fault == "no-entering-column":
+            if not cold and fault == "no-entering-column":
                 raise InfeasibleLPError("no column can bring a basic variable back")
-            x, prices, pivots = engine(A, cost, upper, rhs, basis, at_upper)
-            return x * 0.5, prices, pivots
+            return pivots(A, cost, upper, rhs, basis, at_upper)
 
-        monkeypatch.setattr(solvers, "_bounded_simplex", faulty)
+        def halved(*args):  # a warm solve's u is off by half: a duality gap
+            x, prices = vertex(*args)
+            return (x * 0.5 if starts[-1] == "warm" else x), prices
+
+        monkeypatch.setattr(solvers, "_simplex_pivots", faulty)
+        monkeypatch.setattr(solvers, "_vertex", halved)
         fold0, bases = solvers._l1_path(lp, folds[0], grid)
-        fold1, bases = solvers._l1_path(lp, folds[1], grid, bases[0])
-        (refit,), _ = solvers._l1_path(lp, everyone, grid[:1], bases[0])
+        fold1, bases = solvers._l1_path(lp, folds[1], grid, bases)
+        (refit,), _ = solvers._l1_path(lp, everyone, grid[:1], bases[:1])
         tries = ["cold"] + ["warm", "cold"] * (len(grid) - 1)
         assert starts == tries + ["warm", "cold"] * len(grid) + ["warm", "cold"]
         monkeypatch.undo()
@@ -1102,3 +1134,51 @@ class TestDualPhase:
         # b = -1 with every variable at 0: s = -1 and nothing can raise it
         with pytest.raises(InfeasibleLPError):
             self.solve(-1.0, [3], [False, False, False, False])
+
+    # two rows, x0 + s0 = 0.5 and x0 + x1 + s1 = 1, costs (-1, -2, 0, 0), x0
+    # and x1 in [0, 1] and both at 1: s0 = -0.5 and s1 = -1 leave their bounds
+    TWO_ROWS = (np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]]),
+                np.array([-1.0, -2.0, 0.0, 0.0]), np.array([1.0, 1.0, np.inf, np.inf]))
+
+    @pytest.mark.parametrize("run, pivots, basis", [(50, 1, [2, 0]), (0, 2, [0, 2])])
+    def test_the_leaving_row_is_the_largest_violation_or_the_smallest_index(
+        self, monkeypatch, run, pivots, basis
+    ):
+        # Dantzig: s1 (violation 1) leaves, x0 (|d/rho| 1 against x1's 2)
+        # enters at 0 and lifts s0 to 0.5 on the way.  Bland: s0 (basis index
+        # 2 < 3) leaves first, x0 enters at 0.5, s1 = -0.5 then leaves for s0
+        monkeypatch.setattr(solvers, "_DEGENERATE_RUN", run)
+        A, cost, upper = self.TWO_ROWS
+        start, at_upper = np.array([2, 3]), np.array([True, True, False, False])
+        x, _, got = solvers._bounded_simplex(A, cost, upper, np.array([0.5, 1.0]), start, at_upper)
+        assert got == pivots and start.tolist() == basis
+        assert x.tolist() == [0.0, 1.0, 0.5, 0.0]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_the_row_scan_matches_the_python_float_scan(self, seed):
+        # basic values inside, below and above their bounds, on a coarse grid
+        # so that violations tie, within _LP_TOL of a bound, NaN and -inf; an
+        # infinite upper bound in half the rows (+inf only at a finite one,
+        # since inf - inf warns)
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 12))
+        upper = np.where(rng.random(rows) < 0.5, np.inf, rng.integers(0, 3, rows) / 2.0)
+        xB = rng.integers(-4, 8, rows) / 4.0
+        kind = rng.integers(0, 8, rows)
+        xB[kind == 0] = np.nan
+        xB[kind == 1] = -np.inf
+        xB[(kind == 2) & np.isfinite(upper)] = np.inf
+        xB[kind == 3] = -0.5e-9
+        basis = rng.permutation(3 * rows)[:rows]
+        for bland in (False, True):
+            got = solvers._leaving_row(xB, upper, basis, bland)
+            assert got == leaving_row_list(xB, upper, basis, bland)
+
+    def test_a_nan_basic_value_never_leaves(self):
+        # rows 0 and 2 violate by 2; NaN rows 1 and 3 are passed over, and the
+        # first (Dantzig) or the smaller basis index (Bland: row 2) leaves
+        xB = np.array([-2.0, np.nan, 3.0, np.nan])
+        upper, basis = np.array([np.inf, 1.0, 1.0, np.inf]), np.array([7, 0, 4, 1])
+        assert solvers._leaving_row(xB, upper, basis, False) == 0
+        assert solvers._leaving_row(xB, upper, basis, True) == 2
+        assert solvers._leaving_row(np.full(3, np.nan), np.ones(3), basis[:3], True) == -1

@@ -122,13 +122,16 @@ class TestEnsemblingStubs:
 
 class _SpyRule:
     """Decides row i of the routing inputs by decisions[i] (feature 0 holds i)
-    and records the row indices of every call."""
+    and records the row indices of every call.  predict_ordinal reads a rule's
+    _decision_value, which takes the rows it has checked."""
+
+    n_features = None
 
     def __init__(self, decisions):
         self.decisions = np.asarray(decisions)
         self.received = []
 
-    def predict(self, X):
+    def _decision_value(self, X):
         rows = np.asarray(X)[:, 0].astype(int)
         self.received.append(rows)
         return self.decisions[rows]
@@ -290,6 +293,70 @@ class TestPredictInputs:
     def test_text_rows_raise(self, model):
         with pytest.raises(DataError, match="must be numbers"):
             predict_ordinal(model, [["x"] * model.scaling.p])
+
+
+class TestRuleInputs:
+    """A rule's decision_value and predict check their rows as predict_ordinal
+    does: finite numbers, one row per vector or 2-D, the rule's feature count."""
+
+    RULES = {
+        "sparse_linear": SparseLinearRule(intercept=0.25, slopes=np.array([1.5, -0.5])),
+        "kernel_expansion": KernelExpansionRule(
+            points=np.array([[0.1, -0.2], [0.3, 0.4]]), coefs=np.array([0.5, -0.5]),
+            intercept=-0.125, kernel=KernelSpec("gaussian", 0.7), n_features=2,
+        ),
+        "constant": ConstantRule(decision=1, reason="stub", n_features=2),
+    }
+    BAD = {
+        "nan": ([[np.nan, 0.5]], "non-finite"),
+        "inf": ([[np.inf, 0.5]], "non-finite"),
+        "text": ([["a", "b"]], "must be numbers"),
+        "three-d": (np.zeros((2, 2, 2)), "features"),
+        "three-features": (np.zeros((2, 3)), "2 features"),
+        "vector-of-three": (np.zeros(3), "2 features"),
+    }
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("kind", RULES)
+    def test_bad_rows_raise(self, kind, bad):
+        rows, match = self.BAD[bad]
+        for method in (self.RULES[kind].decision_value, self.RULES[kind].predict):
+            with pytest.raises(DataError, match=match):
+                method(rows)
+
+    @pytest.mark.parametrize("kind", RULES)
+    def test_good_rows_pass(self, kind):
+        rule = self.RULES[kind]
+        assert rule.decision_value([0.5, -0.5]).shape == (1,)
+        assert rule.predict(np.zeros((0, 2))).shape == (0,)
+        assert set(rule.predict(np.eye(2)).tolist()) <= {-1, 1}
+
+    def test_a_fitted_or_loaded_constant_rule_has_its_models_feature_count(self, tmp_path):
+        data = TrialDataset(features=np.zeros((3, 2)), treatment=np.array([1, 1, 2]),
+                            outcome=np.zeros(3), k_arms=3)
+        assert _majority_rule(data, np.arange(3), (1,), (2,), "why").n_features == 2
+        path = tmp_path / "stub.txt"
+        save_model(_stub_model(3, (-1, 1), (1,)), path)
+        back = load_model(path)
+        rules = back.sequential_rules + back.reestimation_rules
+        assert [rule.n_features for rule in rules] == [2, 2, 2]
+        with pytest.raises(DataError, match="2 features"):
+            rules[0].predict(np.zeros((1, 3)))
+        # a rule built without it takes rows of any feature count
+        assert ConstantRule(decision=1, reason="any").predict(np.zeros((2, 5))).tolist() == [1, 1]
+
+    def test_a_rule_over_another_feature_count_is_rejected_by_its_model(self, tmp_path):
+        # predict_ordinal hands each rule its checked rows of the scaling's p
+        # features, so a model whose rule takes another count is malformed
+        narrow = SparseLinearRule(intercept=0.25, slopes=np.array([0.0]))
+        with pytest.raises(DataError, match="1 features in a model of 2"):
+            SRModel(k_arms=3, sequential_rules=(self.RULES["sparse_linear"], narrow),
+                    reestimation_rules=(self.RULES["constant"],), scaling=_unit_scaling(2),
+                    config=SRConfig())
+        path = tmp_path / "model.txt"
+        path.write_text(PARENT_FORMAT_MODEL.replace("slopes 1.5 0.0", "slopes  0.0"))
+        with pytest.raises(DataError, match="malformed"):
+            load_model(path)
 
 
 class TestSigmaGrid:
