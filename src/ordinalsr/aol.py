@@ -16,7 +16,9 @@ import numpy as np
 from .data import _feature_rows
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, _gram_block, _gram_into, gram_matrix
-from .solvers import _L1DualLP, _check_positive, _finite_gram, _l1_path, _smo, logistic_fit
+from .solvers import (
+    _L1DualLP, _check_positive, _finite_gram, _l1_path, _smo, logistic_fit, ols_fit,
+)
 
 __all__ = [
     "BinarySubproblem",
@@ -28,6 +30,7 @@ __all__ = [
 ]
 
 PROPENSITY_FLOOR = 0.01
+MIN_STEP_SIZE = 10  # fewer eligible subjects make a step degenerate
 COEF_SNAP = 1e-8
 SUPPORT_EPS = 1e-12
 _BLOCK_BYTES = 4 * 2**20  # cap on one block of Gram rows in KernelExpansionRule.decision_value
@@ -157,35 +160,31 @@ def _sign_tie_negative(f):
 
 
 def build_subproblem(
-    data,
-    negative_arms,
-    positive_arms,
-    eligible,
-    residual_model,
-    propensity_mode="known",
-    step_id="",
-    min_size=10,
-    features=None,
+    data, features, negative_arms, positive_arms, eligible, propensity_mode="known", step_id=""
 ) -> BinarySubproblem:
     """Assemble labels/weights for the binary step comparing two arm groups.
 
-    residual_model must expose .predict(X) giving m-hat; residuals
-    e = Y - m-hat(X) set both the weight magnitude and a possible label flip
-    (sign(0) counts as +1).  ``features`` overrides data.features when the
-    pipeline works in scaled coordinates.
+    features holds one row per subject of data, in the coordinates the rule
+    is fitted in (the pipeline's scaled features).  The residuals
+    e = Y - m-hat(X) of the OLS main-effect model m-hat, fitted on the
+    eligible rows, set both the weight magnitude and a possible label flip
+    (sign(0) counts as +1).  Fewer than MIN_STEP_SIZE eligible subjects, or
+    one arm side only, is a DegenerateStepError.
     """
     negative_arms = tuple(sorted(negative_arms))
     positive_arms = tuple(sorted(positive_arms))
     if set(negative_arms) & set(positive_arms):
         raise DataError("arm groups must be disjoint")
     eligible = np.asarray(eligible, dtype=int)
-    X_all = data.features if features is None else np.asarray(features, dtype=float)
+    X_all = np.asarray(features, dtype=float)
+    if X_all.ndim != 2 or X_all.shape[0] != data.n:
+        raise DataError(f"features need one row per subject, not shape {X_all.shape}")
     arms = data.treatment[eligible]
     in_neg = np.isin(arms, negative_arms)
     in_pos = np.isin(arms, positive_arms)
     if not np.all(in_neg | in_pos):
         raise DataError("eligible subject with arm outside both groups")
-    if eligible.shape[0] < min_size:
+    if eligible.shape[0] < MIN_STEP_SIZE:
         raise DegenerateStepError(
             f"{step_id or 'step'}: only {eligible.shape[0]} eligible subjects"
         )
@@ -194,7 +193,7 @@ def build_subproblem(
         raise DegenerateStepError(f"{step_id or 'step'}: single-class arm labels")
     X = X_all[eligible]
     y = data.outcome[eligible]
-    e = y - np.asarray(residual_model.predict(X), dtype=float)
+    e = y - ols_fit(X, y).predict(X)
     sign_e = np.where(e >= 0, 1, -1)
     labels = b * sign_e
     if propensity_mode == "known":
@@ -243,13 +242,13 @@ def fit_l2_from_gram(labels, weights, gram, lam, tol=1e-5, init=None):
     return sol.alphas * labels, sol.intercept
 
 
-def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam, tol=1e-5):
-    """Weighted hinge loss + lambda * ||f||^2, via the SMO dual solver; the rule
-    carries sub's selected_features and selection_fallback."""
-    return _fit_l2(sub, kernel, lam, None, tol)
+def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam):
+    """Weighted hinge loss + lambda * ||f||^2, via the SMO dual solver (tol
+    1e-5); the rule carries sub's selected_features and selection_fallback."""
+    return _fit_l2(sub, kernel, lam, None)
 
 
-def _fit_l2(sub, kernel, lam, gram_full, tol=1e-5):
+def _fit_l2(sub, kernel, lam, gram_full):
     """fit_aol_l2, reading the active rows of gram_full (the kernel's Gram
     matrix over all of sub's rows, already checked finite) when it is given."""
     _check_positive("lam", lam)
@@ -259,7 +258,7 @@ def _fit_l2(sub, kernel, lam, gram_full, tol=1e-5):
     if gram.shape[0] != X.shape[0]:  # gram_full has inactive rows; copy only then
         rows = np.flatnonzero(keep)
         gram = _gram_block(gram, rows, rows)
-    coefs, b0 = fit_l2_from_gram(sub.labels[keep], sub.weights[keep], gram, lam, tol=tol)
+    coefs, b0 = fit_l2_from_gram(sub.labels[keep], sub.weights[keep], gram, lam)
     selection = dict(selected_features=sub.selected_features,
                      selection_fallback=sub.selection_fallback)
     if kernel.kind == "linear":
@@ -287,16 +286,14 @@ def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
     return _l1_rule(_L1DualLP(sub.features, sub.labels, sub.weights), rows, lam)
 
 
-def _l1_rule(lp, rows, lam, start=None):
-    """fit_aol_l1_linear's rule on rows of lp (sub's _L1DualLP), solved from start."""
-    ((slopes, b0),), _ = _l1_coefs(lp, rows, (lam,), (start,))
+def _l1_rule(lp, rows, lam):
+    """fit_aol_l1_linear's rule on rows of lp (sub's _L1DualLP)."""
+    ((slopes, b0),) = _l1_coefs(lp, rows, (lam,))
     selected = tuple(int(j) for j in np.flatnonzero(slopes))
     return SparseLinearRule(intercept=b0, slopes=slopes, selected_features=selected)
 
 
-def _l1_coefs(lp, rows, lambdas, starts=None):
-    """(slopes, intercept) of _l1_path per lambda, slopes within COEF_SNAP of 0
-    set to 0, and the path's final bases."""
-    path, bases = _l1_path(lp, rows, lambdas, starts)
-    fits = [(np.where(np.abs(s.slopes) <= COEF_SNAP, 0.0, s.slopes), s.intercept) for s in path]
-    return fits, bases
+def _l1_coefs(lp, rows, lambdas):
+    """(slopes, intercept) of _l1_path per lambda, slopes within COEF_SNAP of 0 set to 0."""
+    path = _l1_path(lp, rows, lambdas)
+    return [(np.where(np.abs(s.slopes) <= COEF_SNAP, 0.0, s.slopes), s.intercept) for s in path]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -236,10 +237,17 @@ def _read_text(path, newline=None):
 
 
 def compute_utility(benefit, risk, b):
-    """Risk-discounted utility U = G - b * R (b >= 0 trades one risk unit for b benefit units)."""
-    if b < 0:
-        raise DataError("trade-off parameter b must be >= 0")
-    return np.asarray(benefit, dtype=float) - b * np.asarray(risk, dtype=float)
+    """Risk-discounted utility U = G - b * R (b >= 0 trades one risk unit for b benefit
+    units); DataError unless b, benefit and risk are finite numbers and broadcast."""
+    if isinstance(b, bool) or not (isinstance(b, numbers.Real) and 0 <= b < math.inf):
+        raise DataError(f"trade-off parameter b must be a finite number >= 0, not {b!r}")
+    benefit, risk = _float_array("benefit", benefit), _float_array("risk", risk)
+    if not (np.all(np.isfinite(benefit)) and np.all(np.isfinite(risk))):
+        raise DataError("benefit and risk must be finite")
+    try:
+        return benefit - b * risk
+    except ValueError:
+        raise DataError(f"benefit {benefit.shape} and risk {risk.shape} do not broadcast") from None
 
 
 def load_csv(path, k_arms=None, reverse_arms=False) -> TrialDataset:

@@ -149,6 +149,7 @@ def evaluate_rule(pred, data) -> EvaluationReport:
 # cross-validated tuning of one binary step
 
 _FOLD_REDRAWS = 20
+CV_TOL = 1e-3  # SMO tolerance of the fold solves; the refit solves to 1e-5
 
 def _stratified_folds(labels, weights, folds, seed):
     """Fold assignment stratified by binary label; every training part must
@@ -190,7 +191,6 @@ def cv_tune(
     folds=5,
     seed=0,
     penalty="l2",
-    cv_tol=1e-3,
     _sq=None,
 ):
     """Tune and fit one binary step: returns (rule, CVResult).
@@ -212,15 +212,13 @@ def cv_tune(
     the same fold reached at the previous sigma for that lambda (cold at the
     first sigma): a fold's training rows, caps and equality constraint do not
     depend on sigma, so that start is feasible too, and only one start vector
-    per fold outlives its sigma.  The L2 rule is then refitted on all of sub
-    at the chosen point, cold (SMO: tol 1e-5).
+    per fold outlives its sigma.  The fold solves stop at SMO tolerance
+    CV_TOL.  The L2 rule is then refitted on all of sub at the chosen point,
+    cold (SMO: tol 1e-5).
 
     For L1 the design is the held-out features, and one dual LP serves the
-    step (solvers._L1DualLP): fold 0's first lambda is solved cold and each
-    of its later lambdas from the previous lambda's basis; each later fold
-    starts every lambda from the previous fold's final basis at that lambda,
-    and the refit on all positive-weight rows from the last fold's basis at
-    the chosen lambda.
+    step (solvers._L1DualLP), the folds in order and then the refit on all
+    positive-weight rows; solvers._l1_path picks each solve's start.
 
     Every Gaussian sigma's Gram matrix is filled into one m x m buffer from
     sub's squared distances D2 (_sq, when the caller holds them) by
@@ -249,7 +247,7 @@ def cv_tune(
         return _gaussian_from_squared(sq, kernel.bandwidth, out=out)
 
     if penalty == "l1linear":
-        lp, bases = _L1DualLP(sub.features, sub.labels, sub.weights), None
+        lp = _L1DualLP(sub.features, sub.labels, sub.weights)
     table = []
     best = None  # (rank, lambda index, kernel) of the winner so far
     gram = None  # the Gram matrix of the sigma in hand, one buffer for every Gaussian sigma
@@ -263,8 +261,7 @@ def cv_tune(
             te = np.flatnonzero(assign == f)
             active = np.flatnonzero((assign != f) & (sub.weights > 0))
             if penalty == "l1linear":
-                # each lambda starts from the previous fold's basis at it
-                fits, bases = _l1_coefs(lp, active, lambda_grid, bases)
+                fits = _l1_coefs(lp, active, lambda_grid)
                 design = sub.features[te]
             else:
                 labels, weights = sub.labels[active], sub.weights[active]
@@ -273,7 +270,7 @@ def cv_tune(
                 for lam in lambda_grid:
                     init = sigma_starts[f] if alpha is None else alpha * (lam_prev / lam)
                     coefs, b0 = fit_l2_from_gram(
-                        labels, weights, gram_tr, lam, tol=cv_tol, init=init
+                        labels, weights, gram_tr, lam, tol=CV_TOL, init=init
                     )
                     if alpha is None:
                         sigma_starts[f] = coefs * labels
@@ -297,7 +294,7 @@ def cv_tune(
     _, k, best_kernel = best
     lam = float(lambda_grid[k])
     if penalty == "l1linear":
-        rule = _l1_rule(lp, np.flatnonzero(sub.weights > 0), lam, bases[k])
+        rule = _l1_rule(lp, np.flatnonzero(sub.weights > 0), lam)
     else:
         if best_kernel != kernel:  # a later sigma overwrote the winner's entries, checked then
             gram = build_gram(best_kernel, gram)

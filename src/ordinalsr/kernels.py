@@ -91,8 +91,8 @@ def median_bandwidth(X, seed=0) -> float:
     The subsample is deterministic under the given seed.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise DataError("median_bandwidth needs at least two rows")
+    if X.ndim != 2 or X.shape[0] < 2 or not np.all(np.isfinite(X)):
+        raise DataError("median_bandwidth needs at least two rows, all finite")
     if X.shape[0] > MEDIAN_SUBSAMPLE_CAP:
         idx = np.random.default_rng(seed).choice(
             X.shape[0], MEDIAN_SUBSAMPLE_CAP, replace=False

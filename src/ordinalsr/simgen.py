@@ -40,8 +40,7 @@ class SettingSpec:
 
     def with_noise(self, p):
         """Pad with pure-noise covariates up to dimension p (signal dims unchanged)."""
-        if p < self.p:
-            raise DataError("cannot shrink the covariate dimension")
+        _check_integer("p", p, self.p)  # the covariate dimension cannot shrink
         return replace(self, p=p)
 
 
@@ -129,8 +128,7 @@ def mean_effect(spec: SettingSpec, X) -> np.ndarray:
 
 def generate(spec: SettingSpec, n, seed) -> TrialDataset:
     """Draw a fully reproducible trial of size n under uniform randomization."""
-    if n < 1:
-        raise DataError("n must be >= 1")
+    _check_integer("n", n, 1)
     _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(n, spec.p))

@@ -412,14 +412,15 @@ _LP_TOL = 1e-9
 _DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes over
 
 
-def _bounded_simplex(A, cost, upper, rhs, basis, at_upper=None):
-    """Bounded-variable revised simplex: min cost'x s.t. Ax = rhs, 0 <= x <= upper.
+def _bounded_simplex(A, cost, upper, rhs, basis):
+    """Bounded-variable revised simplex: min cost'x s.t. Ax = rhs, 0 <= x <= upper,
+    from a feasible basis with every nonbasic variable at 0.
 
     The pivots of _simplex_pivots, then x and the dual prices solved from the
-    final basis in the order the pivots left its columns.  basis and at_upper
-    are updated in place.  Returns (x, prices, pivots).
+    final basis in the order the pivots left its columns.  basis is updated
+    in place.  Returns (x, prices, pivots).
     """
-    at_upper, pivots = _simplex_pivots(A, cost, upper, rhs, basis, at_upper)
+    at_upper, pivots = _simplex_pivots(A, cost, upper, rhs, basis)
     x, prices = _vertex(A, cost, upper, rhs, basis, at_upper)
     return x, prices, pivots
 
@@ -639,12 +640,13 @@ def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
     unbounded ray.  This is the one-lambda, every-row case of _l1_path.
     """
     lp = _L1DualLP(X, labels, weights)
-    return _l1_path(lp, np.arange(lp.y.size), (lam,))[0][0]
+    return _l1_path(lp, np.arange(lp.y.size), (lam,))[0]
 
 
 class _L1DualLP:
     """The dual LP of l1_hinge_dual_solve over every row of X (weights may be
-    0 on rows no row set holds), built once and solved by _l1_path."""
+    0 on rows no row set holds), built once and solved by _l1_path; starts
+    maps each lambda to the final (basis, at_upper, prices) of its latest solve."""
 
     def __init__(self, X, labels, weights):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -667,24 +669,27 @@ class _L1DualLP:
         A[1:, m:] = np.eye(2 * p)
         self.X, self.y, self.w, self.A = X, y, w, A
         self.cost = np.concatenate([-np.ones(m), np.zeros(2 * p)])
+        self.starts = {}
 
 
-def _l1_path(lp, rows, lambdas, starts=None):
+def _l1_path(lp, rows, lambdas):
     """l1_hinge_dual_solve on rows of lp (an _L1DualLP) per lambda, in order.
 
     rows, increasing indices of positive-weight rows of both classes, get
     upper bounds w_i/len(rows) and the other u's 0, so they never enter.
-    lambdas[k] starts from starts[k], a (basis, at_upper, prices) this
-    returned for any rows of lp; where starts (or starts[k]) is None, from
-    the previous lambda's final basis, or cold from {u of rows[0], every
-    slack} for the first.  The reduced costs d = -1 - pi'A_j of a basis
-    depend on neither rows nor lambda, so a start whose nonbasic u's sit at
-    the bound d prefers (upper where d < 0 and upper > 0, else 0; kept where
-    d = 0) is dual feasible, and dual pivots drive out the basic u's now
-    outside their bounds.  A warm solve that fails is solved again cold.
-    u and the prices are solved once, from the final basis sorted, so the
-    fit depends on that basis alone, not on the order in which pivots placed
-    its columns.  Returns the solutions and each one's basis.
+    A lambda an earlier call solved, on any rows of lp, starts from
+    lp.starts[lambda], so in cv_tune each later fold starts from the
+    previous fold's final basis at it and the refit from the last fold's;
+    any other lambda from the previous lambda's final basis, or cold from
+    {u of rows[0], every slack} for the first.  The reduced costs
+    d = -1 - pi'A_j of a basis depend on neither rows nor lambda, so a start
+    whose nonbasic u's sit at the bound d prefers (upper where d < 0 and
+    upper > 0, else 0; kept where d = 0) is dual feasible, and dual pivots
+    drive out the basic u's now outside their bounds.  A warm solve that
+    fails is solved again cold.  u and the prices are solved once, from the
+    final basis sorted, so the fit depends on that basis alone, not on the
+    order in which pivots placed its columns.  Returns the solutions;
+    lp.starts then holds their bases.
     """
     for lam in lambdas:
         _check_positive("lam", lam)
@@ -721,8 +726,9 @@ def _l1_path(lp, rows, lambdas, starts=None):
         return sol, pi
 
     # the cold start is feasible, so from it the dual loop makes no pivot
-    path, bases = [], []
-    for k, (lam, start) in enumerate(zip(lambdas, starts or (None,) * len(lambdas))):
+    path, finals = [], {}
+    for k, lam in enumerate(lambdas):
+        start = lp.starts.get(lam)
         if start is not None:
             basis[:], at_upper[:] = start[0], start[1]
             d = lp.cost[:n] - start[2] @ lp.A[:, :n]
@@ -736,5 +742,6 @@ def _l1_path(lp, rows, lambdas, starts=None):
             basis[:], at_upper[:] = cold, False
             sol, pi = solve(lam)
         path.append(sol)
-        bases.append((basis.copy(), at_upper.copy(), pi))
-    return path, bases
+        finals[lam] = (basis.copy(), at_upper.copy(), pi)
+    lp.starts.update(finals)
+    return path

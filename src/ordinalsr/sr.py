@@ -24,7 +24,6 @@ from .exceptions import DataError, DegenerateStepError
 from .kernels import (
     MEDIAN_SUBSAMPLE_CAP, KernelSpec, _median_distance, _squared_distances, median_bandwidth,
 )
-from .solvers import ols_fit
 from .varselect import screen_mask
 
 __all__ = [
@@ -188,15 +187,16 @@ def _majority_rule(data, eligible, negative_arms, positive_arms, reason) -> Cons
     return ConstantRule(decision=decision, reason=reason, n_features=data.p)
 
 
-def _resolve_sigma_grid(config, features, seed, sq=None):
+def _resolve_sigma_grid(config, features, seed, sq):
     """(None,), the config's grid or SIGMA_SCALES times the median bandwidth;
-    sq, the features' squared distances, gives the median when not subsampled."""
+    sq, the features' squared distances (None for a linear kernel), gives the
+    median when not subsampled."""
     if config.kernel_kind != "gaussian":
         return (None,)
     if config.sigma_grid is not None:
         return config.sigma_grid
     try:
-        if sq is None or sq.shape[0] > MEDIAN_SUBSAMPLE_CAP:
+        if sq.shape[0] > MEDIAN_SUBSAMPLE_CAP:
             med = median_bandwidth(features, seed=seed)
         else:
             med = _median_distance(sq)
@@ -214,16 +214,8 @@ def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible,
     A Gaussian step's squared distances are computed once, here, for both.
     """
     try:
-        sub = build_subproblem(
-            data,
-            negative_arms,
-            positive_arms,
-            eligible,
-            ols_fit(Xs[eligible], data.outcome[eligible]),
-            propensity_mode=config.propensity_mode,
-            step_id=step_id,
-            features=Xs,
-        )
+        sub = build_subproblem(data, Xs, negative_arms, positive_arms, eligible,
+                               propensity_mode=config.propensity_mode, step_id=step_id)
         if config.selection == "two-stage":
             sub = screen_mask(sub)
         sq = None

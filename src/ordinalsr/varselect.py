@@ -189,7 +189,7 @@ def mask_features(features, selected, p):
     return out
 
 
-def screen_mask(sub: BinarySubproblem, screen=None) -> BinarySubproblem:
+def screen_mask(sub: BinarySubproblem) -> BinarySubproblem:
     """The stage-1 screen as a fixed feature mask on a binary step.
 
     Returns sub with its unselected covariates zeroed and selected_features
@@ -198,12 +198,10 @@ def screen_mask(sub: BinarySubproblem, screen=None) -> BinarySubproblem:
     screen, or a step too small or single-class to screen, keeps every
     covariate with the fallback flag raised.
     """
-    if screen is None:
-        if sub.m < _MIN_SCREEN_ROWS or np.unique(sub.labels).size < 2:
-            screen = ScreenResult((), (), ())
-        else:  # any other DataError of the screen is the caller's to see
-            screen = screen_for_subproblem(sub)
-    selected = screen.selected_covariates
+    selected = ()
+    if sub.m >= _MIN_SCREEN_ROWS and np.unique(sub.labels).size >= 2:
+        # any DataError of the screen is the caller's to see
+        selected = screen_for_subproblem(sub).selected_covariates
     fallback = not selected
     if fallback:
         selected = tuple(range(sub.p))
@@ -211,6 +209,6 @@ def screen_mask(sub: BinarySubproblem, screen=None) -> BinarySubproblem:
     return replace(sub, features=masked, selected_features=selected, selection_fallback=fallback)
 
 
-def fit_two_stage(sub: BinarySubproblem, kernel, lam, screen=None, tol=1e-5):
+def fit_two_stage(sub: BinarySubproblem, kernel, lam):
     """Screen-then-refit: the L2 fit on the screen_mask of sub."""
-    return fit_aol_l2(screen_mask(sub, screen), kernel, lam, tol=tol)
+    return fit_aol_l2(screen_mask(sub), kernel, lam)

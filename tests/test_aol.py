@@ -17,11 +17,23 @@ from ordinalsr.aol import (
 from ordinalsr.data import TrialDataset
 from ordinalsr.exceptions import DataError, DegenerateStepError
 from ordinalsr.kernels import KernelSpec, gram_matrix
+from ordinalsr.solvers import ols_fit
 
 
 class _ZeroModel:
     def predict(self, X):
         return np.zeros(np.atleast_2d(X).shape[0])
+
+
+@pytest.fixture
+def zero_residual_model(monkeypatch):
+    """build_subproblem's residual model predicts 0, so that e = Y."""
+    monkeypatch.setattr(aol, "ols_fit", lambda X, y: _ZeroModel())
+
+
+@pytest.fixture
+def any_step_size(monkeypatch):
+    monkeypatch.setattr(aol, "MIN_STEP_SIZE", 1)
 
 
 def _trial(outcomes, treatments, k=3, features=None):
@@ -36,31 +48,38 @@ def _trial(outcomes, treatments, k=3, features=None):
     )
 
 
+def _build(data, negative_arms, positive_arms, eligible, **kwargs):
+    return build_subproblem(data, data.features, negative_arms, positive_arms, eligible, **kwargs)
+
+
+@pytest.mark.usefixtures("zero_residual_model")
 class TestBuildSubproblem:
+    @pytest.mark.usefixtures("any_step_size")
     def test_labels_flip_with_residual_sign(self):
         # residual model is zero, so e = Y; negative outcome flips the side
         data = _trial([2.0, -1.0, 3.0, -0.5], [1, 1, 2, 3])
-        sub = build_subproblem(
-            data, (1,), (2, 3), np.arange(4), _ZeroModel(), min_size=1
-        )
+        sub = _build(data, (1,), (2, 3), np.arange(4))
         np.testing.assert_array_equal(sub.arm_labels, [-1, -1, 1, 1])
         np.testing.assert_array_equal(sub.labels, [-1, 1, 1, -1])
 
+    @pytest.mark.usefixtures("any_step_size")
     def test_zero_residual_counts_as_positive(self):
         data = _trial([0.0, 1.0], [1, 2])
-        sub = build_subproblem(data, (1,), (2, 3), np.arange(2), _ZeroModel(), min_size=1)
+        sub = _build(data, (1,), (2, 3), np.arange(2))
         assert sub.labels[0] == -1  # no flip at e == 0
 
+    @pytest.mark.usefixtures("any_step_size")
     def test_known_propensity_uses_group_size(self):
         # uniform 1/3 per arm; the positive group {2, 3} has mass 2/3
         data = _trial([1.0, 1.0], [1, 2])
-        sub = build_subproblem(data, (1,), (2, 3), np.arange(2), _ZeroModel(), min_size=1)
+        sub = _build(data, (1,), (2, 3), np.arange(2))
         np.testing.assert_allclose(sub.propensities, [1.0 / 3.0, 2.0 / 3.0])
         np.testing.assert_allclose(sub.weights, [3.0, 1.5])
 
+    @pytest.mark.usefixtures("any_step_size")
     def test_weights_are_abs_residual_over_propensity(self):
         data = _trial([-2.0, 4.0], [1, 2])
-        sub = build_subproblem(data, (1,), (2, 3), np.arange(2), _ZeroModel(), min_size=1)
+        sub = _build(data, (1,), (2, 3), np.arange(2))
         np.testing.assert_allclose(sub.weights, [2.0 * 3.0, 4.0 * 1.5])
 
     def test_propensity_floor(self):
@@ -72,7 +91,7 @@ class TestBuildSubproblem:
             k_arms=3,
             propensity=np.full(n, 0.001),
         )
-        sub = build_subproblem(data, (1,), (2,), np.arange(n), _ZeroModel(), min_size=1)
+        sub = _build(data, (1,), (2,), np.arange(n))
         assert np.all(sub.propensities >= 0.01)
 
     def test_logistic_propensity_mode(self):
@@ -81,37 +100,58 @@ class TestBuildSubproblem:
         X = rng.uniform(-1, 1, size=(n, 1))
         arms = np.where(rng.uniform(size=n) < 0.7, 2, 1)  # 70 percent on side +1
         data = TrialDataset(features=X, treatment=arms, outcome=np.ones(n), k_arms=3)
-        sub = build_subproblem(
-            data, (1,), (2, 3), np.arange(n), _ZeroModel(), propensity_mode="logistic"
-        )
+        sub = _build(data, (1,), (2, 3), np.arange(n), propensity_mode="logistic")
         est = float(np.mean(sub.propensities[sub.arm_labels == 1]))
         assert est == pytest.approx(0.7, abs=0.08)
 
     def test_overlapping_groups_rejected(self):
         data = _trial([1.0, 1.0], [1, 2])
         with pytest.raises(DataError):
-            build_subproblem(data, (1, 2), (2, 3), np.arange(2), _ZeroModel())
+            _build(data, (1, 2), (2, 3), np.arange(2))
 
     def test_small_step_degenerate(self):
         data = _trial([1.0, 1.0], [1, 2])
         with pytest.raises(DegenerateStepError):
-            build_subproblem(data, (1,), (2, 3), np.arange(2), _ZeroModel(), min_size=10)
+            _build(data, (1,), (2, 3), np.arange(2))
 
     @pytest.mark.parametrize("n, degenerate", [(9, True), (10, False)], ids=["n9", "n10"])
     def test_default_step_size_floor_is_ten(self, n, degenerate):
-        """Without min_size, a step needs 10 eligible subjects, the floor the
+        """A step needs MIN_STEP_SIZE = 10 eligible subjects, the floor the
         cascade fits under."""
+        assert aol.MIN_STEP_SIZE == 10
         data = _trial([1.0] * n, [1, 2] * (n // 2) + [3] * (n % 2))
         if degenerate:
             with pytest.raises(DegenerateStepError, match="only 9 eligible"):
-                build_subproblem(data, (1,), (2, 3), np.arange(n), _ZeroModel())
+                _build(data, (1,), (2, 3), np.arange(n))
         else:
-            assert build_subproblem(data, (1,), (2, 3), np.arange(n), _ZeroModel()).m == n
+            assert _build(data, (1,), (2, 3), np.arange(n)).m == n
 
     def test_single_arm_side_degenerate(self):
         data = _trial([1.0] * 12, [1] * 12)
         with pytest.raises(DegenerateStepError):
-            build_subproblem(data, (1,), (2, 3), np.arange(12), _ZeroModel(), min_size=5)
+            _build(data, (1,), (2, 3), np.arange(12))
+
+    @pytest.mark.parametrize("shape", [(11, 1), (12,), (12, 1, 1)])
+    def test_features_need_one_row_per_subject(self, shape):
+        data = _trial([1.0] * 12, [1, 2] * 6)
+        with pytest.raises(DataError, match="one row per subject"):
+            build_subproblem(data, np.zeros(shape), (1,), (2, 3), np.arange(12))
+
+
+def test_residuals_come_from_ols_on_the_eligible_rows(rng):
+    """e = Y - m-hat(X), with m-hat the OLS fit of Y on the eligible rows of
+    the features given, not of data.features nor of every subject."""
+    n = 40
+    data = _trial(rng.normal(size=n), rng.integers(1, 4, size=n),
+                  features=rng.uniform(-1, 1, size=(n, 2)))
+    scaled = 3.0 * data.features - 1.0
+    eligible = np.flatnonzero(data.treatment != 3)[:25]
+    sub = build_subproblem(data, scaled, (1,), (2,), eligible)
+    X, y = scaled[eligible], data.outcome[eligible]
+    e = y - ols_fit(X, y).predict(X)
+    np.testing.assert_array_equal(sub.features, X)
+    np.testing.assert_array_equal(sub.labels, sub.arm_labels * np.where(e >= 0, 1, -1))
+    np.testing.assert_array_equal(sub.weights, np.abs(e) / sub.propensities)
 
 
 class TestL2Fit:

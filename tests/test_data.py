@@ -375,3 +375,21 @@ class TestUtility:
     def test_negative_tradeoff_rejected(self):
         with pytest.raises(DataError):
             compute_utility([1.0], [1.0], b=-0.1)
+
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf, "x", None, True, [0.5]])
+    def test_tradeoff_must_be_a_finite_number(self, b):
+        with pytest.raises(DataError, match="trade-off"):
+            compute_utility([1.0, 2.0], [1.0, 0.5], b=b)
+
+    @pytest.mark.parametrize(
+        "benefit, risk",
+        [([1.0, np.nan], [1.0, 1.0]), ([1.0, 2.0], [np.inf, 1.0]), ([-np.inf], [0.0]),
+         (["a", 1.0], [1.0, 1.0]), ([1.0, 2.0], [1.0, 2.0, 3.0])],
+        ids=["nan-benefit", "inf-risk", "inf-benefit", "text", "shapes"],
+    )
+    def test_benefit_and_risk_must_be_finite_numbers(self, benefit, risk):
+        with pytest.raises(DataError):
+            compute_utility(benefit, risk, b=0.5)
+
+    def test_integer_tradeoff_accepted(self):
+        np.testing.assert_array_equal(compute_utility([3.0], [1.0], b=np.int64(2)), [1.0])

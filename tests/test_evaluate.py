@@ -25,15 +25,20 @@ from ordinalsr.evaluate import (
     write_rows_csv,
     write_summary_csv,
 )
-from ordinalsr import aol, evaluate, solvers
+from ordinalsr import aol, evaluate, solvers, varselect
 from ordinalsr.aol import build_subproblem, fit_aol_l1_linear, fit_aol_l2, fit_l2_from_gram
 from ordinalsr.evaluate import _holdout_score, _stratified_folds
 from ordinalsr.exceptions import DataError, UndefinedMetricError
 from ordinalsr.kernels import KernelSpec, _squared_distances, gram_matrix, median_bandwidth
 from ordinalsr.simgen import SETTINGS, generate, get_setting
-from ordinalsr.solvers import ols_fit
 from ordinalsr.sr import SIGMA_SCALES, SRConfig, _resolve_sigma_grid
 from ordinalsr.varselect import ScreenResult, screen_mask
+
+
+def _masked(monkeypatch, sub, screen):
+    """screen_mask of sub under a stage-1 screen that returns screen."""
+    monkeypatch.setattr(varselect, "screen_for_subproblem", lambda sub: screen)
+    return screen_mask(sub)
 
 
 def _observational(pred_match_mask, outcomes, k=3, prop=None):
@@ -193,15 +198,12 @@ class TestCvTune:
         assert cv.best_lambda == max(tied)
 
 
-    def test_warm_started_table_matches_cold_reference(self):
+    def test_warm_started_table_matches_cold_reference(self, monkeypatch):
         data = generate(SETTINGS["N8"], 150, seed=5)
-        sub = build_subproblem(
-            data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
-        )
+        sub = build_subproblem(data, data.features, (1,), (2, 3), np.arange(data.n))
         lambdas, sigmas, folds, seed = (0.01, 0.05, 0.25), (0.5, 1.0), 3, 2
-        _, cv = cv_tune(
-            sub, lambdas, sigma_grid=sigmas, folds=folds, seed=seed, cv_tol=1e-9
-        )
+        monkeypatch.setattr(evaluate, "CV_TOL", 1e-9)
+        _, cv = cv_tune(sub, lambdas, sigma_grid=sigmas, folds=folds, seed=seed)
         assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
         reference = []
         for sigma in sigmas:
@@ -290,10 +292,10 @@ class TestCvTune:
             builds.append(lp_class(*args))
             return builds[-1]
 
-        def path(lp, rows, lambdas, starts=None):
-            calls.append((lp, rows, tuple(lambdas), starts))
-            result = l1_path(lp, rows, lambdas, starts)
-            calls[-1] += result
+        def path(lp, rows, lambdas):
+            result = l1_path(lp, rows, lambdas)
+            finals = [lp.starts[lam][0].tolist() for lam in lambdas]
+            calls.append((lp, rows, tuple(lambdas), finals))
             return result
 
         def engine(*args):
@@ -310,12 +312,7 @@ class TestCvTune:
         _, cv = cv_tune(sub, lambdas, folds=4, seed=3, penalty="l1linear")
         assert len(builds) == 1 and all(call[0] is builds[0] for call in calls)
         assert [call[2] for call in calls] == [lambdas] * 4 + [(cv.best_lambda,)]
-        assert calls[0][3] is None
-        for previous, call in zip(calls, calls[1:4]):
-            assert len(call[3]) == len(lambdas)
-            assert all(start is base for start, base in zip(call[3], previous[5]))
-        k = max(i for i, lam in enumerate(lambdas) if lam == cv.best_lambda)
-        assert len(calls[4][3]) == 1 and calls[4][3][0] is calls[3][5][k]
+        k = lambdas.index(cv.best_lambda)
         np.testing.assert_array_equal(calls[4][1], np.flatnonzero(sub.weights > 0))
         # one solve per lambda and fold and one for the refit: no cold re-solve,
         # and only the first starts at the cold basis of its rows; every later
@@ -326,7 +323,7 @@ class TestCvTune:
         starts = [basis.tolist() for basis in solves]
         assert starts[0] == cold[0]
         assert all(basis not in cold for basis in starts[1:])
-        finals = [[base[0].tolist() for base in call[5]] for call in calls]
+        finals = [call[3] for call in calls]
         for f in range(1, 4):
             assert starts[3 * f : 3 * f + 3] == finals[f - 1]
         assert starts[12] == finals[3][k]
@@ -351,9 +348,7 @@ class TestCvTune:
     @staticmethod
     def _n8_sub():
         data = generate(SETTINGS["N8"], 150, seed=5)
-        return build_subproblem(
-            data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
-        )
+        return build_subproblem(data, data.features, (1,), (2, 3), np.arange(data.n))
 
     @pytest.mark.parametrize(
         "penalty, sigmas, zero_weights",
@@ -386,8 +381,8 @@ class TestCvTune:
                     getattr(rule, name), getattr(direct, name), rtol=0, atol=1e-8
                 )
 
-    def test_screened_step_rule_carries_selection(self):
-        sub = screen_mask(self._n8_sub(), ScreenResult(((0,),), (0,), ()))
+    def test_screened_step_rule_carries_selection(self, monkeypatch):
+        sub = _masked(monkeypatch, self._n8_sub(), ScreenResult(((0,),), (0,), ()))
         rule, cv = cv_tune(sub, (0.05,), sigma_grid=(0.5,), folds=3, seed=2)
         assert (rule.selected_features, rule.selection_fallback) == ((0,), False)
         probe = np.zeros((2, sub.p))
@@ -405,9 +400,7 @@ class TestOneDistanceMatrix:
     @staticmethod
     def _n8_sub(n=150, seed=5, p=None):
         data = generate(get_setting("N8", p=p), n, seed=seed)
-        return build_subproblem(
-            data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
-        )
+        return build_subproblem(data, data.features, (1,), (2, 3), np.arange(data.n))
 
     def _assert_bit_identical(self, sub, sigmas, **kwargs):
         rule, cv = cv_tune(sub, self.LAMBDAS, sigma_grid=sigmas, folds=3, seed=2, **kwargs)
@@ -452,8 +445,8 @@ class TestOneDistanceMatrix:
         sub = replace(sub, weights=np.where(np.arange(sub.m) % 7 == 0, 0.0, sub.weights))
         self._assert_bit_identical(sub, (0.3, 0.6, 1.2))
 
-    def test_two_stage_masked_features(self):
-        sub = screen_mask(self._n8_sub(p=6), ScreenResult(((0, 1),), (0, 1), ()))
+    def test_two_stage_masked_features(self, monkeypatch):
+        sub = _masked(monkeypatch, self._n8_sub(p=6), ScreenResult(((0, 1),), (0, 1), ()))
         assert not sub.features[:, 2:].any()
         self._assert_bit_identical(sub, (0.3, 0.6, 1.2))
 

@@ -118,3 +118,13 @@ class TestMedianBandwidth:
     def test_needs_two_rows(self):
         with pytest.raises(DataError):
             median_bandwidth(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [5, 1200], ids=["all-rows", "subsampled"])
+    def test_non_finite_row_rejected(self, rng, bad, n):
+        """A NaN or infinite entry is a DataError, not a nan bandwidth, also
+        where the subsample would leave its row out."""
+        X = rng.uniform(-1, 1, size=(n, 2))
+        X[n - 1, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            median_bandwidth(X, seed=0)

@@ -143,6 +143,18 @@ class TestGenerate:
         with pytest.raises(DataError):
             generate(SETTINGS["P1"], 0, seed=0)
 
+    @pytest.mark.parametrize("n", [-3, 2.5, "5", True, None])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(DataError, match="n must be an integer >= 1"):
+            generate(SETTINGS["P1"], n, seed=0)
+
+    @pytest.mark.parametrize("p", [7.5, "7", True, 2])
+    def test_invalid_noise_dimension(self, p):
+        """p pads the covariates: an integer no smaller than the signal dimension."""
+        with pytest.raises(DataError, match="p must be an integer >= 5"):
+            get_setting("P1", p=p)
+        assert get_setting("P1", p=np.int64(7)).p == 7
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
     def test_invalid_seed(self, seed):
         with pytest.raises(DataError, match="seed"):

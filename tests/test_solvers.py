@@ -394,9 +394,7 @@ class TestWsvmMatchesSerialOracle:
             return wsvm_dual_solve(gram, labels, caps, tol=tol, init=init)
 
         data = generate(get_setting("N8"), 120, 7)
-        sub = build_subproblem(
-            data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
-        )
+        sub = build_subproblem(data, data.features, (1,), (2, 3), np.arange(data.n))
         monkeypatch.setattr(aol, "_smo", spy)
         cv_tune(sub, (0.01, 0.05, 0.25), sigma_grid=(0.3, 0.6, 1.2), folds=3, seed=1)
         assert len(recorded) == 28  # 3 sigmas x 3 folds x 3 lambdas + 1 refit
@@ -878,9 +876,7 @@ class TestBoundedSimplexMatchesVectorLoop:
 def _step(setting, n, seed):
     """The first S-step of a simulated trial: its BinarySubproblem."""
     data = generate(get_setting(setting), n, seed)
-    return build_subproblem(
-        data, (1,), (2, 3), np.arange(data.n), ols_fit(data.features, data.outcome)
-    )
+    return build_subproblem(data, data.features, (1,), (2, 3), np.arange(data.n))
 
 
 def _step_problem(setting, n, seed):
@@ -890,10 +886,10 @@ def _step_problem(setting, n, seed):
     return sub.features[keep], sub.labels[keep].astype(float), sub.weights[keep]
 
 
-def _path(X, labels, weights, grid, start=None):
-    """solvers._l1_path on every row of X's LP: (solutions, bases)."""
+def _path(X, labels, weights, grid):
+    """solvers._l1_path on every row of a new LP of X: its solutions."""
     lp = solvers._L1DualLP(X, labels, weights)
-    return solvers._l1_path(lp, np.arange(len(labels)), grid, start)
+    return solvers._l1_path(lp, np.arange(len(labels)), grid)
 
 
 def _same(sol, cold):
@@ -922,10 +918,10 @@ def _cold(lp, rows, lam):
 
 
 class TestL1Path:
-    """solvers._l1_path: each lambda from its given start, or else the first
-    cold and each later one warm from the previous basis, and every fit bit
-    for bit a cold solve's (u and the prices are solved from the sorted
-    final basis)."""
+    """solvers._l1_path: each lambda from the LP's latest final basis at it,
+    or else the first cold and each later one warm from the previous basis,
+    and every fit bit for bit a cold solve's (u and the prices are solved
+    from the sorted final basis)."""
 
     GRIDS = {
         "ascending": (0.002, 0.01, 0.05, 0.25),
@@ -939,7 +935,7 @@ class TestL1Path:
     @pytest.mark.parametrize("setting", ["P1", "N8"])
     def test_every_lambda_matches_a_cold_solve(self, setting, n, grid):
         X, labels, weights = _step_problem(setting, n, seed=n + 7)
-        path, _ = _path(X, labels, weights, grid)
+        path = _path(X, labels, weights, grid)
         assert len(path) == len(grid)
         for k, (lam, warm) in enumerate(zip(grid, path)):
             cold = l1_hinge_dual_solve(X, labels, weights, lam)
@@ -952,7 +948,7 @@ class TestL1Path:
     def test_warm_solves_take_fewer_pivots(self):
         X, labels, weights = _step_problem("P1", 200, seed=101)
         grid = self.GRIDS["ascending"]
-        warm = sum(sol.pivots for sol in _path(X, labels, weights, grid)[0][1:])
+        warm = sum(sol.pivots for sol in _path(X, labels, weights, grid)[1:])
         cold = sum(l1_hinge_dual_solve(X, labels, weights, lam).pivots for lam in grid[1:])
         assert 0 < warm < cold / 2
 
@@ -965,38 +961,41 @@ class TestL1Path:
         lambda; all match cold solves on their rows in fewer pivots."""
         lp, folds, everyone = _fold_rows(setting, n, seed=n + 7)
         grid = self.GRIDS["unsorted"]
-        bases = None
         for f, rows in enumerate(folds):
-            path, after = solvers._l1_path(lp, rows, grid, bases)
+            path = solvers._l1_path(lp, rows, grid)
             colds = [_cold(lp, rows, lam) for lam in grid]
             assert all(_same(sol, cold) for sol, cold in zip(path, colds))
             warm = sum(sol.pivots for sol in path[f == 0 :])
             assert warm < sum(cold.pivots for cold in colds[f == 0 :])
-            bases = after
-        for lam, base in zip(grid, bases):
-            (refit,), _ = solvers._l1_path(lp, everyone, (lam,), (base,))
+        for lam in grid:
+            (refit,) = solvers._l1_path(lp, everyone, (lam,))
             cold = _cold(lp, everyone, lam)
             assert _same(refit, cold) and refit.pivots < cold.pivots
 
-    def test_each_lambda_starts_from_its_own_start(self, monkeypatch):
-        """Given one start per lambda, lambda k starts from starts[k]: the
-        engine sees starts[k]'s basis, and a repeated start gives the same
-        solve; a None entry continues from the previous final basis."""
+    def test_each_lambda_starts_from_the_latest_basis_at_it(self, monkeypatch):
+        """A lambda an earlier call solved starts from that call's final
+        basis at it; one no call has solved continues from the previous
+        lambda's final basis, or starts cold when it comes first.  The LP
+        then holds the latest final basis at every lambda."""
         lp, folds, _ = _fold_rows("P1", 200, seed=101)
         grid = self.GRIDS["ascending"]
-        _, bases = solvers._l1_path(lp, folds[0], grid)
+        solvers._l1_path(lp, folds[0], grid[3:0:-2])  # 0.25, then 0.01
+        before = {lam: start[0].tolist() for lam, start in lp.starts.items()}
         engine, seen = solvers._simplex_pivots, []
 
         def recorded(A, cost, upper, rhs, basis, at_upper):
-            seen.append(basis.copy())
+            seen.append(basis.tolist())
             return engine(A, cost, upper, rhs, basis, at_upper)
 
         monkeypatch.setattr(solvers, "_simplex_pivots", recorded)
-        starts = [bases[3], bases[1], None, bases[3]]
-        path, after = solvers._l1_path(lp, folds[1], grid, starts)
-        assert [b.tolist() for b in seen[:2]] == [bases[3][0].tolist(), bases[1][0].tolist()]
-        assert seen[2].tolist() == after[1][0].tolist()  # the previous lambda's final basis
-        assert seen[3].tolist() == bases[3][0].tolist()
+        path = solvers._l1_path(lp, folds[1], grid)
+        after = {lam: start[0].tolist() for lam, start in lp.starts.items()}
+        n, p = lp.y.size, lp.X.shape[1]
+        assert seen[0] == [int(folds[1][0]), *range(n, n + 2 * p)]  # cold
+        assert seen[1] == before[grid[1]]
+        assert seen[2] == after[grid[1]]  # the previous lambda's final basis
+        assert seen[3] == before[grid[3]]
+        assert sorted(after) == sorted(grid)
         monkeypatch.undo()
         for lam, sol in zip(grid, path):
             assert _same(sol, _cold(lp, folds[1], lam))
@@ -1013,13 +1012,13 @@ class TestL1Path:
             return solved[-1]
 
         monkeypatch.setattr(solvers, "_vertex", recorded)
-        _, bases = solvers._l1_path(lp, folds[0], (0.05,))
+        solvers._l1_path(lp, folds[0], (0.05,))
         monkeypatch.undo()
         n = lp.y.size
-        out = [j for j in bases[0][0].tolist() if j < n and j not in set(folds[1].tolist())]
+        out = [j for j in lp.starts[0.05][0].tolist() if j < n and j not in set(folds[1].tolist())]
         assert out and np.all(solved[0][0][out] > 1e-9)
-        (sol,), after = solvers._l1_path(lp, folds[1], (0.05,), bases)
-        final = after[0][0].tolist()
+        (sol,) = solvers._l1_path(lp, folds[1], (0.05,))
+        final = lp.starts[0.05][0].tolist()
         assert not set(out) & set(final)
         assert set(j for j in final if j < n) <= set(folds[1].tolist())
         assert _same(sol, _cold(lp, folds[1], 0.05)) and sol.pivots > 0
@@ -1048,9 +1047,9 @@ class TestL1Path:
 
         monkeypatch.setattr(solvers, "_simplex_pivots", faulty)
         monkeypatch.setattr(solvers, "_vertex", halved)
-        fold0, bases = solvers._l1_path(lp, folds[0], grid)
-        fold1, bases = solvers._l1_path(lp, folds[1], grid, bases)
-        (refit,), _ = solvers._l1_path(lp, everyone, grid[:1], bases[:1])
+        fold0 = solvers._l1_path(lp, folds[0], grid)
+        fold1 = solvers._l1_path(lp, folds[1], grid)
+        (refit,) = solvers._l1_path(lp, everyone, grid[:1])
         tries = ["cold"] + ["warm", "cold"] * (len(grid) - 1)
         assert starts == tries + ["warm", "cold"] * len(grid) + ["warm", "cold"]
         monkeypatch.undo()
@@ -1068,7 +1067,7 @@ class TestL1Path:
         weights = np.ones(36)
         grid = (0.3, 0.001, 0.03, 0.001)
         monkeypatch.setattr(solvers, "_DEGENERATE_RUN", 0)
-        path, _ = _path(X, labels, weights, grid)
+        path = _path(X, labels, weights, grid)
         assert all(sol.pivots > 0 for sol in path[1:3])
         monkeypatch.undo()
         for lam, sol in zip(grid, path):
@@ -1077,8 +1076,15 @@ class TestL1Path:
             assert abs(sol.duality_gap) <= 1e-9 * max(1.0, sol.objective)
 
 
+def _warm_simplex(A, cost, upper, rhs, basis, at_upper):
+    """The simplex from a warm start: the pivot loop, then the final vertex,
+    as an L1 path runs them.  Returns (x, prices, pivots)."""
+    at_upper, pivots = solvers._simplex_pivots(A, cost, upper, rhs, basis, at_upper)
+    return (*solvers._vertex(A, cost, upper, rhs, basis, at_upper), pivots)
+
+
 class TestDualPhase:
-    """Hand-sized warm starts of _bounded_simplex whose dual pivots are known.
+    """Hand-sized warm starts of the simplex whose dual pivots are known.
 
     One row x0 + x1 + x2 + s = b with costs (-3, -2, -1, 0), x0..x2 in [0, 1]
     and s >= 0: the optimum fills the cheapest variables first, and every
@@ -1091,7 +1097,7 @@ class TestDualPhase:
 
     def solve(self, b, basis, at_upper):
         basis, at_upper = np.array(basis), np.array(at_upper)
-        x, prices, pivots = solvers._bounded_simplex(
+        x, prices, pivots = _warm_simplex(
             self.A, self.COST, self.UPPER, np.array([b]), basis, at_upper
         )
         return x.tolist(), prices.tolist(), pivots, basis.tolist(), at_upper.tolist()
@@ -1127,7 +1133,7 @@ class TestDualPhase:
         A = np.array([[1.0, 2.0, 1.0]])
         cost, upper = np.array([-1.0, -2.0, 0.0]), np.array([1.0, 1.0, np.inf])
         basis, at_upper = np.array([2]), np.array([True, True, False])
-        got = solvers._bounded_simplex(A, cost, upper, np.array([1.0]), basis, at_upper)
+        got = _warm_simplex(A, cost, upper, np.array([1.0]), basis, at_upper)
         assert got[2] == pivots and basis.tolist() == [1] and got[0].tolist() == x
 
     def test_no_column_can_restore_the_bound(self):
@@ -1150,7 +1156,7 @@ class TestDualPhase:
         monkeypatch.setattr(solvers, "_DEGENERATE_RUN", run)
         A, cost, upper = self.TWO_ROWS
         start, at_upper = np.array([2, 3]), np.array([True, True, False, False])
-        x, _, got = solvers._bounded_simplex(A, cost, upper, np.array([0.5, 1.0]), start, at_upper)
+        x, _, got = _warm_simplex(A, cost, upper, np.array([0.5, 1.0]), start, at_upper)
         assert got == pivots and start.tolist() == basis
         assert x.tolist() == [0.0, 1.0, 0.5, 0.0]
 

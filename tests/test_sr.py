@@ -365,41 +365,44 @@ class TestSigmaGrid:
     def _features(self):
         return np.random.default_rng(3).uniform(-1, 1, size=(40, 3))
 
+    @staticmethod
+    def _grid(config, X, seed):
+        """The sigma grid of a step over X, from its squared distances, as _fit_step gives it."""
+        return _resolve_sigma_grid(config, X, seed, _squared_distances(X, X))
+
     def test_linear_kernel_has_no_bandwidth(self):
-        assert _resolve_sigma_grid(SRConfig(), self._features(), seed=1) == (None,)
+        assert _resolve_sigma_grid(SRConfig(), self._features(), 1, None) == (None,)
 
     def test_explicit_grid_is_used_as_given(self):
         config = SRConfig(kernel_kind="gaussian", sigma_grid=(0.3, 2.0))
-        assert _resolve_sigma_grid(config, self._features(), seed=1) == (0.3, 2.0)
+        assert self._grid(config, self._features(), seed=1) == (0.3, 2.0)
 
     def test_default_grid_scales_the_median_bandwidth(self):
         """sigma_grid=None tunes over the median bandwidth times 0.5, 1 and 2,
         the one value the retired sigma_scales line of older model files holds."""
         X = self._features()
         med = median_bandwidth(X, seed=4)
-        grid = _resolve_sigma_grid(SRConfig(kernel_kind="gaussian"), X, seed=4)
+        grid = self._grid(SRConfig(kernel_kind="gaussian"), X, seed=4)
         assert SIGMA_SCALES == (0.5, 1.0, 2.0)
         assert grid == (0.5 * med, med, 2.0 * med)
         assert "sigma_scales " + " ".join(map(str, SIGMA_SCALES)) in _RETIRED_CONFIG
 
     def test_identical_rows_fall_back_to_unit_median(self):
-        grid = _resolve_sigma_grid(SRConfig(kernel_kind="gaussian"), np.ones((5, 2)), seed=0)
-        assert grid == SIGMA_SCALES
-        X = np.ones((5, 2))  # the same from the step's squared distances
-        grid = _resolve_sigma_grid(SRConfig(kernel_kind="gaussian"), X, 0, _squared_distances(X, X))
-        assert grid == SIGMA_SCALES
+        """From the step's squared distances, or from the subsample above the cap."""
+        for n in (5, MEDIAN_SUBSAMPLE_CAP + 1):
+            grid = self._grid(SRConfig(kernel_kind="gaussian"), np.ones((n, 2)), seed=0)
+            assert grid == SIGMA_SCALES
 
     def test_step_distances_give_median_bandwidths_arithmetic(self):
         """Below the subsample cap the median comes from the step's D2 and is
         median_bandwidth's float; above it the subsample path runs."""
         config = SRConfig(kernel_kind="gaussian")
         X = self._features()
-        grid = _resolve_sigma_grid(config, X, 4, _squared_distances(X, X))
-        assert repr(grid) == repr(_resolve_sigma_grid(config, X, seed=4))
+        med = median_bandwidth(X, seed=4)
+        assert repr(self._grid(config, X, 4)) == repr(tuple(s * med for s in SIGMA_SCALES))
         X = np.random.default_rng(5).uniform(-1, 1, size=(MEDIAN_SUBSAMPLE_CAP + 1, 2))
         med = median_bandwidth(X, seed=4)
-        assert _resolve_sigma_grid(config, X, 4, _squared_distances(X, X)) == tuple(
-            s * med for s in SIGMA_SCALES)
+        assert self._grid(config, X, 4) == tuple(s * med for s in SIGMA_SCALES)
 
 
 class TestMajorityRule:

@@ -256,23 +256,24 @@ class TestTwoStage:
                 rule.decision_value(probe2)[0], abs=1e-12
             )
 
-    def test_masked_step_carries_selection(self, rng):
+    def test_masked_step_carries_selection(self, rng, monkeypatch):
         sub = self._circle_subproblem(rng)
-        masked = screen_mask(sub, varselect.ScreenResult(((0, 1),), (0, 1), ()))
+        screen = varselect.ScreenResult(((0, 1),), (0, 1), ())
+        monkeypatch.setattr(varselect, "screen_for_subproblem", lambda sub: screen)
+        masked = screen_mask(sub)
         assert (masked.selected_features, masked.selection_fallback) == ((0, 1), False)
         assert not masked.features[:, 2:].any()
         np.testing.assert_array_equal(masked.features[:, :2], sub.features[:, :2])
         assert sub.selected_features is None
 
-    def test_empty_screen_falls_back_to_full_set(self, rng):
-        # pure-noise labels: the screen keeps nothing, fit falls back
+    def test_empty_screen_falls_back_to_full_set(self, rng, monkeypatch):
+        # a screen that keeps nothing: the fit falls back to every covariate
         X = rng.uniform(-1, 1, size=(60, 3))
         labels = np.array([1, -1] * 30)
         sub = make_subproblem(X, labels, np.ones(60))
-        from ordinalsr.varselect import ScreenResult
-
-        empty = ScreenResult((), (), (("init", None, 0.0),))
-        rule = fit_two_stage(sub, KernelSpec("gaussian", 0.8), lam=0.1, screen=empty)
+        empty = varselect.ScreenResult((), (), (("init", None, 0.0),))
+        monkeypatch.setattr(varselect, "screen_for_subproblem", lambda sub: empty)
+        rule = fit_two_stage(sub, KernelSpec("gaussian", 0.8), lam=0.1)
         assert rule.selection_fallback
         assert rule.selected_features == tuple(range(3))
 
@@ -306,9 +307,7 @@ class TestTwoStage:
         masked = mask_features(sub.features, res.selected_covariates or (0, 1), 40)
         sig_two = median_bandwidth(masked, seed=0)
         sig_full = median_bandwidth(sub.features, seed=0)
-        two = fit_two_stage(
-            sub, KernelSpec("gaussian", sig_two), lam=0.01, screen=res
-        )
+        two = fit_two_stage(sub, KernelSpec("gaussian", sig_two), lam=0.01)
         full = fit_aol_l2(sub, KernelSpec("gaussian", sig_full), lam=0.01)
         Xt = rng.uniform(-1, 1, size=(2000, 40))
         truth = np.where(Xt[:, 0] ** 2 + Xt[:, 1] ** 2 > 0.5, 1, -1)
