@@ -10,12 +10,13 @@ fit solved through the (1+2p)-row dual of its linear program.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .data import _feature_rows
+from .data import _feature_rows, _float_array, _readonly
 from .exceptions import DataError, DegenerateStepError
-from .kernels import KernelSpec, _gram_block, _gram_into, gram_matrix
+from .kernels import KernelSpec, _gram_block, _gram_into, _squared_distances, gram_matrix
 from .solvers import (
     _L1DualLP, _check_positive, _finite_gram, _l1_path, _smo, logistic_fit, ols_fit,
 )
@@ -57,6 +58,14 @@ class BinarySubproblem:
     @property
     def p(self):
         return self.features.shape[1]
+
+    @cached_property
+    def squared_distances(self):
+        """The m x m squared distances D2 between the feature rows, computed on
+        first use and read-only: a Gaussian step's median bandwidth and every
+        Gram matrix of its CV grid.  A masked copy (dataclasses.replace)
+        computes its own; features changed in place would leave D2 stale."""
+        return _readonly(_squared_distances(self.features, self.features))
 
 
 @dataclass(frozen=True)
@@ -165,7 +174,8 @@ def build_subproblem(
     """Assemble labels/weights for the binary step comparing two arm groups.
 
     features holds one row per subject of data, in the coordinates the rule
-    is fitted in (the pipeline's scaled features).  The residuals
+    is fitted in (the pipeline's scaled features); eligible holds distinct
+    integer row indices of data, else DataError.  The residuals
     e = Y - m-hat(X) of the OLS main-effect model m-hat, fitted on the
     eligible rows, set both the weight magnitude and a possible label flip
     (sign(0) counts as +1).  Fewer than MIN_STEP_SIZE eligible subjects, or
@@ -175,10 +185,15 @@ def build_subproblem(
     positive_arms = tuple(sorted(positive_arms))
     if set(negative_arms) & set(positive_arms):
         raise DataError("arm groups must be disjoint")
-    eligible = np.asarray(eligible, dtype=int)
-    X_all = np.asarray(features, dtype=float)
+    X_all = _float_array("features", features)
     if X_all.ndim != 2 or X_all.shape[0] != data.n:
         raise DataError(f"features need one row per subject, not shape {X_all.shape}")
+    eligible = np.asarray(eligible)
+    if eligible.size == 0:
+        eligible = np.zeros(0, dtype=int)
+    elif (eligible.ndim != 1 or eligible.dtype.kind not in "iu" or eligible.min() < 0
+          or eligible.max() >= data.n or np.unique(eligible).size < eligible.size):
+        raise DataError(f"eligible must hold distinct integer indices in 0..{data.n - 1}")
     arms = data.treatment[eligible]
     in_neg = np.isin(arms, negative_arms)
     in_pos = np.isin(arms, positive_arms)

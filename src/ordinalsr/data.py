@@ -42,8 +42,10 @@ _MAX_EXACT_INT = 2.0**53
 
 
 def _float_array(name, values):
-    """values as a float array; DataError unless all are numbers."""
+    """values as a float array; DataError unless all are real numbers."""
     try:
+        if np.iscomplexobj(values):  # the float cast would drop the imaginary part
+            raise DataError(f"{name} must be real numbers, not complex")
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise DataError(f"{name} must be numbers") from None

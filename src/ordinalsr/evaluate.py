@@ -14,16 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aol import _fit_l2, _l1_coefs, _l1_rule, _sign_tie_negative, fit_l2_from_gram
-from .data import _whole_numbers, _write_csv
+from .data import _check_integer, _whole_numbers, _write_csv
 from .exceptions import (
     DataError,
     DegenerateStepError,
     OrdinalSRError,
     UndefinedMetricError,
 )
-from .kernels import (
-    KernelSpec, _gaussian_from_squared, _gram_block, _squared_distances, gram_matrix,
-)
+from .kernels import KernelSpec, _gaussian_from_squared, _gram_block, gram_matrix
 from .solvers import _L1DualLP, _finite_gram
 from .simgen import get_setting, generate
 
@@ -61,7 +59,7 @@ class CVResult:
     best_lambda: float
     best_sigma: float  # None for linear kernels
     table: tuple  # (lambda, sigma, mean held-out value) per grid point
-    fold_seed: int
+    folds: int  # the fold count _stratified_folds settled on
 
 
 def _arms(pred, k_arms=None):
@@ -152,26 +150,26 @@ _FOLD_REDRAWS = 20
 CV_TOL = 1e-3  # SMO tolerance of the fold solves; the refit solves to 1e-5
 
 def _stratified_folds(labels, weights, folds, seed):
-    """Fold assignment stratified by binary label; every training part must
-    keep both classes among positive-weight rows.  Reduces the fold count when
-    _FOLD_REDRAWS redraws cannot achieve that."""
+    """(assign, folds): a fold assignment stratified by binary label, and the
+    fold count it settled on.
+
+    The count is capped at m // 2, and lowered by one whenever _FOLD_REDRAWS
+    redraws cannot give every training part both classes among its
+    positive-weight rows and every fold a held-out row; DegenerateStepError
+    when fewer than 2 folds remain.
+    """
     rng = np.random.default_rng(seed)
     n = labels.shape[0]
+    positive = weights > 0
+    folds = min(folds, n // 2)
     while folds >= 2:
         for _ in range(_FOLD_REDRAWS):
             assign = np.empty(n, dtype=int)
             for lab in (-1, 1):
-                idx = np.flatnonzero(labels == lab)
-                idx = rng.permutation(idx)
+                idx = rng.permutation(np.flatnonzero(labels == lab))
                 assign[idx] = np.arange(idx.size) % folds
-            ok = True
-            for f in range(folds):
-                tr = assign != f
-                active = tr & (weights > 0)
-                if np.unique(labels[active]).size < 2 or not (~tr).any():
-                    ok = False
-                    break
-            if ok:
+            if all(np.unique(labels[(assign != f) & positive]).size == 2 and (assign == f).any()
+                   for f in range(folds)):
                 return assign, folds
         folds -= 1
     raise DegenerateStepError("could not build two-class CV folds")
@@ -184,23 +182,19 @@ def _holdout_score(pred, sub, rows):
     return float(_ipw_mean(sub.outcomes[rows], sub.propensities[rows], matched))
 
 
-def cv_tune(
-    sub,
-    lambda_grid,
-    sigma_grid=(None,),
-    folds=5,
-    seed=0,
-    penalty="l2",
-    _sq=None,
-):
+def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2"):
     """Tune and fit one binary step: returns (rule, CVResult).
 
-    The grid search maximizes the held-out binary IPW value (ratio form).
-    penalty "l2" fits the kernel rule of each sigma in sigma_grid (None means
-    the linear kernel); "l1linear" fits the L1 linear rule, whose callers pass
-    sigma_grid=(None,), else DataError.  A screened step arrives with its
-    features already masked and its selection set (see varselect.screen_mask).
-    Ties break toward larger lambda, then larger sigma (simpler rules).
+    The grid search maximizes the held-out binary IPW value (ratio form) over
+    label-stratified folds: folds of them (an integer >= 2) drawn under seed
+    (an integer >= 0), else DataError; _stratified_folds may settle on fewer,
+    which CVResult.folds records.  penalty "l2" fits the kernel rule of each sigma in sigma_grid
+    (None means the linear kernel); "l1linear" fits the L1 linear rule, whose
+    callers pass sigma_grid=(None,), else DataError.  A screened step arrives
+    with its features already masked and its selection set (see
+    varselect.screen_mask).  The last highest (score, lambda, sigma) of the
+    table wins: ties break toward larger lambda, then larger sigma (simpler
+    rules).
 
     One fold loop serves both penalties.  A fold fits one (coefs, b0) per
     lambda on its positive-weight training rows, then scores its held-out rows
@@ -221,10 +215,10 @@ def cv_tune(
     positive-weight rows; solvers._l1_path picks each solve's start.
 
     Every Gaussian sigma's Gram matrix is filled into one m x m buffer from
-    sub's squared distances D2 (_sq, when the caller holds them) by
-    gram_matrix's operations, so its entries are gram_matrix's.  Each sigma's
-    matrix is checked for finiteness once, where it is built, before any
-    solve; the refit rebuilds the chosen one if a later sigma overwrote it.
+    sub.squared_distances by gram_matrix's operations, so its entries are
+    gram_matrix's.  Each sigma's matrix is checked for finiteness once, where
+    it is built, before any solve; the refit rebuilds the chosen one if a
+    later sigma overwrote it.
     """
     if penalty not in ("l2", "l1linear"):
         raise DataError(f"unknown penalty {penalty!r}")
@@ -232,34 +226,30 @@ def cv_tune(
         raise DataError("cv_tune needs non-empty lambda and sigma grids")
     if penalty == "l1linear" and tuple(sigma_grid) != (None,):
         raise DataError("the L1 linear rule has no kernel: its sigma_grid is (None,)")
-    if sub.m < 2 * folds:
-        folds = max(2, sub.m // 2)
-    if sub.m < 4:
-        raise DegenerateStepError(f"{sub.step_id}: too few subjects for CV")
+    _check_integer("folds", folds, 2)
+    _check_integer("seed", seed, 0)
     assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
-    sq = _sq
-    if sq is None and penalty == "l2" and any(s is not None for s in sigma_grid):
-        sq = _squared_distances(sub.features, sub.features)
+    positive = sub.weights > 0
+    kernels = [KernelSpec("linear") if s is None else KernelSpec("gaussian", s)
+               for s in sigma_grid]
 
     def build_gram(kernel, out):
         if kernel.kind == "linear":
             return gram_matrix(kernel, sub.features, sub.features)
-        return _gaussian_from_squared(sq, kernel.bandwidth, out=out)
+        return _gaussian_from_squared(sub.squared_distances, kernel.bandwidth, out=out)
 
     if penalty == "l1linear":
         lp = _L1DualLP(sub.features, sub.labels, sub.weights)
-    table = []
-    best = None  # (rank, lambda index, kernel) of the winner so far
+    table = []  # (lambda, sigma, mean held-out value), sigma-major
     gram = None  # the Gram matrix of the sigma in hand, one buffer for every Gaussian sigma
     sigma_starts = [None] * folds  # each fold's first-lambda alpha at the previous sigma
-    for sigma in sigma_grid:
-        kernel = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
+    for sigma, kernel in zip(sigma_grid, kernels):
         if penalty == "l2":
             gram = _finite_gram(build_gram(kernel, gram))
         scores = [[] for _ in lambda_grid]
         for f in range(folds):
             te = np.flatnonzero(assign == f)
-            active = np.flatnonzero((assign != f) & (sub.weights > 0))
+            active = np.flatnonzero((assign != f) & positive)
             if penalty == "l1linear":
                 fits = _l1_coefs(lp, active, lambda_grid)
                 design = sub.features[te]
@@ -282,27 +272,21 @@ def cv_tune(
                 pred = _sign_tie_negative(design @ coefs + b0)
                 fold_scores.append(_holdout_score(pred, sub, te))
             design = None  # nor across folds
-        for k, (lam, fold_scores) in enumerate(zip(lambda_grid, scores)):
-            mean_score = float(np.nanmean(fold_scores)) if not all(
-                math.isnan(s) for s in fold_scores
-            ) else float("-inf")
+        for lam, fold_scores in zip(lambda_grid, scores):
+            scored = not all(math.isnan(s) for s in fold_scores)
+            mean_score = float(np.nanmean(fold_scores)) if scored else -math.inf
             table.append((float(lam), sigma, mean_score))
-            # the last of the highest (score, lambda, sigma) wins
-            rank = (mean_score, float(lam), 0.0 if sigma is None else sigma)
-            if best is None or rank >= best[0]:
-                best = (rank, k, kernel)
-    _, k, best_kernel = best
-    lam = float(lambda_grid[k])
+    # the last of the highest (score, lambda, sigma) wins
+    best = max(range(len(table)), key=lambda i: (table[i][2], table[i][0], table[i][1] or 0, i))
+    lam, sigma, _ = table[best]
+    best_kernel = kernels[best // len(lambda_grid)]
     if penalty == "l1linear":
-        rule = _l1_rule(lp, np.flatnonzero(sub.weights > 0), lam)
+        rule = _l1_rule(lp, np.flatnonzero(positive), lam)
     else:
-        if best_kernel != kernel:  # a later sigma overwrote the winner's entries, checked then
+        if best_kernel != kernels[-1]:  # a later sigma overwrote the winner's entries, checked then
             gram = build_gram(best_kernel, gram)
         rule = _fit_l2(sub, best_kernel, lam, gram)
-    cv = CVResult(
-        best_lambda=lam, best_sigma=best_kernel.bandwidth, table=tuple(table), fold_seed=seed
-    )
-    return rule, cv
+    return rule, CVResult(best_lambda=lam, best_sigma=sigma, table=tuple(table), folds=folds)
 
 
 # ---------------------------------------------------------------------------

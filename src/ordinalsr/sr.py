@@ -21,9 +21,7 @@ from .data import (
 )
 from .evaluate import cv_tune
 from .exceptions import DataError, DegenerateStepError
-from .kernels import (
-    MEDIAN_SUBSAMPLE_CAP, KernelSpec, _median_distance, _squared_distances, median_bandwidth,
-)
+from .kernels import MEDIAN_SUBSAMPLE_CAP, KernelSpec, _median_distance, median_bandwidth
 from .varselect import screen_mask
 
 __all__ = [
@@ -187,19 +185,19 @@ def _majority_rule(data, eligible, negative_arms, positive_arms, reason) -> Cons
     return ConstantRule(decision=decision, reason=reason, n_features=data.p)
 
 
-def _resolve_sigma_grid(config, features, seed, sq):
-    """(None,), the config's grid or SIGMA_SCALES times the median bandwidth;
-    sq, the features' squared distances (None for a linear kernel), gives the
-    median when not subsampled."""
+def _resolve_sigma_grid(config, sub, seed):
+    """(None,), the config's grid or SIGMA_SCALES times the median bandwidth of
+    sub's features: from sub.squared_distances, or median_bandwidth's
+    subsample above MEDIAN_SUBSAMPLE_CAP rows; 1.0 when all rows are identical."""
     if config.kernel_kind != "gaussian":
         return (None,)
     if config.sigma_grid is not None:
         return config.sigma_grid
     try:
-        if sq.shape[0] > MEDIAN_SUBSAMPLE_CAP:
-            med = median_bandwidth(features, seed=seed)
+        if sub.m > MEDIAN_SUBSAMPLE_CAP:
+            med = median_bandwidth(sub.features, seed=seed)
         else:
-            med = _median_distance(sq)
+            med = _median_distance(sub.squared_distances)
     except DataError:
         med = 1.0
     return tuple(s * med for s in SIGMA_SCALES)
@@ -211,24 +209,19 @@ def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible,
 
     Two-stage selection masks the step's features once, up front, so the
     sigma grid and cv_tune see an ordinary L2 subproblem carrying its selection.
-    A Gaussian step's squared distances are computed once, here, for both.
     """
     try:
         sub = build_subproblem(data, Xs, negative_arms, positive_arms, eligible,
                                propensity_mode=config.propensity_mode, step_id=step_id)
         if config.selection == "two-stage":
             sub = screen_mask(sub)
-        sq = None
-        if config.kernel_kind == "gaussian":
-            sq = _squared_distances(sub.features, sub.features)
         return cv_tune(
             sub,
             lambda_grid=config.lambda_grid,
-            sigma_grid=_resolve_sigma_grid(config, sub.features, seed, sq),
+            sigma_grid=_resolve_sigma_grid(config, sub, seed),
             folds=config.cv_folds,
             seed=seed,
             penalty=config.penalty,
-            _sq=sq,
         )
     except DegenerateStepError as exc:
         return _majority_rule(data, eligible, negative_arms, positive_arms, str(exc)), None

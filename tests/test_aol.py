@@ -131,6 +131,26 @@ class TestBuildSubproblem:
         with pytest.raises(DegenerateStepError):
             _build(data, (1,), (2, 3), np.arange(12))
 
+    @pytest.mark.parametrize(
+        "eligible",
+        [np.arange(12) + 0.7, np.arange(12.0), list(range(-12, 0)), np.arange(1, 13),
+         [0, 1, 1] + list(range(3, 12)), np.ones(12, dtype=bool), [list(range(12))], 3],
+        ids=["fractional", "whole-floats", "negative", "past-the-end", "repeated", "boolean",
+             "matrix", "scalar"],
+    )
+    def test_eligible_must_be_distinct_row_indices(self, eligible):
+        """Not truncated, wrapped, repeated or a raw IndexError: a DataError."""
+        data = _trial([1.0] * 12, [1, 2] * 6)
+        with pytest.raises(DataError, match="distinct integer indices in 0..11"):
+            _build(data, (1,), (2, 3), eligible)
+
+    def test_empty_or_unsigned_eligible_indices(self):
+        data = _trial([1.0] * 12, [1, 2] * 6)
+        for empty in ([], np.zeros(0, dtype=int)):
+            with pytest.raises(DegenerateStepError, match="only 0 eligible"):
+                _build(data, (1,), (2, 3), empty)
+        assert _build(data, (1,), (2, 3), np.arange(12, dtype=np.uint8)).m == 12
+
     @pytest.mark.parametrize("shape", [(11, 1), (12,), (12, 1, 1)])
     def test_features_need_one_row_per_subject(self, shape):
         data = _trial([1.0] * 12, [1, 2] * 6)

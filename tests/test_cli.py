@@ -5,13 +5,24 @@ import os
 import numpy as np
 import pytest
 
-from ordinalsr import cli
-from ordinalsr.data import load_csv
+from ordinalsr import aol, cli
+from ordinalsr.data import TrialDataset, load_csv, save_csv
+from ordinalsr.exceptions import ConvergenceError
 from ordinalsr.sr import load_model
 
 
 def run(argv):
     return cli.main(argv)
+
+
+@pytest.fixture
+def no_convergence(monkeypatch):
+    """Every SMO solve hits its update cap."""
+
+    def smo(*args, **kwargs):
+        raise ConvergenceError("SMO hit its pair update cap")
+
+    monkeypatch.setattr(aol, "_smo", smo)
 
 
 @pytest.fixture
@@ -94,6 +105,29 @@ class TestFitPredictEvaluate:
         assert len(lines) > 3
         assert "np.float64" not in trace_path.read_text()
 
+    def test_cv_trace_marks_degenerate_steps(self, tmp_path):
+        """Four subjects in arms 2 and 3: S2 has too few to fit and falls back
+        to a constant rule, one degenerate row; S1 and R1 have their tables."""
+        rng = np.random.default_rng(4)
+        data_path, trace_path = tmp_path / "skewed.csv", tmp_path / "trace.csv"
+        save_csv(TrialDataset(features=rng.uniform(-1, 1, size=(60, 2)),
+                              treatment=np.r_[np.ones(56, dtype=int), 2, 2, 3, 3],
+                              outcome=rng.normal(size=60), k_arms=3), data_path)
+        assert run(["fit", "--data", str(data_path), "--out", str(tmp_path / "m.txt"),
+                    "--lambdas", "0.01,0.05", "--cv-trace", str(trace_path)]) == 0
+        rows = [line.split(",") for line in trace_path.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["S1", "S1", "S2", "R1", "R1"]
+        assert rows[2][1:] == ["", "", "", "degenerate"]
+        for table in (rows[:2], rows[3:]):
+            assert sorted(row[4] for row in table) == ["0", "1"]
+
+    @pytest.mark.usefixtures("no_convergence")
+    def test_non_convergence_exits_three(self, tmp_path, trial_csv, capsys):
+        model_path = tmp_path / "model.txt"
+        assert run(["fit", "--data", str(trial_csv), "--out", str(model_path)]) == 3
+        assert "SMO hit its pair update cap" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_invalid_flag_combo_exits_two(self, tmp_path, trial_csv):
         with pytest.raises(SystemExit) as exc:
             run(
@@ -165,6 +199,24 @@ class TestBenchmark:
         assert "oracle" in summary
         assert "effect_scale" in manifest
         assert "np.float64" not in rows + summary
+        assert not (tmp_path / "bench_failures.csv").exists()
+
+    @pytest.mark.usefixtures("no_convergence")
+    def test_failed_fits_are_written_to_the_failures_file(self, tmp_path):
+        """A fit that raises is one row of <prefix>_failures.csv; the run goes
+        on, and the methods that did not fail keep their rows."""
+        prefix = str(tmp_path / "bench")
+        assert run(
+            ["benchmark", "--settings", "P1", "--n", "60", "--replicates", "2",
+             "--methods", "oracle,sr-linear", "--seed", "1", "--test-size", "200",
+             "--jobs", "1", "--out-prefix", prefix]
+        ) == 0
+        failures = (tmp_path / "bench_failures.csv").read_text().splitlines()
+        assert failures == ["setting,n,method,replicate,error"] + [
+            f"P1,60,sr-linear,{rep},SMO hit its pair update cap" for rep in (0, 1)
+        ]
+        rows = (tmp_path / "bench_rows.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["oracle", "oracle"]
 
     def test_negative_seed_exits_one(self, tmp_path):
         assert run(

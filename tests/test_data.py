@@ -119,6 +119,15 @@ class TestTrialDataset:
         with pytest.raises(DataError, match="must be numbers"):
             TrialDataset(treatment=[1, 1, 2], k_arms=2, **values)
 
+    @pytest.mark.parametrize("field", ["features", "treatment", "outcome", "propensity"])
+    def test_complex_values_raise_data_error(self, field):
+        """The float cast would drop the imaginary part with only a warning."""
+        values = dict(features=np.zeros((3, 1)), treatment=np.array([1, 1, 2]),
+                      outcome=np.zeros(3), propensity=np.full(3, 0.5))
+        values[field] = values[field] + 1j
+        with pytest.raises(DataError, match="not complex"):
+            TrialDataset(k_arms=2, **values)
+
     def test_bad_propensity_rejected(self):
         for bad in ([0.0, 0.5, 0.5], [0.5, 0.5, 1.5], [np.nan, 0.5, 0.5]):
             with pytest.raises(DataError):
@@ -336,7 +345,7 @@ class TestScaling:
         "rows, match",
         [([[0.0, np.nan]], "non-finite"), ([[np.inf, 0.0], [0.0, 0.0]], "non-finite"),
          ([-np.inf, 0.0], "non-finite"), (np.zeros((2, 2, 2)), "features"),
-         ([["a", "b"]], "must be numbers")],
+         ([["a", "b"]], "must be numbers"), (np.zeros((1, 2)) + 1j, "not complex")],
     )
     def test_rows_must_be_finite_numbers_of_the_right_shape(self, rows, match):
         params = ScalingParams(mins=np.zeros(2), maxs=np.ones(2))
@@ -384,8 +393,10 @@ class TestUtility:
     @pytest.mark.parametrize(
         "benefit, risk",
         [([1.0, np.nan], [1.0, 1.0]), ([1.0, 2.0], [np.inf, 1.0]), ([-np.inf], [0.0]),
-         (["a", 1.0], [1.0, 1.0]), ([1.0, 2.0], [1.0, 2.0, 3.0])],
-        ids=["nan-benefit", "inf-risk", "inf-benefit", "text", "shapes"],
+         (["a", 1.0], [1.0, 1.0]), ([1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0 + 1j], [1.0]),
+         ([1.0], np.array([1.0]) + 0j)],
+        ids=["nan-benefit", "inf-risk", "inf-benefit", "text", "shapes", "complex-benefit",
+             "complex-risk"],
     )
     def test_benefit_and_risk_must_be_finite_numbers(self, benefit, risk):
         with pytest.raises(DataError):

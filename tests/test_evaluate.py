@@ -28,7 +28,7 @@ from ordinalsr.evaluate import (
 from ordinalsr import aol, evaluate, solvers, varselect
 from ordinalsr.aol import build_subproblem, fit_aol_l1_linear, fit_aol_l2, fit_l2_from_gram
 from ordinalsr.evaluate import _holdout_score, _stratified_folds
-from ordinalsr.exceptions import DataError, UndefinedMetricError
+from ordinalsr.exceptions import DataError, DegenerateStepError, UndefinedMetricError
 from ordinalsr.kernels import KernelSpec, _squared_distances, gram_matrix, median_bandwidth
 from ordinalsr.simgen import SETTINGS, generate, get_setting
 from ordinalsr.sr import SIGMA_SCALES, SRConfig, _resolve_sigma_grid
@@ -97,8 +97,10 @@ class TestMetrics:
             itr_effect(np.full(4, 2), data)
 
     @pytest.mark.parametrize(
-        "bad", [[np.nan] * 4, [1.5, 2.0, 3.0, 1.0], ["1"] * 3 + ["x"], [np.inf, 1, 1, 1]],
-        ids=["nan", "fraction", "text", "inf"],
+        "bad",
+        [[np.nan] * 4, [1.5, 2.0, 3.0, 1.0], ["1"] * 3 + ["x"], [np.inf, 1, 1, 1],
+         np.array([1, 3, 1, 1]) + 1j],
+        ids=["nan", "fraction", "text", "inf", "complex"],
     )
     def test_misclassification_and_disagreement_take_only_whole_number_arms(self, bad):
         truth = np.array([1, 3, 1, 1])
@@ -196,6 +198,15 @@ class TestCvTune:
         best_score = scores[cv.best_lambda]
         tied = [lam for lam, s in scores.items() if s == best_score]
         assert cv.best_lambda == max(tied)
+
+    def test_ties_break_toward_larger_lambda_then_larger_sigma(self):
+        """Zero outcomes score every grid point 0: the largest (lambda, sigma)
+        wins, wherever it sits in the grids."""
+        X = np.linspace(-1, 1, 24)[:, None]
+        sub = make_subproblem(X, np.resize([1, -1], 24), np.ones(24))
+        _, cv = cv_tune(sub, (0.1, 1.0, 0.01), sigma_grid=(0.5, 2.0, 1.0), folds=3, seed=0)
+        assert {s for _, _, s in cv.table} == {0.0}
+        assert (cv.best_lambda, cv.best_sigma) == (1.0, 2.0)
 
 
     def test_warm_started_table_matches_cold_reference(self, monkeypatch):
@@ -338,6 +349,36 @@ class TestCvTune:
         _, cv = cv_tune(sub, (0.05,), sigma_grid=[None], folds=3, penalty="l1linear")
         assert cv.best_sigma is None
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"folds": 2.5}, {"folds": 1}, {"folds": 0}, {"folds": True}, {"folds": "5"},
+         {"seed": 1.5}, {"seed": -1}, {"seed": None}],
+        ids=["fractional-folds", "one-fold", "no-folds", "bool-folds", "text-folds",
+             "fractional-seed", "negative-seed", "no-seed"],
+    )
+    def test_folds_and_seed_are_checked(self, rng, kwargs):
+        """Not a raw TypeError or ValueError, nor a DegenerateStepError that
+        _fit_step would turn into a constant rule without a word."""
+        (name,) = kwargs
+        with pytest.raises(DataError, match=f"{name} must be an integer"):
+            cv_tune(self._linear_sub(rng), (0.1,), **kwargs)
+        _, cv = cv_tune(self._linear_sub(rng), (0.1,), folds=np.int64(3), seed=np.uint8(2))
+        assert cv.folds == 3
+
+    @pytest.mark.parametrize("m, folds", [(4, 2), (6, 3), (9, 4), (10, 5), (40, 5)])
+    def test_fold_count_is_capped_at_half_the_rows(self, m, folds):
+        """A step of fewer than 2 * folds rows runs m // 2 folds, and
+        CVResult.folds records the count the folds settled on."""
+        sub = make_subproblem(np.linspace(-1, 1, m)[:, None], np.resize([1, -1], m), np.ones(m))
+        _, cv = cv_tune(sub, (0.1,), folds=5, seed=0)
+        assert cv.folds == folds
+        assert _stratified_folds(sub.labels, sub.weights, 5, 0)[1] == folds
+
+    def test_fewer_than_four_rows_have_no_folds(self):
+        sub = make_subproblem(np.linspace(-1, 1, 3)[:, None], [1, -1, 1], np.ones(3))
+        with pytest.raises(DegenerateStepError, match="two-class CV folds"):
+            cv_tune(sub, (0.1,), folds=5, seed=0)
+
     def test_empty_grid_raises_data_error(self, rng):
         sub = self._linear_sub(rng)
         with pytest.raises(DataError, match="non-empty"):
@@ -402,8 +443,8 @@ class TestOneDistanceMatrix:
         data = generate(get_setting("N8", p=p), n, seed=seed)
         return build_subproblem(data, data.features, (1,), (2, 3), np.arange(data.n))
 
-    def _assert_bit_identical(self, sub, sigmas, **kwargs):
-        rule, cv = cv_tune(sub, self.LAMBDAS, sigma_grid=sigmas, folds=3, seed=2, **kwargs)
+    def _assert_bit_identical(self, sub, sigmas):
+        rule, cv = cv_tune(sub, self.LAMBDAS, sigma_grid=sigmas, folds=3, seed=2)
         want, lam, sigma, table = cv_tune_per_sigma_gram(sub, self.LAMBDAS, sigmas, 3, 2)
         assert repr(cv.table) == repr(table)  # float reprs round-trip exactly
         assert (cv.best_lambda, cv.best_sigma) == (lam, sigma)
@@ -431,14 +472,23 @@ class TestOneDistanceMatrix:
                 for s in ((0.3, 0.6, 1.2), (1.2, 0.3, 0.6))]  # 0.6 wins both
         assert last == [False, True]
 
-    def test_median_derived_grid(self):
-        """The sr path: one D2 gives the median bandwidth and every Gram matrix."""
+    def test_median_derived_grid(self, monkeypatch):
+        """The sr path: one D2, the step's squared_distances computed once,
+        gives the median bandwidth and every Gram matrix."""
+        computed = []
+
+        def spy(A, B, *args):
+            computed.append(A.shape[0])
+            return _squared_distances(A, B, *args)
+
+        monkeypatch.setattr(aol, "_squared_distances", spy)
         sub = self._n8_sub(n=300, seed=8)
-        sq = _squared_distances(sub.features, sub.features)
-        grid = _resolve_sigma_grid(SRConfig(kernel_kind="gaussian"), sub.features, 4, sq)
+        grid = _resolve_sigma_grid(SRConfig(kernel_kind="gaussian"), sub, 4)
         med = median_bandwidth(sub.features, seed=4)
         assert repr(grid) == repr(tuple(s * med for s in SIGMA_SCALES))
-        self._assert_bit_identical(sub, grid, _sq=sq)
+        self._assert_bit_identical(sub, grid)
+        assert computed == [sub.m]
+        assert not sub.squared_distances.flags.writeable
 
     def test_zero_weight_rows(self):
         sub = self._n8_sub()

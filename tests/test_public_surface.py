@@ -13,7 +13,7 @@ from pathlib import Path
 import ordinalsr
 
 MAX_PUBLIC_NAMES = 64
-MAX_DEFAULTED_PARAMETERS = 20
+MAX_DEFAULTED_PARAMETERS = 19
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 

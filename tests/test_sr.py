@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_subproblem
 import ordinalsr.evaluate as evaluate_module
+from ordinalsr import aol, kernels
 from ordinalsr.aol import KernelExpansionRule, SparseLinearRule
 from ordinalsr.data import ScalingParams, TrialDataset
 from ordinalsr.exceptions import DataError, OrdinalSRError
-from ordinalsr.kernels import (
-    MEDIAN_SUBSAMPLE_CAP, KernelSpec, _squared_distances, median_bandwidth,
-)
+from ordinalsr.kernels import MEDIAN_SUBSAMPLE_CAP, KernelSpec, median_bandwidth
 from ordinalsr.simgen import SETTINGS, generate, get_setting
 from ordinalsr.sr import (
     _RETIRED_CONFIG,
@@ -294,6 +294,13 @@ class TestPredictInputs:
         with pytest.raises(DataError, match="must be numbers"):
             predict_ordinal(model, [["x"] * model.scaling.p])
 
+    def test_complex_rows_raise(self, model):
+        """Not predicted from their real parts."""
+        X = np.zeros((3, model.scaling.p))
+        for rows in (X + 5j, X.astype(complex), [[1j] * model.scaling.p]):
+            with pytest.raises(DataError, match="not complex"):
+                predict_ordinal(model, rows)
+
 
 class TestRuleInputs:
     """A rule's decision_value and predict check their rows as predict_ordinal
@@ -311,6 +318,7 @@ class TestRuleInputs:
         "nan": ([[np.nan, 0.5]], "non-finite"),
         "inf": ([[np.inf, 0.5]], "non-finite"),
         "text": ([["a", "b"]], "must be numbers"),
+        "complex": (np.zeros((2, 2)) + 1j, "not complex"),
         "three-d": (np.zeros((2, 2, 2)), "features"),
         "three-features": (np.zeros((2, 3)), "2 features"),
         "vector-of-three": (np.zeros(3), "2 features"),
@@ -366,12 +374,19 @@ class TestSigmaGrid:
         return np.random.default_rng(3).uniform(-1, 1, size=(40, 3))
 
     @staticmethod
-    def _grid(config, X, seed):
-        """The sigma grid of a step over X, from its squared distances, as _fit_step gives it."""
-        return _resolve_sigma_grid(config, X, seed, _squared_distances(X, X))
+    def _step(X):
+        return make_subproblem(X, np.resize([1, -1], X.shape[0]), np.ones(X.shape[0]))
+
+    @classmethod
+    def _grid(cls, config, X, seed):
+        """The sigma grid of a step over X, as _fit_step gives it."""
+        return _resolve_sigma_grid(config, cls._step(X), seed)
 
     def test_linear_kernel_has_no_bandwidth(self):
-        assert _resolve_sigma_grid(SRConfig(), self._features(), 1, None) == (None,)
+        """Nor does a linear step compute its squared distances."""
+        sub = self._step(self._features())
+        assert _resolve_sigma_grid(SRConfig(), sub, 1) == (None,)
+        assert "squared_distances" not in vars(sub)
 
     def test_explicit_grid_is_used_as_given(self):
         config = SRConfig(kernel_kind="gaussian", sigma_grid=(0.3, 2.0))
@@ -403,6 +418,29 @@ class TestSigmaGrid:
         X = np.random.default_rng(5).uniform(-1, 1, size=(MEDIAN_SUBSAMPLE_CAP + 1, 2))
         med = median_bandwidth(X, seed=4)
         assert self._grid(config, X, 4) == tuple(s * med for s in SIGMA_SCALES)
+
+
+@pytest.mark.parametrize("selection", ["none", "two-stage"])
+def test_each_gaussian_step_computes_its_distances_once(monkeypatch, selection):
+    """A step's squared_distances, of its masked features under two-stage
+    selection, give its median bandwidth and every Gram matrix of its CV grid;
+    the fit computes no other distances among a step's rows (the cascade's
+    in-sample predictions take distances to a rule's support points)."""
+    calls, distances = {"aol": [], "kernels": []}, kernels._squared_distances
+
+    def spy(module):
+        def squared_distances(A, B, *args):
+            calls[module].append(B is A)
+            return distances(A, B, *args)
+        return squared_distances
+
+    monkeypatch.setattr(aol, "_squared_distances", spy("aol"))
+    monkeypatch.setattr(kernels, "_squared_distances", spy("kernels"))
+    config = SRConfig(kernel_kind="gaussian", selection=selection, lambda_grid=(0.05,), seed=1)
+    model = fit_sr(generate(get_setting("N8", p=4), 150, seed=4), config)
+    assert [cv is not None for _, cv in model.cv_trace] == [True] * 3
+    assert calls["aol"] == [True] * 3
+    assert calls["kernels"] and not any(calls["kernels"])
 
 
 class TestMajorityRule:
