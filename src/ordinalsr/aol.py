@@ -3,8 +3,10 @@
 Each sequential or re-estimation step reduces to a weighted binary
 classification: labels are the arm-side indicator flipped by the sign of the
 outcome residual, and case weights are |residual| / propensity-of-side.
-Rules come in two flavors: an L2 (kernel) weighted SVM fit, and an L1 linear
-fit solved through the (1+2p)-row dual of its linear program.
+Rules come in two flavors: an L2 (kernel) weighted SVM fit, by an
+interior-point method on the features for the linear kernel and by SMO on the
+Gram matrix for the Gaussian one, and an L1 linear fit solved through the
+(1+2p)-row dual of its linear program.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .data import _feature_rows, _float_array, _readonly
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, _gram_block, _gram_into, _squared_distances, gram_matrix
 from .solvers import (
-    _L1DualLP, _check_positive, _finite_gram, _l1_path, _smo, logistic_fit, ols_fit,
+    _L1DualLP, _check_positive, _finite_gram, _l1_path, _linear_svm_ipm, _smo, logistic_fit,
+    ols_fit,
 )
 
 __all__ = [
@@ -245,39 +248,50 @@ def _active(sub):
 
 
 def fit_l2_from_gram(labels, weights, gram, lam, tol=1e-5, init=None):
-    """Shared core of fit_aol_l2: returns (coefs = alpha*label, intercept).
+    """The SMO fit behind Gaussian L2 steps: returns (coefs = alpha*label, intercept).
 
     Caps follow C_i = w_i / (2 lambda m) with m the active sample count.
     gram must be symmetric and finite, checked where it was built, as _smo
-    does not check it; init is an optional feasible start for alpha.
+    does not check it; init is an optional feasible start for alpha.  Linear
+    steps run _linear_svm_ipm on their features instead, with no Gram matrix.
     """
-    m = labels.shape[0]
-    caps = weights / (2.0 * lam * m)
-    sol = _smo(gram, labels, caps, tol=tol, init=init)
+    sol = _smo(gram, labels, _box_caps(weights, lam, labels.shape[0]), tol=tol, init=init)
     return sol.alphas * labels, sol.intercept
 
 
+def _box_caps(weights, lam, m):
+    """The dual's box caps C_i = w_i / (2 lambda m) of m active rows."""
+    return weights / (2.0 * lam * m)
+
+
 def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam):
-    """Weighted hinge loss + lambda * ||f||^2, via the SMO dual solver (tol
-    1e-5); the rule carries sub's selected_features and selection_fallback."""
+    """Weighted hinge loss + lambda * ||f||^2 on the active rows; the rule
+    carries sub's selected_features and selection_fallback.
+
+    A linear kernel is solved on the features by the interior-point method
+    (solvers._linear_svm_ipm), a Gaussian one by SMO on its Gram matrix
+    (fit_l2_from_gram, tol 1e-5).
+    """
     return _fit_l2(sub, kernel, lam, None)
 
 
 def _fit_l2(sub, kernel, lam, gram_full):
-    """fit_aol_l2, reading the active rows of gram_full (the kernel's Gram
-    matrix over all of sub's rows, already checked finite) when it is given."""
+    """fit_aol_l2, reading the active rows of gram_full (the Gaussian kernel's
+    Gram matrix over all of sub's rows, already checked finite) when it is given."""
     _check_positive("lam", lam)
     keep = _active(sub)
     X = sub.features[keep]
+    selection = dict(selected_features=sub.selected_features,
+                     selection_fallback=sub.selection_fallback)
+    if kernel.kind == "linear":
+        caps = _box_caps(sub.weights[keep], lam, X.shape[0])
+        _, (slopes,), (b0,), _ = _linear_svm_ipm(X, sub.labels[keep], caps[None])
+        return SparseLinearRule(intercept=float(b0), slopes=slopes, **selection)
     gram = _finite_gram(gram_matrix(kernel, X, X)) if gram_full is None else gram_full
     if gram.shape[0] != X.shape[0]:  # gram_full has inactive rows; copy only then
         rows = np.flatnonzero(keep)
         gram = _gram_block(gram, rows, rows)
     coefs, b0 = fit_l2_from_gram(sub.labels[keep], sub.weights[keep], gram, lam)
-    selection = dict(selected_features=sub.selected_features,
-                     selection_fallback=sub.selection_fallback)
-    if kernel.kind == "linear":
-        return SparseLinearRule(intercept=b0, slopes=X.T @ coefs, **selection)
     support = np.abs(coefs) > SUPPORT_EPS
     return KernelExpansionRule(
         points=X[support],
@@ -287,6 +301,20 @@ def _fit_l2(sub, kernel, lam, gram_full):
         n_features=sub.p,
         **selection,
     )
+
+
+def _linear_fold_fits(sub, rows, lambdas):
+    """Per row set rows[f], the (slopes, intercept) per lambda of the linear
+    L2 fit on those rows of sub, all from one _linear_svm_ipm call: problem
+    (f, lambda) caps rows[f] at C_i = w_i / (2 lambda len(rows[f])) and every
+    other row at 0."""
+    lam = np.asarray(lambdas, dtype=float)[:, None]
+    caps = np.zeros((len(rows), lam.size, sub.m))
+    for f, active in enumerate(rows):
+        caps[f][:, active] = _box_caps(sub.weights[active], lam, active.size)
+    _, slopes, b0, _ = _linear_svm_ipm(sub.features, sub.labels, caps.reshape(-1, sub.m))
+    fits = list(zip(slopes, b0))
+    return [fits[f * lam.size : (f + 1) * lam.size] for f in range(len(rows))]
 
 
 def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:

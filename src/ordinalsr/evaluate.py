@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aol import _fit_l2, _l1_coefs, _l1_rule, _sign_tie_negative, fit_l2_from_gram
+from .aol import (
+    _fit_l2, _l1_coefs, _l1_rule, _linear_fold_fits, _sign_tie_negative, fit_l2_from_gram,
+)
 from .data import _check_integer, _whole_numbers, _write_csv
 from .exceptions import (
     DataError,
@@ -21,7 +23,7 @@ from .exceptions import (
     OrdinalSRError,
     UndefinedMetricError,
 )
-from .kernels import KernelSpec, _gaussian_from_squared, _gram_block, gram_matrix
+from .kernels import KernelSpec, _gaussian_from_squared, _gram_block
 from .solvers import _L1DualLP, _finite_gram
 from .simgen import get_setting, generate
 
@@ -147,7 +149,7 @@ def evaluate_rule(pred, data) -> EvaluationReport:
 # cross-validated tuning of one binary step
 
 _FOLD_REDRAWS = 20
-CV_TOL = 1e-3  # SMO tolerance of the fold solves; the refit solves to 1e-5
+CV_TOL = 1e-3  # SMO tolerance of the Gaussian fold solves; the refit solves to 1e-5
 
 def _stratified_folds(labels, weights, folds, seed):
     """(assign, folds): a fold assignment stratified by binary label, and the
@@ -198,21 +200,25 @@ def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2")
 
     One fold loop serves both penalties.  A fold fits one (coefs, b0) per
     lambda on its positive-weight training rows, then scores its held-out rows
-    as sign(design @ coefs + b0).  For L2 the design is the held-out rows of
-    the sigma's Gram matrix against the training rows, and the fits walk the
-    lambda grid in order, each starting from the previous alpha times
-    lambda_prev / lambda: the caps C_i = w_i / (2 lambda m) scale the same
-    way, so that start is feasible.  The first lambda starts from the alpha
-    the same fold reached at the previous sigma for that lambda (cold at the
-    first sigma): a fold's training rows, caps and equality constraint do not
-    depend on sigma, so that start is feasible too, and only one start vector
-    per fold outlives its sigma.  The fold solves stop at SMO tolerance
-    CV_TOL.  The L2 rule is then refitted on all of sub at the chosen point,
-    cold (SMO: tol 1e-5).
+    as sign(design @ coefs + b0).  For the linear kernel and for L1 the
+    design is the held-out features and coefs the slopes.
 
-    For L1 the design is the held-out features, and one dual LP serves the
-    step (solvers._L1DualLP), the folds in order and then the refit on all
-    positive-weight rows; solvers._l1_path picks each solve's start.
+    Linear L2 fits come from one interior-point solve over every fold and
+    lambda (aol._linear_fold_fits), with no Gram matrix.  A Gaussian sigma's
+    design is the held-out rows of its Gram matrix against the training
+    rows, and SMO fits walk the lambda grid in order, each starting from the
+    previous alpha times lambda_prev / lambda: the caps C_i = w_i / (2 lambda
+    m) scale the same way, so that start is feasible.  The first lambda
+    starts from the alpha the same fold reached at the previous Gaussian
+    sigma for that lambda (cold at the first): a fold's training rows, caps
+    and equality constraint do not depend on sigma, so that start is
+    feasible too, and only one start vector per fold outlives its sigma.
+    These solves stop at SMO tolerance CV_TOL.  The L2 rule is then refitted
+    on all of sub at the chosen point by aol._fit_l2, cold.
+
+    For L1 one dual LP serves the step (solvers._L1DualLP), the folds in
+    order and then the refit on all positive-weight rows; solvers._l1_path
+    picks each solve's start.
 
     Every Gaussian sigma's Gram matrix is filled into one m x m buffer from
     sub.squared_distances by gram_matrix's operations, so its entries are
@@ -230,29 +236,31 @@ def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2")
     _check_integer("seed", seed, 0)
     assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
     positive = sub.weights > 0
+    split = [(np.flatnonzero(assign == f), np.flatnonzero((assign != f) & positive))
+             for f in range(folds)]
     kernels = [KernelSpec("linear") if s is None else KernelSpec("gaussian", s)
                for s in sigma_grid]
 
     def build_gram(kernel, out):
-        if kernel.kind == "linear":
-            return gram_matrix(kernel, sub.features, sub.features)
-        return _gaussian_from_squared(sub.squared_distances, kernel.bandwidth, out=out)
+        gram = _gaussian_from_squared(sub.squared_distances, kernel.bandwidth, out=out)
+        return _finite_gram(gram)
 
     if penalty == "l1linear":
         lp = _L1DualLP(sub.features, sub.labels, sub.weights)
     table = []  # (lambda, sigma, mean held-out value), sigma-major
-    gram = None  # the Gram matrix of the sigma in hand, one buffer for every Gaussian sigma
-    sigma_starts = [None] * folds  # each fold's first-lambda alpha at the previous sigma
+    gram, held = None, None  # one buffer for every Gaussian sigma's Gram matrix, and its kernel
+    sigma_starts = [None] * folds  # each fold's first-lambda alpha at the previous Gaussian sigma
     for sigma, kernel in zip(sigma_grid, kernels):
-        if penalty == "l2":
-            gram = _finite_gram(build_gram(kernel, gram))
+        if penalty == "l1linear":
+            fold_fits = [_l1_coefs(lp, active, lambda_grid) for _, active in split]
+        elif kernel.kind == "linear":
+            fold_fits = _linear_fold_fits(sub, [active for _, active in split], lambda_grid)
+        else:
+            gram, held = build_gram(kernel, gram), kernel
         scores = [[] for _ in lambda_grid]
-        for f in range(folds):
-            te = np.flatnonzero(assign == f)
-            active = np.flatnonzero((assign != f) & positive)
-            if penalty == "l1linear":
-                fits = _l1_coefs(lp, active, lambda_grid)
-                design = sub.features[te]
+        for f, (te, active) in enumerate(split):
+            if penalty == "l1linear" or kernel.kind == "linear":
+                fits, design = fold_fits[f], sub.features[te]
             else:
                 labels, weights = sub.labels[active], sub.weights[active]
                 gram_tr = _gram_block(gram, active, active)
@@ -283,8 +291,8 @@ def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2")
     if penalty == "l1linear":
         rule = _l1_rule(lp, np.flatnonzero(positive), lam)
     else:
-        if best_kernel != kernels[-1]:  # a later sigma overwrote the winner's entries, checked then
-            gram = build_gram(best_kernel, gram)
+        if best_kernel.kind == "gaussian" and best_kernel != held:
+            gram = build_gram(best_kernel, gram)  # a later sigma overwrote the winner's entries
         rule = _fit_l2(sub, best_kernel, lam, gram)
     return rule, CVResult(best_lambda=lam, best_sigma=sigma, table=tuple(table), folds=folds)
 

@@ -2,7 +2,8 @@
 
 The optimizers everything else is built on: least squares (ridge-jittered
 normal equations), IRLS logistic regression, SMO for the weighted hinge-loss
-dual, and one bounded-variable revised simplex (Dantzig pricing, Bland's rule
+dual on a Gram matrix, a batched interior-point method for that dual on
+linear features, and one bounded-variable revised simplex (Dantzig pricing, Bland's rule
 after a degenerate run, dual pivots from a warm start).  It solves both
 phases of simplex_solve and the (1+2p)-row dual LP of the L1-penalized
 weighted hinge loss, built once per step, each solve but the first from an
@@ -368,6 +369,142 @@ def _smo(gram, labels, caps, tol=1e-5, max_updates=1_000_000, init=None):
         # NaN, and a NaN alpha leaves both masks, so the loop stops as if done
         raise ConvergenceError("SMO state became non-finite; gram entries too large", best=sol)
     return sol
+
+
+_IPM_RTOL = 1e-8  # residuals, in margin units, at which an interior-point solve stops
+_IPM_GTOL = 1e-14  # complementarity gap over sum(C) at which it stops
+_IPM_MAX_ITER = 50
+_IPM_STEP = 0.99  # share of the way to the boundary that a step goes
+_IPM_SPLIT = 1e6  # rows of larger v^2/D stay out of the elimination
+
+
+def _linear_svm_ipm(X, labels, caps):
+    """B weighted-SVM duals on the linear kernel of X (m x p), solved in lockstep.
+
+    Problem b has the box caps caps[b] (caps is B x m, 0 on rows outside the
+    problem; its positive caps cover both labels).  In beta = alpha / C it
+    reads min 1/2 beta'Q beta - C'beta s.t. v'beta = 0, beta + s = 1 and
+    beta, s >= 0, with v = C * labels and Q = V V', V = diag(v) X, of rank
+    <= p and never formed.  The upper slack s is a variable of its own, so
+    no digit is lost to 1 - beta.  A primal-dual predictor-corrector
+    (Mehrotra) method runs on (beta, s, z, u) and nu: z and u are the
+    bounds' multipliers, started at beta = s = 1/2 and z = u = 1 + C, and nu
+    is the equality's, which is the intercept.
+
+    Each Newton system is (D + V V') d_beta + v d_nu = g, v'd_beta = -r_e,
+    with D = z/beta + u/s diagonal.  Sherman-Morrison-Woodbury eliminates
+    d_beta_i = (g_i - v_i x1_i'd) / D_i, x1_i = (x_i, 1), leaving a
+    (p+1)-vector d = (V'd_beta, d_nu) and the capacitance matrix
+    I' + X1' diag(v^2/D) X1, I' = diag(1, ..., 1, 0): one (B, m) @
+    (m, (p+1)(p+2)/2) product builds all B of them.  Near the optimum the
+    free rows' D goes to 0, and their huge v^2/D would swamp the rest of
+    that sum in rounding.  So the k rows of largest v^2/D (at least p+1, and
+    every row above _IPM_SPLIT) keep d_beta_i as an unknown, with their own
+    equation v_i x1_i'd + D_i d_beta_i = g_i beside the capacitance block:
+    one stacked np.linalg.solve of (p+1+k)-square systems per direction.
+    The products of X1's columns are checked finite first (DataError "gram
+    must be finite").
+
+    A problem stops, its rows frozen, once every dual residual over its C_i
+    (the margin units of SMO's KKT violation) and the equality residual over
+    sum(C) are within _IPM_RTOL and the complementarity gap over sum(C) is
+    within _IPM_GTOL.  Returns (alphas (B, m), slopes X'(alpha * labels)
+    (B, p), intercepts (B,), iterations).  A problem left open after
+    _IPM_MAX_ITER iterations, or whose state turns non-finite, raises
+    ConvergenceError; its best holds those first three arrays at each
+    problem's least-residual iterate.
+    """
+    m, p = X.shape
+    X1 = np.column_stack([X, np.ones(m)])
+    iu, ju = np.triu_indices(p + 1)
+    O = _finite_gram(X1[:, iu] * X1[:, ju])
+    c = np.asarray(caps, dtype=float)
+    v = c * labels
+    B = c.shape[0]
+    total, cscale = c.sum(axis=1), np.where(c > 0, c, 1.0)
+    P = np.empty((4, B, m))  # beta, s, z, u
+    P[:2], P[2:] = 0.5, 1.0 + c
+    beta, s, z, u = P
+    nu = np.zeros(B)
+    rows = np.arange(B)[:, None]
+    open_ = np.ones(B, dtype=bool)
+    best_err = np.full(B, np.inf)
+    best = (np.zeros((B, m)), np.zeros((B, p)), np.zeros(B))
+
+    def to_boundary(d):
+        """The longest step per problem along d that keeps P >= 0 (P > 0 now)."""
+        lo = (d / P).min(axis=(0, 2))
+        return np.divide(-1.0, lo, out=np.full(B, np.inf), where=lo < 0)
+
+    def direction(rz, ru):
+        """The Newton step (d_P, d_nu) toward z beta = z beta + rz, u s = u s + ru."""
+        g = rz / beta - (ru + u * rs) / s - rd
+        h = v * g / D
+        h[rows, K] = 0.0
+        rhs = np.concatenate([h @ X1, g[rows, K]], axis=1)
+        rhs[:, p] += re
+        try:
+            sol = np.linalg.solve(A, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise ConvergenceError("interior-point Newton system singular", best=best) from None
+        d = np.empty_like(P)
+        d[0] = (g - v * (sol[:, : p + 1] @ X1.T)) / D
+        d[0][rows, K] = sol[:, p + 1 :]
+        d[1] = -rs - d[0]
+        d[2] = (rz - z * d[0]) / beta
+        d[3] = (ru - u * d[1]) / s
+        return d, sol[:, p]
+
+    for it in range(_IPM_MAX_ITER + 1):
+        alpha = c * beta
+        slopes = (v * beta) @ X
+        rd = v * (slopes @ X.T + nu[:, None]) - c - z + u
+        re = np.einsum("bm,bm->b", v, beta)
+        rs = beta + s - 1.0
+        gap = np.einsum("bm,bm->b", z, beta) + np.einsum("bm,bm->b", u, s)
+        err = np.maximum.reduce([
+            (np.abs(rd) / cscale).max(axis=1) / _IPM_RTOL, np.abs(re) / total / _IPM_RTOL,
+            np.abs(rs).max(axis=1) / _IPM_RTOL, gap / total / _IPM_GTOL,
+        ])
+        better = open_ & (err < best_err)
+        best_err[better] = err[better]
+        for kept, now in zip(best, (alpha, slopes, nu)):
+            kept[better] = now[better]
+        if not np.all(np.isfinite(err[open_])):
+            raise ConvergenceError("interior-point state became non-finite", best=best)
+        open_ &= err > 1.0
+        if not open_.any():
+            return alpha, slopes, nu, it
+        if it == _IPM_MAX_ITER:
+            break
+        D = z / beta + u / s
+        omega = v * v / D
+        k = min(m, max(p + 1, int((omega > _IPM_SPLIT).sum(axis=1).max())))
+        K = np.argpartition(-omega, k - 1, axis=1)[:, :k]
+        omega[rows, K] = 0.0
+        A = np.zeros((B, p + 1 + k, p + 1 + k))
+        A[:, iu, ju] = A[:, ju, iu] = omega @ O
+        A[:, np.arange(p), np.arange(p)] += 1.0
+        vXK = v[rows, K][..., None] * X1[K]  # (B, k, p + 1)
+        A[:, p + 1 :, : p + 1] = vXK
+        A[:, : p + 1, p + 1 :] = -vXK.transpose(0, 2, 1)
+        A[:, np.arange(p + 1, p + 1 + k), np.arange(p + 1, p + 1 + k)] = D[rows, K]
+        d, _ = direction(-z * beta, -u * s)
+        Pa = P + np.minimum(1.0, to_boundary(d))[:, None] * d
+        mu = gap / (2 * m)
+        mu_aff = (np.einsum("bm,bm->b", Pa[0], Pa[2])
+                  + np.einsum("bm,bm->b", Pa[1], Pa[3])) / (2 * m)
+        target = ((mu_aff / mu) ** 3 * mu)[:, None]
+        d, dnu = direction(target - z * beta - d[2] * d[0], target - u * s - d[3] * d[1])
+        d[:, ~open_], dnu[~open_] = 0.0, 0.0  # frozen, also where d is not finite
+        t = np.minimum(1.0, _IPM_STEP * to_boundary(d))
+        P += t[:, None] * d
+        nu += t * dnu
+    raise ConvergenceError(
+        f"interior-point solve open after {_IPM_MAX_ITER} iterations, "
+        f"residual {best_err.max():.3g} times its tolerance",
+        best=best,
+    )
 
 
 @dataclass(frozen=True)

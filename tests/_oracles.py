@@ -602,8 +602,10 @@ def decision_value_per_block(rule, X, block_bytes):
 
 def cv_tune_per_sigma_gram(sub, lambda_grid, sigma_grid, folds=5, seed=0, cv_tol=1e-3):
     """The L2 path of evaluate.cv_tune as it was before it shared one distance
-    matrix: gram_matrix_fresh per sigma, every solve through the checking
-    solvers.wsvm_dual_solve, and the winner's Gram matrix held for the refit.
+    matrix: gram_matrix_fresh per Gaussian sigma, every SMO solve through the
+    checking solvers.wsvm_dual_solve, and the winner's Gram matrix held for
+    the refit.  A linear sigma's folds are one solvers._linear_svm_ipm call,
+    as in cv_tune, and leave the Gaussian sigmas' starts alone.
 
     Returns (rule, best_lambda, best_sigma, table); cv_tune must match it bit
     for bit.
@@ -620,22 +622,35 @@ def cv_tune_per_sigma_gram(sub, lambda_grid, sigma_grid, folds=5, seed=0, cv_tol
         kernel = KernelSpec("linear") if sigma is None else KernelSpec("gaussian", sigma)
         gram_full = gram_matrix_fresh(kernel, sub.features, sub.features)
         scores = [[] for _ in lambda_grid]
-        for f in range(folds):
-            te = np.flatnonzero(assign == f)
-            active = np.flatnonzero((assign != f) & (sub.weights > 0))
-            labels, weights = sub.labels[active], sub.weights[active]
-            gram_tr = _gram_block(gram_full, active, active)
-            fits, alpha, lam_prev = [], None, None
-            for lam in lambda_grid:
-                init = sigma_starts[f] if alpha is None else alpha * (lam_prev / lam)
-                caps = weights / (2.0 * lam * labels.shape[0])
-                sol = solvers.wsvm_dual_solve(gram_tr, labels, caps, tol=cv_tol, init=init)
-                coefs = sol.alphas * labels
-                if alpha is None:
-                    sigma_starts[f] = coefs * labels
-                alpha, lam_prev = coefs * labels, lam
-                fits.append((coefs, sol.intercept))
-            design = _gram_block(gram_full, te, active)
+        positive = sub.weights > 0
+        splits = [(np.flatnonzero(assign == f), np.flatnonzero((assign != f) & positive))
+                  for f in range(folds)]
+        if sigma is None:
+            caps = np.zeros((folds, len(lambda_grid), sub.m))
+            for f, (_, active) in enumerate(splits):
+                for k, lam in enumerate(lambda_grid):
+                    caps[f, k, active] = sub.weights[active] / (2.0 * lam * active.size)
+            _, slopes, b0, _ = solvers._linear_svm_ipm(
+                sub.features, sub.labels, caps.reshape(-1, sub.m))
+            fits_all, size = list(zip(slopes, b0)), len(lambda_grid)
+            fold_fits = [fits_all[f * size : (f + 1) * size] for f in range(folds)]
+        for f, (te, active) in enumerate(splits):
+            if sigma is None:
+                fits, design = fold_fits[f], sub.features[te]
+            else:
+                labels, weights = sub.labels[active], sub.weights[active]
+                gram_tr = _gram_block(gram_full, active, active)
+                fits, alpha, lam_prev = [], None, None
+                for lam in lambda_grid:
+                    init = sigma_starts[f] if alpha is None else alpha * (lam_prev / lam)
+                    caps = weights / (2.0 * lam * labels.shape[0])
+                    sol = solvers.wsvm_dual_solve(gram_tr, labels, caps, tol=cv_tol, init=init)
+                    coefs = sol.alphas * labels
+                    if alpha is None:
+                        sigma_starts[f] = coefs * labels
+                    alpha, lam_prev = coefs * labels, lam
+                    fits.append((coefs, sol.intercept))
+                design = _gram_block(gram_full, te, active)
             for (coefs, b0), fold_scores in zip(fits, scores):
                 pred = np.where(design @ coefs + b0 > 0, 1, -1)
                 fold_scores.append(evaluate._holdout_score(pred, sub, te))

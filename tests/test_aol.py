@@ -232,7 +232,7 @@ def test_invalid_lambda_raises_before_any_solver(monkeypatch, fit, lam):
     def unreachable(*args, **kwargs):
         raise AssertionError("a solver ran with an invalid lambda")
 
-    for name in ("_smo", "_l1_path"):
+    for name in ("_smo", "_linear_svm_ipm", "_l1_path"):
         monkeypatch.setattr(aol, name, unreachable)
     sub = make_subproblem(np.arange(6.0)[:, None], [1, -1, 1, -1, 1, -1], np.ones(6))
     with pytest.raises(DataError, match="lam"):

@@ -15,14 +15,19 @@ def run(argv):
     return cli.main(argv)
 
 
+NO_CONVERGENCE = "the L2 solver hit its iteration cap"
+
+
 @pytest.fixture
 def no_convergence(monkeypatch):
-    """Every SMO solve hits its update cap."""
+    """Every L2 solve fails: SMO (the Gaussian fits) and the interior-point
+    method (the linear fits) both raise at their caps."""
 
-    def smo(*args, **kwargs):
-        raise ConvergenceError("SMO hit its pair update cap")
+    def capped(*args, **kwargs):
+        raise ConvergenceError(NO_CONVERGENCE)
 
-    monkeypatch.setattr(aol, "_smo", smo)
+    monkeypatch.setattr(aol, "_smo", capped)
+    monkeypatch.setattr(aol, "_linear_svm_ipm", capped)
 
 
 @pytest.fixture
@@ -125,7 +130,7 @@ class TestFitPredictEvaluate:
     def test_non_convergence_exits_three(self, tmp_path, trial_csv, capsys):
         model_path = tmp_path / "model.txt"
         assert run(["fit", "--data", str(trial_csv), "--out", str(model_path)]) == 3
-        assert "SMO hit its pair update cap" in capsys.readouterr().err
+        assert NO_CONVERGENCE in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_invalid_flag_combo_exits_two(self, tmp_path, trial_csv):
@@ -213,7 +218,7 @@ class TestBenchmark:
         ) == 0
         failures = (tmp_path / "bench_failures.csv").read_text().splitlines()
         assert failures == ["setting,n,method,replicate,error"] + [
-            f"P1,60,sr-linear,{rep},SMO hit its pair update cap" for rep in (0, 1)
+            f"P1,60,sr-linear,{rep},{NO_CONVERGENCE}" for rep in (0, 1)
         ]
         rows = (tmp_path / "bench_rows.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["oracle", "oracle"]

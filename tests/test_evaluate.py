@@ -501,7 +501,9 @@ class TestOneDistanceMatrix:
         self._assert_bit_identical(sub, (0.3, 0.6, 1.2))
 
     def test_non_finite_gram_raises_before_any_solve(self, monkeypatch):
-        """A 1e200 feature makes D2 NaN (inf - inf): DataError, and no SMO runs."""
+        """A 1e200 feature makes D2 NaN (inf - inf) and overflows the linear
+        kernel's feature products, which the interior-point solve checks
+        before its first step: DataError, and no SMO runs."""
         solves = []
         monkeypatch.setattr(aol, "_smo", lambda *args, **kwargs: solves.append(args))
         sub = self._n8_sub()

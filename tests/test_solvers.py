@@ -15,6 +15,7 @@ from _oracles import (
     leaving_row_list,
     lp_vertex_oracle,
     smo_serial,
+    svm_dual_oracle,
 )
 from ordinalsr import SRConfig, aol, fit_sr, generate, get_setting, solvers
 from ordinalsr.aol import build_subproblem
@@ -401,6 +402,158 @@ class TestWsvmMatchesSerialOracle:
         assert sum(init is not None for *_, init in recorded) == 24
         for K, labels, caps, tol, init in recorded:
             _assert_matches_serial(K, labels, caps, tol=tol, init=init)
+
+
+def _ipm(X, labels, caps):
+    """_linear_svm_ipm on one problem: (alphas, slopes, intercept, iterations)."""
+    alphas, slopes, b0, iterations = solvers._linear_svm_ipm(X, labels, caps[None])
+    return alphas[0], slopes[0], b0[0], iterations
+
+
+def _ipm_problem(seed, m, p, tied=False, duplicated=False):
+    """Features, +-1 labels with both classes, and weights for caps w/(2 lam m)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, p))
+    if duplicated:
+        X[m // 2 :] = X[: m - m // 2]
+    labels = np.where(X[:, 0] + 0.7 * rng.normal(size=m) > 0, 1.0, -1.0)
+    labels[:2] = [1.0, -1.0]
+    weights = np.full(m, 1.3) if tied else rng.uniform(0.1, 2.0, size=m)
+    return X, labels, weights
+
+
+def _margins_satisfy_kkt(X, labels, caps, alphas, slopes, b0, tol):
+    """a_i f(x_i) >= 1 where alpha_i = 0, <= 1 where alpha_i = C_i, = 1 between."""
+    margin = labels * (X @ slopes + b0)
+    low, high = alphas <= 1e-7 * caps, alphas >= caps * (1 - 1e-7)
+    assert np.all(margin[low] >= 1 - tol)
+    assert np.all(margin[high] <= 1 + tol)
+    assert np.all(np.abs(margin[~low & ~high] - 1) <= tol)
+
+
+class TestLinearIpm:
+    """solvers._linear_svm_ipm, the batched interior-point solve of linear L2
+    steps, against SMO on the Gram matrix X X' and the enumeration oracle."""
+
+    def _assert_matches_smo(self, X, labels, caps):
+        alphas, slopes, b0, _ = _ipm(X, labels, caps)
+        sol = wsvm_dual_solve(X @ X.T, labels, caps, tol=1e-9)
+        objective = alphas.sum() - 0.5 * slopes @ slopes
+        assert objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-12)
+        want = X.T @ (sol.alphas * labels)
+        np.testing.assert_allclose(slopes, want, rtol=0, atol=1e-6 * max(1.0, np.abs(want).max()))
+        free = (sol.alphas > 1e-6 * caps) & (sol.alphas < caps * (1 - 1e-6))
+        if free.any():  # otherwise the intercept is any point of an interval
+            assert b0 == pytest.approx(sol.intercept, abs=1e-6)
+        _margins_satisfy_kkt(X, labels, caps, alphas, slopes, b0, 1e-6)
+        assert np.all(alphas >= 0) and np.all(alphas <= caps)
+        assert abs(labels @ alphas) <= 1e-8 * caps.sum()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("lam", [0.01, 0.05, 0.25])
+    def test_matches_smo_on_random_steps(self, seed, lam):
+        X, labels, w = _ipm_problem(seed, 40 + 30 * seed, 1 + seed % 5)
+        self._assert_matches_smo(X, labels, _caps(w, lam))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_weights_and_duplicated_rows(self, seed):
+        X, labels, w = _ipm_problem(seed, 60, 3, tied=True, duplicated=seed % 2 == 1)
+        self._assert_matches_smo(X, labels, _caps(w, 0.05))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_matches_the_enumeration_oracle(self, scale):
+        """Criterion 1's draws on the linear kernel, caps also times 1e4."""
+        rng = np.random.default_rng(20_260_824)
+        for _ in range(60):
+            m, p = int(rng.integers(3, 9)), int(rng.integers(1, 3))
+            X = rng.normal(size=(m, p))
+            labels = rng.choice([-1.0, 1.0], size=m)
+            labels[:2] = [1.0, -1.0]
+            caps = scale * rng.uniform(1e-6, 2.0, size=m) / (2.0 * rng.uniform(0.05, 0.5) * m)
+            alphas, slopes, b0, _ = _ipm(X, labels, caps)
+            oracle, _ = svm_dual_oracle(X @ X.T, labels, caps)
+            objective = alphas.sum() - 0.5 * slopes @ slopes
+            assert objective == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+            _margins_satisfy_kkt(X, labels, caps, alphas, slopes, b0, 1e-6)
+
+    def test_all_at_bound_optimum(self):
+        """Tiny balanced caps put every alpha at its cap: no free row fixes
+        the intercept, which then lies where every margin is at most 1."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 2))
+        labels = np.resize([1.0, -1.0], 40)
+        caps = np.full(40, 1e-4)
+        alphas, slopes, b0, _ = _ipm(X, labels, caps)
+        np.testing.assert_allclose(alphas, caps, rtol=1e-6)
+        np.testing.assert_allclose(slopes, X.T @ (caps * labels), rtol=0, atol=1e-12)
+        assert np.all(labels * (X @ slopes + b0) <= 1 + 1e-8)
+        self._assert_matches_smo(X, labels, caps)
+
+    def test_large_caps(self):
+        """Outcomes times 1e4 make caps near 1e4: SMO needs many updates, the
+        interior-point method about as many iterations as at caps near 1."""
+        X, labels, w = _ipm_problem(3, 50, 2)
+        iterations = [_ipm(X, labels, _caps(w * scale, 0.05))[3] for scale in (1.0, 1e4)]
+        assert max(iterations) <= 30
+        self._assert_matches_smo(X, labels, _caps(w * 1e4, 0.05))
+
+    def test_many_free_rows_at_large_caps(self):
+        """Labels unrelated to a single feature, 17 against 13, under caps of
+        1e4: many optima have w = 0, nu = 1 and every positive row on the
+        margin, so far more than p + 1 rows have D near 0.  Eliminating all
+        but p + 1 of them left 15 of these 40 solves open at the cap."""
+        for seed in range(40):
+            X = np.random.default_rng(seed).normal(size=(30, 1))
+            labels = np.where(np.arange(30) < 17, 1.0, -1.0)
+            caps = np.full(30, 1e4)
+            alphas, slopes, b0, _ = _ipm(X, labels, caps)
+            _margins_satisfy_kkt(X, labels, caps, alphas, slopes, b0, 1e-6)
+            assert abs(labels @ alphas) <= 1e-8 * caps.sum()
+
+    def test_zero_cap_rows_of_a_fold_layout(self):
+        """A problem whose caps are 0 outside its rows is the problem on those
+        rows alone; its alphas there are 0."""
+        X, labels, w = _ipm_problem(8, 90, 3)
+        assign = np.arange(90) % 3
+        caps = np.zeros((3, 90))
+        for f in range(3):
+            train = np.flatnonzero(assign != f)
+            caps[f, train] = _caps(w[train], 0.05)
+        alphas, slopes, b0, _ = solvers._linear_svm_ipm(X, labels, caps)
+        for f in range(3):
+            train = np.flatnonzero(assign != f)
+            alone = _ipm(X[train], labels[train], caps[f, train])
+            assert not alphas[f, assign == f].any()
+            np.testing.assert_allclose(alphas[f, train], alone[0], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(slopes[f], alone[1], rtol=0, atol=1e-9)
+            assert b0[f] == pytest.approx(alone[2], abs=1e-9)
+
+    def test_a_row_of_a_batch_is_the_problem_solved_alone(self):
+        X, labels, w = _ipm_problem(3, 120, 4)
+        caps = np.array([_caps(w, lam) for lam in (0.01, 0.05, 0.25, 1.0)])
+        alphas, slopes, b0, _ = solvers._linear_svm_ipm(X, labels, caps)
+        for b in range(4):
+            alone = _ipm(X, labels, caps[b])
+            np.testing.assert_allclose(alphas[b], alone[0], rtol=0, atol=1e-12 * caps[b].max())
+            np.testing.assert_allclose(slopes[b], alone[1], rtol=0, atol=1e-12)
+            assert b0[b] == pytest.approx(alone[2], abs=1e-12)
+
+    def test_stall_raises_with_the_best_point(self, monkeypatch):
+        X, labels, w = _ipm_problem(4, 50, 3)
+        caps = np.array([_caps(w, 0.01), _caps(w, 0.25)])
+        monkeypatch.setattr(solvers, "_IPM_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="open after 3 iterations") as exc:
+            solvers._linear_svm_ipm(X, labels, caps)
+        alphas, slopes, b0 = exc.value.best
+        assert alphas.shape == (2, 50) and slopes.shape == (2, 3) and b0.shape == (2,)
+        assert np.all(np.isfinite(alphas)) and np.all(np.isfinite(slopes))
+        assert np.all(alphas > 0) and np.all(alphas < caps)
+
+    def test_overflowing_feature_products_raise_before_any_step(self):
+        X, labels, w = _ipm_problem(2, 20, 2)
+        X[3, 0] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="gram must be finite"):
+            solvers._linear_svm_ipm(X, labels, _caps(w, 0.1)[None])
 
 
 class TestSimplex:

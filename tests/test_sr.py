@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_subproblem
@@ -265,6 +265,31 @@ class TestFitSr:
         pred = predict_ordinal(model, d.features)
         assert set(np.unique(pred)) <= {1, 2, 3}
 
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_large_outcome_scale_fits(self, monkeypatch, scale):
+        """Outcomes in large units make the caps large.  SMO on these linear
+        steps stopped at its 1,000,000-update cap with ConvergenceError; the
+        interior-point solves need about as many iterations as at scale 1."""
+        iterations = []
+        solve = aol._linear_svm_ipm
+
+        def spy(*args):
+            result = solve(*args)
+            iterations.append(result[3])
+            return result
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a linear step ran SMO")
+
+        monkeypatch.setattr(aol, "_linear_svm_ipm", spy)
+        monkeypatch.setattr(aol, "_smo", unreachable)
+        data = generate(SETTINGS["P1"], 100, seed=1)
+        model = fit_sr(replace(data, outcome=data.outcome * scale), SRConfig(seed=1))
+        pred = predict_ordinal(model, generate(SETTINGS["P1"], 500, seed=2).features)
+        assert set(np.unique(pred)) <= {1, 2, 3}
+        assert len(iterations) == 6  # the CV batch and the refit of each of three steps
+        assert max(iterations) <= 25
+
 
 class TestPredictInputs:
     """predict_ordinal checks its rows once, where it scales them, before any rule runs."""
@@ -499,8 +524,13 @@ class TestInvariance:
         st.lists(st.tuples(st.floats(0.01, 100.0), st.floats(-100.0, 100.0)),
                  min_size=5, max_size=5),
     )
+    @example(case=("P1", {}), seed=171704, maps=[(1.0, 0.0), (1.5, 0.0)] + [(1.0, 0.0)] * 3)
     def test_positive_affine_map_of_each_feature(self, case, seed, maps):
-        """min/max scaling undoes a positive affine map of each column."""
+        """min/max scaling undoes a positive affine map of each column.
+
+        The pinned P1 draw changed 14 of 200 predictions while linear fold
+        solves stopped at SMO's CV tolerance: a 1-ulp change in the scaled
+        features moved where they stopped, and with it the chosen lambda."""
         setting, overrides = case
         spec = SETTINGS[setting]
         scale, shift = np.array(maps[: spec.p]).T
