@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import _feature_rows, _float_array, _readonly
 from .exceptions import DataError, DegenerateStepError
-from .kernels import KernelSpec, _gram_block, _gram_into, _squared_distances, gram_matrix
+from .kernels import KernelSpec, _gram_into, _squared_distances, gram_matrix
 from .solvers import (
     _L1DualLP, _check_positive, _finite_gram, _l1_path, _linear_svm_ipm, _smo, logistic_fit,
     ols_fit,
@@ -250,18 +250,22 @@ def _active(sub):
 def fit_l2_from_gram(labels, weights, gram, lam, tol=1e-5, init=None):
     """The SMO fit behind Gaussian L2 steps: returns (coefs = alpha*label, intercept).
 
-    Caps follow C_i = w_i / (2 lambda m) with m the active sample count.
-    gram must be symmetric and finite, checked where it was built, as _smo
-    does not check it; init is an optional feasible start for alpha.  Linear
-    steps run _linear_svm_ipm on their features instead, with no Gram matrix.
+    Caps follow _box_caps, so a row of weight 0 gets coefficient 0; lam is a
+    finite positive number, else DataError.  gram must be symmetric and
+    finite, checked where it was built, as _smo does not check it; init is
+    an optional feasible start for alpha.  Linear steps run _linear_svm_ipm
+    on their features instead, with no Gram matrix.
     """
-    sol = _smo(gram, labels, _box_caps(weights, lam, labels.shape[0]), tol=tol, init=init)
+    _check_positive("lam", lam)
+    weights = _float_array("weights", weights)
+    sol = _smo(gram, labels, _box_caps(weights, lam), tol=tol, init=init)
     return sol.alphas * labels, sol.intercept
 
 
-def _box_caps(weights, lam, m):
-    """The dual's box caps C_i = w_i / (2 lambda m) of m active rows."""
-    return weights / (2.0 * lam * m)
+def _box_caps(weights, lam):
+    """The dual's box caps C_i = w_i / (2 lambda m), m the count of positive
+    weights (at least 1); a weight of 0 is a cap of 0, outside the problem."""
+    return weights / (2.0 * lam * max(1, np.count_nonzero(weights > 0)))
 
 
 def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam):
@@ -275,26 +279,24 @@ def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam):
     return _fit_l2(sub, kernel, lam, None)
 
 
-def _fit_l2(sub, kernel, lam, gram_full):
-    """fit_aol_l2, reading the active rows of gram_full (the Gaussian kernel's
-    Gram matrix over all of sub's rows, already checked finite) when it is given."""
+def _fit_l2(sub, kernel, lam, gram):
+    """fit_aol_l2, on gram (the Gaussian kernel's Gram matrix over all of
+    sub's rows, already checked finite) when it is given.  Both kernels are
+    fitted on all of sub's rows, those of weight 0 with cap 0 (see _box_caps)."""
     _check_positive("lam", lam)
-    keep = _active(sub)
-    X = sub.features[keep]
+    _active(sub)  # DegenerateStepError unless the positive weights hold both labels
     selection = dict(selected_features=sub.selected_features,
                      selection_fallback=sub.selection_fallback)
     if kernel.kind == "linear":
-        caps = _box_caps(sub.weights[keep], lam, X.shape[0])
-        _, (slopes,), (b0,), _ = _linear_svm_ipm(X, sub.labels[keep], caps[None])
+        caps = _box_caps(sub.weights, lam)
+        _, (slopes,), (b0,), _ = _linear_svm_ipm(sub.features, sub.labels, caps[None])
         return SparseLinearRule(intercept=float(b0), slopes=slopes, **selection)
-    gram = _finite_gram(gram_matrix(kernel, X, X)) if gram_full is None else gram_full
-    if gram.shape[0] != X.shape[0]:  # gram_full has inactive rows; copy only then
-        rows = np.flatnonzero(keep)
-        gram = _gram_block(gram, rows, rows)
-    coefs, b0 = fit_l2_from_gram(sub.labels[keep], sub.weights[keep], gram, lam)
+    if gram is None:
+        gram = _finite_gram(gram_matrix(kernel, sub.features, sub.features))
+    coefs, b0 = fit_l2_from_gram(sub.labels, sub.weights, gram, lam)
     support = np.abs(coefs) > SUPPORT_EPS
     return KernelExpansionRule(
-        points=X[support],
+        points=sub.features[support],
         coefs=coefs[support],
         intercept=b0,
         kernel=kernel,
@@ -303,18 +305,15 @@ def _fit_l2(sub, kernel, lam, gram_full):
     )
 
 
-def _linear_fold_fits(sub, rows, lambdas):
-    """Per row set rows[f], the (slopes, intercept) per lambda of the linear
-    L2 fit on those rows of sub, all from one _linear_svm_ipm call: problem
-    (f, lambda) caps rows[f] at C_i = w_i / (2 lambda len(rows[f])) and every
-    other row at 0."""
-    lam = np.asarray(lambdas, dtype=float)[:, None]
-    caps = np.zeros((len(rows), lam.size, sub.m))
-    for f, active in enumerate(rows):
-        caps[f][:, active] = _box_caps(sub.weights[active], lam, active.size)
-    _, slopes, b0, _ = _linear_svm_ipm(sub.features, sub.labels, caps.reshape(-1, sub.m))
-    fits = list(zip(slopes, b0))
-    return [fits[f * lam.size : (f + 1) * lam.size] for f in range(len(rows))]
+def _linear_fold_fits(sub, fold_weights, lambdas):
+    """Per weight vector of fold_weights (sub's weights, 0 outside a fold's
+    training rows), the (slopes, intercept) per lambda of the linear L2 fit
+    with those weights, all from one _linear_svm_ipm call whose problem
+    (f, lambda) has the caps _box_caps(fold_weights[f], lambda)."""
+    caps = [_box_caps(weights, lam) for weights in fold_weights for lam in lambdas]
+    _, slopes, b0, _ = _linear_svm_ipm(sub.features, sub.labels, np.array(caps))
+    fits, size = list(zip(slopes, b0)), len(lambdas)
+    return [fits[f * size : (f + 1) * size] for f in range(len(fold_weights))]
 
 
 def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:

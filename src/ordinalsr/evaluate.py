@@ -23,8 +23,8 @@ from .exceptions import (
     OrdinalSRError,
     UndefinedMetricError,
 )
-from .kernels import KernelSpec, _gaussian_from_squared, _gram_block
-from .solvers import _L1DualLP, _finite_gram
+from .kernels import KernelSpec, _gaussian_from_squared
+from .solvers import _L1DualLP, _check_positive, _finite_gram
 from .simgen import get_setting, generate
 
 __all__ = [
@@ -198,48 +198,56 @@ def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2")
     table wins: ties break toward larger lambda, then larger sigma (simpler
     rules).
 
-    One fold loop serves both penalties.  A fold fits one (coefs, b0) per
-    lambda on its positive-weight training rows, then scores its held-out rows
-    as sign(design @ coefs + b0).  For the linear kernel and for L1 the
-    design is the held-out features and coefs the slopes.
+    One fold loop serves both penalties.  A fold is sub's weights set to 0
+    outside its training rows: it fits one (coefs, b0) per lambda on all of
+    sub's rows, where a weight of 0 is a cap of 0 and a coefficient of 0,
+    then scores its held-out rows te as sign(design[te] @ coefs + b0).  For
+    the linear kernel and for L1 the design is the features and coefs the
+    slopes.
 
     Linear L2 fits come from one interior-point solve over every fold and
     lambda (aol._linear_fold_fits), with no Gram matrix.  A Gaussian sigma's
-    design is the held-out rows of its Gram matrix against the training
-    rows, and SMO fits walk the lambda grid in order, each starting from the
-    previous alpha times lambda_prev / lambda: the caps C_i = w_i / (2 lambda
-    m) scale the same way, so that start is feasible.  The first lambda
-    starts from the alpha the same fold reached at the previous Gaussian
-    sigma for that lambda (cold at the first): a fold's training rows, caps
-    and equality constraint do not depend on sigma, so that start is
-    feasible too, and only one start vector per fold outlives its sigma.
-    These solves stop at SMO tolerance CV_TOL.  The L2 rule is then refitted
-    on all of sub at the chosen point by aol._fit_l2, cold.
+    design is its Gram matrix over the whole step, on which SMO fits
+    (aol.fit_l2_from_gram) walk the lambda grid in order, each starting from
+    the previous alpha times lambda_prev / lambda: the caps C_i = w_i /
+    (2 lambda m) scale the same way, so that start is feasible.  The first
+    lambda starts from the alpha the same fold reached at the previous
+    Gaussian sigma for that lambda (cold at the first): a fold's caps and
+    equality constraint do not depend on sigma, so that start is feasible
+    too, and only one start vector per fold outlives its sigma.  These
+    solves stop at SMO tolerance CV_TOL.  The L2 rule is then refitted on
+    all of sub at the chosen point by aol._fit_l2, cold.
 
     For L1 one dual LP serves the step (solvers._L1DualLP), the folds in
-    order and then the refit on all positive-weight rows; solvers._l1_path
-    picks each solve's start.
+    order, each on the rows of positive fold weight, and then the refit on
+    all positive-weight rows; solvers._l1_path picks each solve's start.
 
     Every Gaussian sigma's Gram matrix is filled into one m x m buffer from
     sub.squared_distances by gram_matrix's operations, so its entries are
     gram_matrix's.  Each sigma's matrix is checked for finiteness once, where
     it is built, before any solve; the refit rebuilds the chosen one if a
-    later sigma overwrote it.
+    later sigma overwrote it.  A malformed grid is a DataError before any
+    fold is drawn.
     """
     if penalty not in ("l2", "l1linear"):
         raise DataError(f"unknown penalty {penalty!r}")
-    if not len(lambda_grid) or not len(sigma_grid):
+    try:
+        lambda_grid, sigma_grid = tuple(lambda_grid), tuple(sigma_grid)
+    except TypeError:
+        raise DataError("cv_tune's lambda and sigma grids must be sequences") from None
+    if not lambda_grid or not sigma_grid:
         raise DataError("cv_tune needs non-empty lambda and sigma grids")
-    if penalty == "l1linear" and tuple(sigma_grid) != (None,):
+    if penalty == "l1linear" and sigma_grid != (None,):
         raise DataError("the L1 linear rule has no kernel: its sigma_grid is (None,)")
+    for lam in lambda_grid:
+        _check_positive("lambda", lam)
+    kernels = [KernelSpec("linear") if s is None else KernelSpec("gaussian", s)
+               for s in sigma_grid]
     _check_integer("folds", folds, 2)
     _check_integer("seed", seed, 0)
     assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
-    positive = sub.weights > 0
-    split = [(np.flatnonzero(assign == f), np.flatnonzero((assign != f) & positive))
+    split = [(np.flatnonzero(assign == f), np.where(assign != f, sub.weights, 0.0))
              for f in range(folds)]
-    kernels = [KernelSpec("linear") if s is None else KernelSpec("gaussian", s)
-               for s in sigma_grid]
 
     def build_gram(kernel, out):
         gram = _gaussian_from_squared(sub.squared_distances, kernel.bandwidth, out=out)
@@ -252,34 +260,30 @@ def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2")
     sigma_starts = [None] * folds  # each fold's first-lambda alpha at the previous Gaussian sigma
     for sigma, kernel in zip(sigma_grid, kernels):
         if penalty == "l1linear":
-            fold_fits = [_l1_coefs(lp, active, lambda_grid) for _, active in split]
+            fold_fits = [_l1_coefs(lp, np.flatnonzero(w), lambda_grid) for _, w in split]
         elif kernel.kind == "linear":
-            fold_fits = _linear_fold_fits(sub, [active for _, active in split], lambda_grid)
+            fold_fits = _linear_fold_fits(sub, [w for _, w in split], lambda_grid)
         else:
             gram, held = build_gram(kernel, gram), kernel
         scores = [[] for _ in lambda_grid]
-        for f, (te, active) in enumerate(split):
+        for f, (te, weights) in enumerate(split):
             if penalty == "l1linear" or kernel.kind == "linear":
-                fits, design = fold_fits[f], sub.features[te]
+                fits, design = fold_fits[f], sub.features
             else:
-                labels, weights = sub.labels[active], sub.weights[active]
-                gram_tr = _gram_block(gram, active, active)
                 fits, alpha, lam_prev = [], None, None
                 for lam in lambda_grid:
                     init = sigma_starts[f] if alpha is None else alpha * (lam_prev / lam)
                     coefs, b0 = fit_l2_from_gram(
-                        labels, weights, gram_tr, lam, tol=CV_TOL, init=init
+                        sub.labels, weights, gram, lam, tol=CV_TOL, init=init
                     )
                     if alpha is None:
-                        sigma_starts[f] = coefs * labels
-                    alpha, lam_prev = coefs * labels, lam
+                        sigma_starts[f] = coefs * sub.labels
+                    alpha, lam_prev = coefs * sub.labels, lam
                     fits.append((coefs, b0))
-                gram_tr = None  # the training and held-out blocks are never held at once
-                design = _gram_block(gram, te, active)
+                design = gram
             for (coefs, b0), fold_scores in zip(fits, scores):
-                pred = _sign_tie_negative(design @ coefs + b0)
+                pred = _sign_tie_negative(design[te] @ coefs + b0)
                 fold_scores.append(_holdout_score(pred, sub, te))
-            design = None  # nor across folds
         for lam, fold_scores in zip(lambda_grid, scores):
             scored = not all(math.isnan(s) for s in fold_scores)
             mean_score = float(np.nanmean(fold_scores)) if scored else -math.inf
@@ -289,7 +293,7 @@ def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2")
     lam, sigma, _ = table[best]
     best_kernel = kernels[best // len(lambda_grid)]
     if penalty == "l1linear":
-        rule = _l1_rule(lp, np.flatnonzero(positive), lam)
+        rule = _l1_rule(lp, np.flatnonzero(sub.weights > 0), lam)
     else:
         if best_kernel.kind == "gaussian" and best_kernel != held:
             gram = build_gram(best_kernel, gram)  # a later sigma overwrote the winner's entries
@@ -386,8 +390,7 @@ def run_benchmark(
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    if replicates < 1:
-        raise DataError("replicates must be >= 1")
+    _check_integer("replicates", replicates, 1)
     specs = [get_setting(s, p=p) for s in settings]
     cells = [
         (spec, n, rep, methods, seed, test_size)

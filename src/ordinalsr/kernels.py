@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _feature_rows
 from .exceptions import DataError
 
 __all__ = ["KernelSpec", "gram_matrix", "median_bandwidth"]
 
 MEDIAN_SUBSAMPLE_CAP = 1000
-_GATHER_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,8 @@ class KernelSpec:
         if self.kind == "gaussian":
             # gram_matrix divides by 2 * bandwidth**2, which must be finite and nonzero
             bw = self.bandwidth
-            if bw is None or not (bw > 0 and 0 < 2.0 * bw * bw < math.inf):
+            if (not isinstance(bw, numbers.Real) or isinstance(bw, bool)
+                    or not (bw > 0 and 0 < 2.0 * bw * bw < math.inf)):
                 raise DataError(f"gaussian bandwidth must be > 0, with a finite square: {bw!r}")
 
 
@@ -62,27 +64,12 @@ def _gram_into(spec: KernelSpec, A, B, out=None, cross=None) -> np.ndarray:
 
 
 def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:
-    """m x q matrix of kernel values between rows of A and rows of B."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    """m x q matrix of kernel values between rows of A and rows of B; DataError
+    unless both hold finite rows of the same number of features."""
+    A, B = _feature_rows(A, None), _feature_rows(B, None)
     if A.shape[1] != B.shape[1]:
         raise DataError("gram_matrix column counts differ")
     return _gram_into(spec, A, B)
-
-
-def _gram_block(gram, rows, cols) -> np.ndarray:
-    """gram[np.ix_(rows, cols)] for in-range index arrays, gathered 16 rows at a time.
-
-    Two takes per chunk copy the same entries as the fancy index in less than
-    half its time for 200-800 rows, with a temporary of at most 16 rows of
-    gram.  mode="clip" never acts on in-range indices; the default mode would
-    buffer out.
-    """
-    out = np.empty((len(rows), len(cols)))
-    for lo in range(0, len(rows), _GATHER_ROWS):
-        chunk = gram.take(rows[lo : lo + _GATHER_ROWS], axis=0)
-        chunk.take(cols, axis=1, out=out[lo : lo + _GATHER_ROWS], mode="clip")
-    return out
 
 
 def median_bandwidth(X, seed=0) -> float:
@@ -90,9 +77,9 @@ def median_bandwidth(X, seed=0) -> float:
 
     The subsample is deterministic under the given seed.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2 or not np.all(np.isfinite(X)):
-        raise DataError("median_bandwidth needs at least two rows, all finite")
+    X = _feature_rows(X, None)
+    if X.shape[0] < 2:
+        raise DataError("median_bandwidth needs at least two rows")
     if X.shape[0] > MEDIAN_SUBSAMPLE_CAP:
         idx = np.random.default_rng(seed).choice(
             X.shape[0], MEDIAN_SUBSAMPLE_CAP, replace=False

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_integer, _feature_rows, _float_array
 from .exceptions import (
     ConvergenceError,
     DataError,
@@ -74,11 +75,12 @@ class LogisticModel:
 
 
 def ols_fit(X, y) -> LinearModel:
-    """Least squares of y on [1, X] with a 1e-8 ridge jitter for rank safety."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise DataError("ols_fit requires finite inputs")
+    """Least squares of y on [1, X] with a 1e-8 ridge jitter for rank safety;
+    DataError unless X holds finite rows and y one finite outcome per row."""
+    X = _feature_rows(X, None)
+    y = _float_array("outcomes", y)
+    if y.shape != (X.shape[0],) or not np.all(np.isfinite(y)):
+        raise DataError("ols_fit needs one finite outcome per row of X")
     A = np.column_stack([np.ones(X.shape[0]), X])
     H = A.T @ A + _OLS_JITTER * np.eye(A.shape[1])
     beta = np.linalg.solve(H, A.T @ y)
@@ -246,7 +248,9 @@ def wsvm_dual_solve(
 
     gram is the finite kernel matrix and must be symmetric: the solver reads
     its rows where the gradient update needs columns.  labels are +-1 and caps
-    the per-sample box bounds C_i.  init is a feasible start (0 <= alpha <= C,
+    the per-sample box bounds C_i >= 0, positive on rows of both labels; a
+    row of cap 0 is outside the problem (alpha 0, in no pair, not in the
+    intercept).  init is a feasible start (0 <= alpha <= C,
     sum(alpha*label) = 0), zero when None; an infeasible one raises DataError.
 
     The state is one (3, m) array V.  Row 0 is vals = -label * gradient; a pair
@@ -258,7 +262,7 @@ def wsvm_dual_solve(
     averages over free support vectors, falling back to the midpoint of the
     feasible interval.
     """
-    return _smo(_finite_gram(np.asarray(gram, dtype=float)), labels, caps, tol, max_updates, init)
+    return _smo(_finite_gram(_float_array("gram", gram)), labels, caps, tol, max_updates, init)
 
 
 def _finite_gram(K):
@@ -272,18 +276,21 @@ def _smo(gram, labels, caps, tol=1e-5, max_updates=1_000_000, init=None):
     """wsvm_dual_solve without the m^2 finiteness pass over gram, which its
     caller made once where gram was built; every other check stays."""
     K = np.asarray(gram, dtype=float)
-    a = np.asarray(labels, dtype=float)
-    C = np.asarray(caps, dtype=float)
-    m = a.shape[0]
-    if K.shape != (m, m) or C.shape != (m,):
+    a = _float_array("labels", labels)
+    C = _float_array("caps", caps)
+    m = a.size
+    if a.ndim != 1 or K.shape != (m, m) or C.shape != (m,):
         raise DataError("wsvm_dual_solve shape mismatch")
     if np.any(np.abs(a) != 1.0):
         raise DataError("labels must be +-1")
-    if np.any(C <= 0) or not np.all(np.isfinite(C)):
-        raise DataError("caps must be finite and positive")
-    _check_positive("tol", tol)  # a NaN tol would never stop the loop
-    eps = 1e-12
+    if not np.all((C >= 0) & (C < np.inf)):  # NaN fails too
+        raise DataError("caps must be finite and >= 0")
     pos = a > 0
+    if not ((C > 0) & pos).any() or not ((C > 0) & ~pos).any():
+        raise DataError("caps must be positive on rows of both labels")
+    _check_positive("tol", tol)  # a NaN tol would never stop the loop
+    _check_integer("max_updates", max_updates, 1)
+    eps = 1e-12
     V = np.empty((3, m))
     vals, vu, vl = V
     if init is None:
@@ -339,9 +346,10 @@ def _smo(gram, labels, caps, tol=1e-5, max_updates=1_000_000, init=None):
     resid = a - fx
     if free.any():
         b0 = float(np.mean(resid[free]))
-    else:
-        lower = resid[(pos & (alpha <= eps)) | (~pos & (alpha >= C - eps))]
-        upper = resid[(pos & (alpha >= C - eps)) | (~pos & (alpha <= eps))]
+    else:  # the rows of cap 0 are outside the problem and bound neither end
+        at_zero, at_cap = (alpha <= eps) & (C > 0), (alpha >= C - eps) & (C > 0)
+        lower = resid[(pos & at_zero) | (~pos & at_cap)]
+        upper = resid[(pos & at_cap) | (~pos & at_zero)]
         lo = np.max(lower) if lower.size else -np.inf
         hi = np.min(upper) if upper.size else np.inf
         if np.isfinite(lo) and np.isfinite(hi):
@@ -518,9 +526,9 @@ class LinearProgram:
     free: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        G = np.atleast_2d(np.asarray(self.G, dtype=float))
-        h = np.asarray(self.h, dtype=float)
+        c = _float_array("c", self.c)
+        G = np.atleast_2d(_float_array("G", self.G))
+        h = _float_array("h", self.h)
         free = np.asarray(self.free, dtype=bool)
         if G.shape != (h.shape[0], c.shape[0]) or free.shape != c.shape:
             raise DataError("LinearProgram dimensions inconsistent")

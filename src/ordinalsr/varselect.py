@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aol import BinarySubproblem, fit_aol_l2
+from .data import _feature_rows, _float_array
 from .exceptions import DataError
 from .solvers import _irls
 
@@ -49,9 +50,9 @@ def expand_second_order(X):
 
     Returns (augmented matrix, descriptors); descriptors list the p
     first-order terms (j,) then pairs (j, k) with j <= k in lexicographic
-    order, matching column order.
+    order, matching column order.  DataError unless X holds finite rows.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _feature_rows(X, None)
     p = X.shape[1]
     if p < 1:
         raise DataError("expand_second_order needs at least one covariate")
@@ -83,13 +84,11 @@ def screen_stepwise(X_aug, labels, descriptors=None):
     coefficient at 0 and starts from the others, which reaches the same
     maximum likelihood as a cold start.
     """
-    X_aug = np.atleast_2d(np.asarray(X_aug, dtype=float))
-    y = np.asarray(labels, dtype=float)
+    X_aug = _feature_rows(X_aug, None)
+    y = _float_array("labels", labels)
     n, P = X_aug.shape
     if y.shape != (n,):
         raise DataError("screen_stepwise needs one label per row of X_aug")
-    if not np.all(np.isfinite(X_aug)):
-        raise DataError("screen_stepwise requires a finite X_aug")
     if n < _MIN_SCREEN_ROWS:
         raise DataError(f"screen_stepwise needs n >= {_MIN_SCREEN_ROWS}")
     if set(np.unique(y)) - {0.0, 1.0}:

@@ -603,15 +603,17 @@ def decision_value_per_block(rule, X, block_bytes):
 def cv_tune_per_sigma_gram(sub, lambda_grid, sigma_grid, folds=5, seed=0, cv_tol=1e-3):
     """The L2 path of evaluate.cv_tune as it was before it shared one distance
     matrix: gram_matrix_fresh per Gaussian sigma, every SMO solve through the
-    checking solvers.wsvm_dual_solve, and the winner's Gram matrix held for
-    the refit.  A linear sigma's folds are one solvers._linear_svm_ipm call,
-    as in cv_tune, and leave the Gaussian sigmas' starts alone.
+    checking solvers.wsvm_dual_solve on the fold's training rows alone,
+    gathered with np.ix_ (cv_tune solves on the whole Gram matrix with caps
+    0 outside them), and the winner's Gram matrix held for the refit.  A
+    linear sigma's folds are one solvers._linear_svm_ipm call, as in
+    cv_tune, and leave the Gaussian sigmas' starts alone.
 
     Returns (rule, best_lambda, best_sigma, table); cv_tune must match it bit
     for bit.
     """
     from ordinalsr import aol, evaluate
-    from ordinalsr.kernels import KernelSpec, _gram_block
+    from ordinalsr.kernels import KernelSpec
 
     if sub.m < 2 * folds:
         folds = max(2, sub.m // 2)
@@ -639,7 +641,7 @@ def cv_tune_per_sigma_gram(sub, lambda_grid, sigma_grid, folds=5, seed=0, cv_tol
                 fits, design = fold_fits[f], sub.features[te]
             else:
                 labels, weights = sub.labels[active], sub.weights[active]
-                gram_tr = _gram_block(gram_full, active, active)
+                gram_tr = gram_full[np.ix_(active, active)]
                 fits, alpha, lam_prev = [], None, None
                 for lam in lambda_grid:
                     init = sigma_starts[f] if alpha is None else alpha * (lam_prev / lam)
@@ -650,7 +652,7 @@ def cv_tune_per_sigma_gram(sub, lambda_grid, sigma_grid, folds=5, seed=0, cv_tol
                         sigma_starts[f] = coefs * labels
                     alpha, lam_prev = coefs * labels, lam
                     fits.append((coefs, sol.intercept))
-                design = _gram_block(gram_full, te, active)
+                design = gram_full[np.ix_(te, active)]
             for (coefs, b0), fold_scores in zip(fits, scores):
                 pred = np.where(design @ coefs + b0 > 0, 1, -1)
                 fold_scores.append(evaluate._holdout_score(pred, sub, te))

@@ -386,6 +386,31 @@ class TestCvTune:
         with pytest.raises(DataError, match="non-empty"):
             cv_tune(sub, (0.1,), sigma_grid=())
 
+    BAD_LAMBDAS = {"negative": (-0.1,), "zero": (0.0,), "text": ("a",), "nested": ([0.1],),
+                   "bool": (True,), "nan": (np.nan,), "inf": (0.1, np.inf), "scalar": 0.1}
+
+    @pytest.mark.parametrize(
+        "fitter, lambdas, sigma",
+        [pytest.param(fitter, lambdas, None, id=f"{fitter}-{name}")
+         for name, lambdas in BAD_LAMBDAS.items() for fitter in ("linear", "gaussian", "l1")]
+        + [pytest.param("gaussian", (0.1,), "x", id="gaussian-text-sigma"),
+           pytest.param("gaussian", (0.1,), True, id="gaussian-bool-sigma")],
+    )
+    def test_malformed_grid_raises_before_any_fold(self, monkeypatch, fitter, lambdas, sigma):
+        """DataError before any fold is drawn, not a ConvergenceError after 50
+        interior-point iterations (lambda <= 0), a raw TypeError or ValueError,
+        or a fit at lambda = 1 (True)."""
+        calls = []
+        for module, name in ((evaluate, "_stratified_folds"), (aol, "_smo"),
+                             (aol, "_linear_svm_ipm"), (aol, "_l1_path")):
+            monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
+        sigmas = {"linear": (None,), "gaussian": (0.5 if sigma is None else sigma,),
+                  "l1": (None,)}[fitter]
+        penalty = "l1linear" if fitter == "l1" else "l2"
+        with pytest.raises(DataError, match="lambda" if sigma is None else "bandwidth"):
+            cv_tune(self._n8_sub(), lambdas, sigma_grid=sigmas, folds=3, penalty=penalty)
+        assert calls == []
+
     @staticmethod
     def _n8_sub():
         data = generate(SETTINGS["N8"], 150, seed=5)
@@ -519,9 +544,11 @@ class TestOneDistanceMatrix:
         assert solves == []
 
     def test_peak_memory_holds_two_m_by_m_blocks(self):
-        """D2 and the one Gram buffer, plus a fold's training block; holding a
-        winner's Gram matrix beside a new one and its two distance blocks
-        peaked above three m x m blocks."""
+        """D2 and the one Gram buffer, plus a fold's held-out rows of it while
+        they are scored: folds solve on the Gram buffer itself, with no
+        training block copied out of it (2.56 m x m blocks when one was).
+        Holding a winner's Gram matrix beside a new one and its two distance
+        blocks peaked above three m x m blocks."""
         sub = self._n8_sub(n=400, seed=3)
         assert sub.m == 400 and np.all(sub.weights > 0)
         tracemalloc.start()
@@ -530,7 +557,7 @@ class TestOneDistanceMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.8 * 8 * sub.m**2
+        assert peak < 2.5 * 8 * sub.m**2
 
 
 class TestBenchmark:

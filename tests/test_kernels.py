@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from _oracles import kernel_eval
 from ordinalsr.exceptions import DataError
-from ordinalsr.kernels import KernelSpec, _gram_block, gram_matrix, median_bandwidth
+from ordinalsr.kernels import KernelSpec, gram_matrix, median_bandwidth
 
 finite_matrix = arrays(
     dtype=float,
@@ -23,6 +23,11 @@ class TestKernelSpec:
             KernelSpec("gaussian")
         with pytest.raises(DataError):
             KernelSpec("gaussian", 0.0)
+
+    @pytest.mark.parametrize("bandwidth", ["x", "0.5", True, [0.5], 1j, np.nan, 1e200, 1e-170])
+    def test_bandwidth_must_be_a_real_number_with_a_finite_square(self, bandwidth):
+        with pytest.raises(DataError, match="bandwidth"):
+            KernelSpec("gaussian", bandwidth)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError):
@@ -75,18 +80,6 @@ class TestGramMatrix:
     def test_column_mismatch(self):
         with pytest.raises(DataError):
             gram_matrix(KernelSpec("linear"), np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestGramBlock:
-    @pytest.mark.parametrize("rows, cols", [(0, 5), (1, 1), (15, 40), (16, 16), (150, 97)])
-    def test_equals_the_fancy_index(self, rows, cols):
-        rng = np.random.default_rng(rows * 1000 + cols)
-        G = rng.normal(size=(160, 120))
-        r = np.sort(rng.choice(160, rows, replace=False))
-        c = rng.permutation(120)[:cols]
-        block = _gram_block(G, r, c)
-        assert block.flags.c_contiguous
-        np.testing.assert_array_equal(block, G[np.ix_(r, c)])
 
 
 class TestMedianBandwidth:

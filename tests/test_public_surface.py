@@ -1,7 +1,8 @@
 """The package's public surface: the names its modules export in __all__.
 
-The project tracks their number, and the number of defaulted parameters of
-the exported functions, so a new public name or knob has to displace one.
+The project tracks their number, the number of defaulted parameters of the
+exported functions and the source lines of the package, so a new public
+name or knob has to displace one, and growth is stated where it happens.
 """
 
 import ast
@@ -10,10 +11,19 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import ordinalsr
+from ordinalsr.evaluate import run_benchmark
+from ordinalsr.exceptions import DataError
+from ordinalsr.kernels import KernelSpec, gram_matrix, median_bandwidth
+from ordinalsr.solvers import LinearProgram, ols_fit
+from ordinalsr.varselect import expand_second_order, screen_stepwise
 
 MAX_PUBLIC_NAMES = 64
 MAX_DEFAULTED_PARAMETERS = 19
+MAX_SOURCE_LINES = 3332
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -37,6 +47,55 @@ def test_defaulted_parameters_stay_within_the_budget():
         if param.default is not param.empty
     }
     assert len(defaulted) <= MAX_DEFAULTED_PARAMETERS, sorted(defaulted)
+
+
+def test_source_lines_stay_within_the_budget():
+    """A change that grows src/ordinalsr/*.py raises MAX_SOURCE_LINES and
+    says why in CHANGES.md."""
+    sources = Path(ordinalsr.__file__).parent.glob("*.py")
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in sources)
+    assert lines <= MAX_SOURCE_LINES
+
+
+BAD_ROWS = {
+    "text": [["a", "b"], ["c", "d"]],
+    "nan": [[np.nan, 0.5], [0.2, 0.1]],
+    "complex": np.ones((2, 2)) + 1j,
+}
+# each entry point: a call with the bad rows in place of its main array (a
+# scalar read from them for run_benchmark's replicates), and a mismatched shape
+ENTRY_POINTS = {
+    "gram_matrix": (
+        lambda X: gram_matrix(KernelSpec("gaussian", 0.5), X, np.ones((2, 2))),
+        lambda: gram_matrix(KernelSpec("linear"), np.ones((2, 2)), np.ones((2, 3))),
+    ),
+    "median_bandwidth": (median_bandwidth, lambda: median_bandwidth(np.ones((2, 2, 2)))),
+    "ols_fit": (lambda X: ols_fit(X, np.ones(2)), lambda: ols_fit(np.ones((3, 2)), np.ones(2))),
+    "LinearProgram": (
+        lambda G: LinearProgram(np.ones(2), G, np.ones(2), ("<=", "<="), np.zeros(2, bool)),
+        lambda: LinearProgram(np.ones(2), np.ones((2, 3)), np.ones(2), ("<=", "<="),
+                              np.zeros(2, bool)),
+    ),
+    "expand_second_order": (expand_second_order, lambda: expand_second_order(np.ones((2, 2, 2)))),
+    "screen_stepwise": (
+        lambda X: screen_stepwise(X, np.array([0.0, 1.0])),
+        lambda: screen_stepwise(np.ones((30, 2)), np.resize([0.0, 1.0], 29)),
+    ),
+    "run_benchmark": (
+        lambda X: run_benchmark(["N8"], [20], np.asarray(X)[0, 0], ["oracle"]),
+        lambda: run_benchmark(["N8"], [20], [2], ["oracle"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [*BAD_ROWS, "shape"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_malformed_input(entry, bad):
+    """Strings, NaN, complex values and a mismatched shape end in DataError,
+    never a raw ValueError or TypeError, nor a NaN result."""
+    with_rows, mismatched = ENTRY_POINTS[entry]
+    with pytest.raises(DataError):
+        mismatched() if bad == "shape" else with_rows(BAD_ROWS[bad])
 
 
 def test_every_traced_layer_function_resolves():

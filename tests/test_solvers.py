@@ -185,7 +185,7 @@ class TestWsvmDual:
         with pytest.raises(DataError):
             wsvm_dual_solve(np.eye(3), np.ones(2), np.ones(3))
         with pytest.raises(DataError):
-            wsvm_dual_solve(np.eye(2), np.array([1.0, -1.0]), np.array([1.0, 0.0]))
+            wsvm_dual_solve(np.eye(2), np.array([1.0, -1.0]), np.array([1.0, -1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gram_raises(self, bad):
@@ -197,10 +197,13 @@ class TestWsvmDual:
 
     @pytest.mark.parametrize(
         "labels, caps, tol, match",
-        [([1.0, 2.0], [1.0, 1.0], 1e-5, "labels"), ([1.0, -1.0], [1.0, 0.0], 1e-5, "caps"),
+        [([1.0, 2.0], [1.0, 1.0], 1e-5, "labels"), ([1.0, -1.0], [1.0, -0.5], 1e-5, "caps"),
          ([1.0, -1.0], [1.0, np.nan], 1e-5, "caps"), ([1.0, -1.0], [1.0, 1.0], np.nan, "tol"),
-         ([1.0, -1.0, 1.0], [1.0, 1.0], 1e-5, "shape")],
-        ids=["labels", "zero-cap", "nan-cap", "nan-tol", "shape"],
+         ([1.0, -1.0, 1.0], [1.0, 1.0], 1e-5, "shape"),
+         ([1.0, 1.0], [1.0, 1.0], 1e-5, "both labels"),
+         ([1.0, -1.0], [1.0, 0.0], 1e-5, "both labels")],
+        ids=["labels", "negative-cap", "nan-cap", "nan-tol", "shape", "one-label",
+             "one-label-of-positive-cap"],
     )
     def test_the_unchecked_gram_entry_keeps_every_other_check(self, labels, caps, tol, match):
         """solvers._smo, which cv_tune's solves use on Gram matrices checked
@@ -208,6 +211,49 @@ class TestWsvmDual:
         check on exit runs under wsvm_dual_solve's tests below)."""
         with pytest.raises(DataError, match=match):
             solvers._smo(np.eye(2), np.array(labels), np.array(caps), tol=tol)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: wsvm_dual_solve(np.eye(2), ["a", "b"], np.ones(2)),
+         lambda: wsvm_dual_solve(np.eye(2), [1.0, -1.0], [1.0, 1.0 + 1j]),
+         lambda: wsvm_dual_solve([["a", 0.0], [0.0, 1.0]], [1.0, -1.0], np.ones(2)),
+         lambda: wsvm_dual_solve(np.eye(2), [1.0, -1.0], np.ones(2), max_updates="x"),
+         lambda: wsvm_dual_solve(np.eye(2), [1.0, -1.0], np.ones(2), max_updates=0),
+         lambda: aol.fit_l2_from_gram(np.array([1.0, -1.0]), np.ones(2), np.eye(2), "a"),
+         lambda: aol.fit_l2_from_gram(np.array([1.0, -1.0]), ["a", 1.0], np.eye(2), 0.1)],
+        ids=["text-labels", "complex-caps", "text-gram", "text-max-updates", "zero-max-updates",
+             "text-lambda", "text-weights"],
+    )
+    def test_malformed_arguments_raise_data_error(self, call):
+        with pytest.raises(DataError):
+            call()
+
+    @pytest.mark.parametrize("bounded", [False, True], ids=["free-rows", "every-row-at-its-cap"])
+    def test_a_zero_cap_row_is_outside_the_problem(self, bounded):
+        """A cold solve with caps 0 on some rows gives the other rows the alphas
+        of the problem without those rows, bit for bit, and alpha 0 on them.
+        Under equal tiny caps on 15 rows of each label every alpha ends at its
+        cap, so the intercept comes from the bounds of the rows inside the
+        problem alone; the 10 zero-cap rows, all positive, would pull it from
+        about 0 to about 1."""
+        K, labels, w = _svm_problem(3, 40, "gaussian")
+        caps = _caps(w, 0.05)
+        out = np.arange(40) % 4 == 1
+        if bounded:
+            out = np.arange(40) < 10
+            labels = np.where(out | (np.arange(40) % 2 == 0), 1.0, -1.0)
+            caps = np.full(40, 1e-6)
+        caps[out] = 0.0
+        keep = np.flatnonzero(~out)
+        full = wsvm_dual_solve(K, labels, caps, tol=1e-9)
+        alone = wsvm_dual_solve(K[np.ix_(keep, keep)], labels[keep], caps[keep], tol=1e-9)
+        assert full.alphas[keep].tobytes() == alone.alphas.tobytes()
+        assert not full.alphas[out].any()
+        assert full.updates == alone.updates
+        assert full.intercept == pytest.approx(alone.intercept, abs=1e-12)
+        if bounded:
+            assert np.array_equal(full.alphas[keep], caps[keep])
+            assert abs(full.intercept) < 1e-3
 
     @pytest.mark.parametrize(
         "labels",
