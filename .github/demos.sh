@@ -5,4 +5,4 @@ set -e
 for demo in demos/01_fit_linear_rule.py demos/02_gaussian_kernel_boundaries.py demos/03_variable_selection.py; do
   PYTHONPATH=src python -W error::RuntimeWarning "$demo"
 done
-sh demos/04_cli_workflow.sh
+PYTHONPATH=src sh demos/04_cli_workflow.sh

@@ -1,7 +1,10 @@
 #!/bin/sh
 # End-to-end command-line workflow: simulate, fit, predict, evaluate, benchmark.
 # Every command writes a .manifest.txt sidecar recording its full configuration.
+# Runs the installed `ordinalsr` entry point, or else `python3 -m ordinalsr.cli`
+# (run from a checkout with PYTHONPATH=src).
 set -e
+command -v ordinalsr >/dev/null 2>&1 || ordinalsr() { python3 -m ordinalsr.cli "$@"; }
 out=$(mktemp -d)
 
 ordinalsr simgen --setting P1 --n 400 --seed 1 --out "$out/train.csv"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import _feature_rows, _float_array, _readonly
 from .exceptions import DataError, DegenerateStepError
-from .kernels import KernelSpec, _gram_into, _squared_distances, gram_matrix
+from .kernels import KernelSpec, _gaussian_from_squared, _gram_into, _squared_distances
 from .solvers import (
     _L1DualLP, _check_positive, _finite_gram, _l1_path, _linear_svm_ipm, _smo, logistic_fit,
     ols_fit,
@@ -36,6 +36,7 @@ __all__ = [
 PROPENSITY_FLOOR = 0.01
 MIN_STEP_SIZE = 10  # fewer eligible subjects make a step degenerate
 COEF_SNAP = 1e-8
+CV_TOL = 1e-3  # SMO tolerance of the Gaussian CV fold solves; the refit solves to 1e-5
 SUPPORT_EPS = 1e-12
 _BLOCK_BYTES = 4 * 2**20  # cap on one block of Gram rows in KernelExpansionRule.decision_value
 
@@ -280,19 +281,18 @@ def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam):
 
 
 def _fit_l2(sub, kernel, lam, gram):
-    """fit_aol_l2, on gram (the Gaussian kernel's Gram matrix over all of
-    sub's rows, already checked finite) when it is given.  Both kernels are
-    fitted on all of sub's rows, those of weight 0 with cap 0 (see _box_caps)."""
+    """fit_aol_l2, on gram (_step_gram of the Gaussian kernel) when it is
+    given.  Both kernels are fitted on all of sub's rows, those of weight 0
+    with cap 0 (see _box_caps)."""
     _check_positive("lam", lam)
     _active(sub)  # DegenerateStepError unless the positive weights hold both labels
     selection = dict(selected_features=sub.selected_features,
                      selection_fallback=sub.selection_fallback)
     if kernel.kind == "linear":
-        caps = _box_caps(sub.weights, lam)
-        _, (slopes,), (b0,), _ = _linear_svm_ipm(sub.features, sub.labels, caps[None])
+        ((slopes, b0),) = _linear_fold_fits(sub, [sub.weights], (lam,))[0]
         return SparseLinearRule(intercept=float(b0), slopes=slopes, **selection)
     if gram is None:
-        gram = _finite_gram(gram_matrix(kernel, sub.features, sub.features))
+        gram = _step_gram(sub, kernel.bandwidth)
     coefs, b0 = fit_l2_from_gram(sub.labels, sub.weights, gram, lam)
     support = np.abs(coefs) > SUPPORT_EPS
     return KernelExpansionRule(
@@ -303,6 +303,13 @@ def _fit_l2(sub, kernel, lam, gram):
         n_features=sub.p,
         **selection,
     )
+
+
+def _step_gram(sub, sigma, out=None):
+    """sub's Gaussian Gram matrix of bandwidth sigma, filled into out (new unless
+    given) from sub.squared_distances by gram_matrix's operations, so its
+    entries are gram_matrix's; DataError unless finite, checked once here."""
+    return _finite_gram(_gaussian_from_squared(sub.squared_distances, sigma, out=out))
 
 
 def _linear_fold_fits(sub, fold_weights, lambdas):
@@ -316,6 +323,26 @@ def _linear_fold_fits(sub, fold_weights, lambdas):
     return [fits[f * size : (f + 1) * size] for f in range(len(fold_weights))]
 
 
+def _gaussian_fold_fits(sub, gram, fold_weights, lambdas, starts):
+    """Per weight vector of fold_weights, the (coefs, intercept) per lambda of
+    the SMO fit on gram (_step_gram of sub), solved to CV_TOL.  Each solve
+    starts from the previous lambda's alpha times lambda_prev / lambda,
+    feasible as the caps _box_caps(weights, lambda) scale the same way; the
+    first from starts[f], the fold's first-lambda alpha on the previous
+    sigma's gram (cold when None), feasible as no cap or equality constraint
+    depends on sigma, and replaced by this sigma's."""
+    fits = []
+    for f, weights in enumerate(fold_weights):
+        path, alpha = [], starts[f]
+        for k, lam in enumerate(lambdas):
+            init = alpha * (lambdas[k - 1] / lam) if k else alpha
+            path.append(fit_l2_from_gram(sub.labels, weights, gram, lam, tol=CV_TOL, init=init))
+            alpha = path[-1][0] * sub.labels
+        starts[f] = path[0][0] * sub.labels
+        fits.append(path)
+    return fits
+
+
 def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
     """Weighted hinge loss + lambda * ||beta||_1 (intercept unpenalized).
 
@@ -324,18 +351,18 @@ def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
     count.  Slopes below 1e-8 in magnitude are snapped to exactly zero.
     """
     _check_positive("lam", lam)
-    rows = np.flatnonzero(_active(sub))
-    return _l1_rule(_L1DualLP(sub.features, sub.labels, sub.weights), rows, lam)
+    _active(sub)  # DegenerateStepError unless the positive weights hold both labels
+    return _l1_rule(_L1DualLP(sub.features, sub.labels), sub.weights, lam)
 
 
-def _l1_rule(lp, rows, lam):
-    """fit_aol_l1_linear's rule on rows of lp (sub's _L1DualLP)."""
-    ((slopes, b0),) = _l1_coefs(lp, rows, (lam,))
+def _l1_rule(lp, weights, lam):
+    """fit_aol_l1_linear's rule on lp (sub's _L1DualLP) with weights."""
+    ((slopes, b0),) = _l1_coefs(lp, weights, (lam,))
     selected = tuple(int(j) for j in np.flatnonzero(slopes))
     return SparseLinearRule(intercept=b0, slopes=slopes, selected_features=selected)
 
 
-def _l1_coefs(lp, rows, lambdas):
+def _l1_coefs(lp, weights, lambdas):
     """(slopes, intercept) of _l1_path per lambda, slopes within COEF_SNAP of 0 set to 0."""
-    path = _l1_path(lp, rows, lambdas)
+    path = _l1_path(lp, weights, lambdas)
     return [(np.where(np.abs(s.slopes) <= COEF_SNAP, 0.0, s.slopes), s.intercept) for s in path]

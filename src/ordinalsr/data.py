@@ -169,8 +169,8 @@ class ScalingParams:
     maxs: np.ndarray
 
     def __post_init__(self):
-        mins = np.asarray(self.mins, dtype=float)
-        maxs = np.asarray(self.maxs, dtype=float)
+        mins = _float_array("scaling mins", self.mins)
+        maxs = _float_array("scaling maxs", self.maxs)
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise DataError("scaling min/max must be 1-D and equal length")
         if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
@@ -192,7 +192,7 @@ class ScalingParams:
 
 def fit_scaling(data) -> ScalingParams:
     """Learn per-feature min/max from training features (matrix or TrialDataset)."""
-    X = data.features if isinstance(data, TrialDataset) else np.asarray(data, float)
+    X = data.features if isinstance(data, TrialDataset) else _feature_rows(data, None)
     if X.shape[0] < 1:
         raise DataError("cannot fit scaling on an empty dataset")
     return ScalingParams(mins=X.min(axis=0), maxs=X.max(axis=0))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aol import (
-    _fit_l2, _l1_coefs, _l1_rule, _linear_fold_fits, _sign_tie_negative, fit_l2_from_gram,
+    _fit_l2, _gaussian_fold_fits, _l1_coefs, _l1_rule, _linear_fold_fits, _sign_tie_negative,
+    _step_gram,
 )
 from .data import _check_integer, _whole_numbers, _write_csv
 from .exceptions import (
@@ -23,8 +24,8 @@ from .exceptions import (
     OrdinalSRError,
     UndefinedMetricError,
 )
-from .kernels import KernelSpec, _gaussian_from_squared
-from .solvers import _L1DualLP, _check_positive, _finite_gram
+from .kernels import KernelSpec
+from .solvers import _L1DualLP, _check_positive
 from .simgen import get_setting, generate
 
 __all__ = [
@@ -149,7 +150,6 @@ def evaluate_rule(pred, data) -> EvaluationReport:
 # cross-validated tuning of one binary step
 
 _FOLD_REDRAWS = 20
-CV_TOL = 1e-3  # SMO tolerance of the Gaussian fold solves; the refit solves to 1e-5
 
 def _stratified_folds(labels, weights, folds, seed):
     """(assign, folds): a fold assignment stratified by binary label, and the
@@ -198,35 +198,20 @@ def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2")
     table wins: ties break toward larger lambda, then larger sigma (simpler
     rules).
 
-    One fold loop serves both penalties.  A fold is sub's weights set to 0
-    outside its training rows: it fits one (coefs, b0) per lambda on all of
-    sub's rows, where a weight of 0 is a cap of 0 and a coefficient of 0,
-    then scores its held-out rows te as sign(design[te] @ coefs + b0).  For
-    the linear kernel and for L1 the design is the features and coefs the
-    slopes.
-
-    Linear L2 fits come from one interior-point solve over every fold and
-    lambda (aol._linear_fold_fits), with no Gram matrix.  A Gaussian sigma's
-    design is its Gram matrix over the whole step, on which SMO fits
-    (aol.fit_l2_from_gram) walk the lambda grid in order, each starting from
-    the previous alpha times lambda_prev / lambda: the caps C_i = w_i /
-    (2 lambda m) scale the same way, so that start is feasible.  The first
-    lambda starts from the alpha the same fold reached at the previous
-    Gaussian sigma for that lambda (cold at the first): a fold's caps and
-    equality constraint do not depend on sigma, so that start is feasible
-    too, and only one start vector per fold outlives its sigma.  These
-    solves stop at SMO tolerance CV_TOL.  The L2 rule is then refitted on
-    all of sub at the chosen point by aol._fit_l2, cold.
-
-    For L1 one dual LP serves the step (solvers._L1DualLP), the folds in
-    order, each on the rows of positive fold weight, and then the refit on
-    all positive-weight rows; solvers._l1_path picks each solve's start.
-
-    Every Gaussian sigma's Gram matrix is filled into one m x m buffer from
-    sub.squared_distances by gram_matrix's operations, so its entries are
-    gram_matrix's.  Each sigma's matrix is checked for finiteness once, where
-    it is built, before any solve; the refit rebuilds the chosen one if a
-    later sigma overwrote it.  A malformed grid is a DataError before any
+    Every fitter takes a fold as sub's weights set to 0 outside its training
+    rows and fits all of sub's rows, a weight of 0 being a cap of 0 and a
+    coefficient of 0; it returns one (coefs, b0) per fold and lambda, and
+    the fold's held-out rows te score sign(design[te] @ coefs + b0).  Linear
+    L2 fits come from one interior-point solve over every fold and lambda
+    (aol._linear_fold_fits), L1 fits from one dual LP per step
+    (solvers._L1DualLP, through aol._l1_coefs; solvers._l1_path picks each
+    solve's start), both on the features as design.  A Gaussian sigma's
+    design is its Gram matrix over the whole step (aol._step_gram, in one
+    m x m buffer for every sigma), on which aol._gaussian_fold_fits walks
+    each fold's lambda path by warm-started SMO solves.  The rule is then
+    refitted at the chosen point with sub's own weights: L1 on the same LP,
+    L2 by aol._fit_l2, cold, on the Gram buffer, rebuilt unless the winner
+    is the grid's last sigma.  A malformed grid is a DataError before any
     fold is drawn.
     """
     if penalty not in ("l2", "l1linear"):
@@ -246,41 +231,23 @@ def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2")
     _check_integer("folds", folds, 2)
     _check_integer("seed", seed, 0)
     assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
-    split = [(np.flatnonzero(assign == f), np.where(assign != f, sub.weights, 0.0))
-             for f in range(folds)]
-
-    def build_gram(kernel, out):
-        gram = _gaussian_from_squared(sub.squared_distances, kernel.bandwidth, out=out)
-        return _finite_gram(gram)
-
+    held_out = [np.flatnonzero(assign == f) for f in range(folds)]
+    fold_weights = [np.where(assign != f, sub.weights, 0.0) for f in range(folds)]
     if penalty == "l1linear":
-        lp = _L1DualLP(sub.features, sub.labels, sub.weights)
-    table = []  # (lambda, sigma, mean held-out value), sigma-major
-    gram, held = None, None  # one buffer for every Gaussian sigma's Gram matrix, and its kernel
-    sigma_starts = [None] * folds  # each fold's first-lambda alpha at the previous Gaussian sigma
-    for sigma, kernel in zip(sigma_grid, kernels):
+        lp = _L1DualLP(sub.features, sub.labels)
+    table, gram = [], None  # (lambda, sigma, mean held-out value), sigma-major; the Gram buffer
+    starts = [None] * folds  # each fold's first-lambda alpha at the previous Gaussian sigma
+    for sigma in sigma_grid:
+        design = sub.features
         if penalty == "l1linear":
-            fold_fits = [_l1_coefs(lp, np.flatnonzero(w), lambda_grid) for _, w in split]
-        elif kernel.kind == "linear":
-            fold_fits = _linear_fold_fits(sub, [w for _, w in split], lambda_grid)
+            fold_fits = [_l1_coefs(lp, weights, lambda_grid) for weights in fold_weights]
+        elif sigma is None:
+            fold_fits = _linear_fold_fits(sub, fold_weights, lambda_grid)
         else:
-            gram, held = build_gram(kernel, gram), kernel
+            gram = design = _step_gram(sub, sigma, out=gram)
+            fold_fits = _gaussian_fold_fits(sub, gram, fold_weights, lambda_grid, starts)
         scores = [[] for _ in lambda_grid]
-        for f, (te, weights) in enumerate(split):
-            if penalty == "l1linear" or kernel.kind == "linear":
-                fits, design = fold_fits[f], sub.features
-            else:
-                fits, alpha, lam_prev = [], None, None
-                for lam in lambda_grid:
-                    init = sigma_starts[f] if alpha is None else alpha * (lam_prev / lam)
-                    coefs, b0 = fit_l2_from_gram(
-                        sub.labels, weights, gram, lam, tol=CV_TOL, init=init
-                    )
-                    if alpha is None:
-                        sigma_starts[f] = coefs * sub.labels
-                    alpha, lam_prev = coefs * sub.labels, lam
-                    fits.append((coefs, b0))
-                design = gram
+        for te, fits in zip(held_out, fold_fits):
             for (coefs, b0), fold_scores in zip(fits, scores):
                 pred = _sign_tie_negative(design[te] @ coefs + b0)
                 fold_scores.append(_holdout_score(pred, sub, te))
@@ -291,13 +258,10 @@ def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2")
     # the last of the highest (score, lambda, sigma) wins
     best = max(range(len(table)), key=lambda i: (table[i][2], table[i][0], table[i][1] or 0, i))
     lam, sigma, _ = table[best]
-    best_kernel = kernels[best // len(lambda_grid)]
-    if penalty == "l1linear":
-        rule = _l1_rule(lp, np.flatnonzero(sub.weights > 0), lam)
-    else:
-        if best_kernel.kind == "gaussian" and best_kernel != held:
-            gram = build_gram(best_kernel, gram)  # a later sigma overwrote the winner's entries
-        rule = _fit_l2(sub, best_kernel, lam, gram)
+    if sigma is not None and sigma != sigma_grid[-1]:  # a later sigma overwrote its entries
+        gram = _step_gram(sub, sigma, out=gram)
+    rule = (_l1_rule(lp, sub.weights, lam) if penalty == "l1linear"
+            else _fit_l2(sub, kernels[best // len(lambda_grid)], lam, gram))
     return rule, CVResult(best_lambda=lam, best_sigma=sigma, table=tuple(table), folds=folds)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import TrialDataset, _check_integer
+from .data import TrialDataset, _check_integer, _feature_rows, _whole_numbers
 from .exceptions import DataError
 
 __all__ = [
@@ -81,10 +81,9 @@ def get_setting(setting_id, p=None) -> SettingSpec:
 
 
 def true_optimal(spec: SettingSpec, X) -> np.ndarray:
-    """Optimal arm in 1..K from boundary membership; vectorized over rows."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != spec.p:
-        raise DataError(f"{spec.id} expects p={spec.p}, got {X.shape[1]}")
+    """Optimal arm in 1..K from boundary membership; vectorized over rows of
+    spec.p finite features (a vector is one row), else DataError."""
+    X = _feature_rows(X, spec.p)
     if spec.kind == "parallel":
         z = X[:, :5] @ np.array(_P_WEIGHTS)
         return 1 + np.sum(z[:, None] > np.array(spec.params)[None, :], axis=1)
@@ -109,9 +108,11 @@ def true_optimal(spec: SettingSpec, X) -> np.ndarray:
 
 
 def loss(spec: SettingSpec, assigned, optimal):
-    """Outcome penalty for a nonoptimal arm: |a-d| or (a-d)^2."""
-    a = np.asarray(assigned, dtype=float)
-    d = np.asarray(optimal, dtype=float)
+    """Outcome penalty for a nonoptimal arm: |a-d| or (a-d)^2; DataError
+    unless assigned and optimal are equal-shaped arrays of arms in 1..K."""
+    a, d = _whole_numbers("assigned", assigned), _whole_numbers("optimal", optimal)
+    if a.shape != d.shape:
+        raise DataError(f"assigned and optimal arms differ in shape: {a.shape}, {d.shape}")
     if np.any(a < 1) or np.any(a > spec.k_arms) or np.any(d < 1) or np.any(d > spec.k_arms):
         raise DataError("arms outside 1..K")
     diff = np.abs(a - d)
@@ -119,8 +120,9 @@ def loss(spec: SettingSpec, assigned, optimal):
 
 
 def mean_effect(spec: SettingSpec, X) -> np.ndarray:
-    """Main effect mu(X): 5 + X1 + 2 X2 for parallel settings, constant 5 otherwise."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """Main effect mu(X): 5 + X1 + 2 X2 for parallel settings, constant 5
+    otherwise; DataError unless X holds finite rows of spec.p features."""
+    X = _feature_rows(X, spec.p)
     if spec.kind in ("parallel", "quadratic-index"):
         return 5.0 + X[:, 0] + 2.0 * X[:, 1]
     return np.full(X.shape[0], 5.0)

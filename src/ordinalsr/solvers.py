@@ -184,14 +184,11 @@ def logistic_fit(X, labels) -> LogisticModel:
     does not error: coefficients are capped at |coef| <= 30 and the model is
     returned with converged=False.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(labels, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise DataError("logistic_fit needs a 2-D X and one label per row")
-    if not np.all(np.isfinite(X)):
-        raise DataError("logistic_fit requires finite X")
+    X = _float_array("features", X)
+    X = _feature_rows(X[:, None] if X.ndim == 1 else X, None)  # a vector is one column
+    y = _float_array("labels", labels)
+    if y.shape != (X.shape[0],):
+        raise DataError("logistic_fit needs one label per row of X")
     if set(np.unique(y)) - {0.0, 1.0}:
         raise DataError("labels must be 0/1")
     if np.unique(y).size < 2:
@@ -529,8 +526,10 @@ class LinearProgram:
         c = _float_array("c", self.c)
         G = np.atleast_2d(_float_array("G", self.G))
         h = _float_array("h", self.h)
-        free = np.asarray(self.free, dtype=bool)
-        if G.shape != (h.shape[0], c.shape[0]) or free.shape != c.shape:
+        free = np.asarray(self.free)
+        if free.dtype != bool or free.shape != c.shape:
+            raise DataError("LinearProgram's free must hold one boolean per variable")
+        if G.shape != (h.shape[0], c.shape[0]):
             raise DataError("LinearProgram dimensions inconsistent")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(G)) and np.all(np.isfinite(h))):
             raise DataError("LinearProgram requires finite c, G and h")
@@ -782,67 +781,68 @@ def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
     final basis, its columns sorted: b0 = -pi_0 and b_j = pi-_j - pi+_j.
     ConvergenceError is raised when the primal and dual objectives differ by
     more than 1e-9 * max(1, |objective|), or when the simplex finds an
-    unbounded ray.  This is the one-lambda, every-row case of _l1_path.
+    unbounded ray.  weights are one positive finite number per row, else
+    DataError.  This is the one-lambda, every-row case of _l1_path.
     """
-    lp = _L1DualLP(X, labels, weights)
-    return _l1_path(lp, np.arange(lp.y.size), (lam,))[0]
+    lp = _L1DualLP(X, labels)
+    weights = _float_array("weights", weights)
+    if weights.shape != lp.y.shape or not np.all(weights > 0):
+        raise DataError("l1_hinge_dual_solve needs one positive weight per row")
+    return _l1_path(lp, weights, (lam,))[0]
 
 
 class _L1DualLP:
-    """The dual LP of l1_hinge_dual_solve over every row of X (weights may be
-    0 on rows no row set holds), built once and solved by _l1_path; starts
-    maps each lambda to the final (basis, at_upper, prices) of its latest solve."""
+    """The dual LP of l1_hinge_dual_solve over every row of X, built once and
+    solved by _l1_path for any weights; starts maps each lambda to the final
+    (basis, at_upper, prices) of its latest solve."""
 
-    def __init__(self, X, labels, weights):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(labels, dtype=float)
-        w = np.asarray(weights, dtype=float)
+    def __init__(self, X, labels):
+        X = _feature_rows(X, None)
+        y = _float_array("labels", labels)
         m, p = X.shape
-        if y.shape != (m,) or w.shape != (m,):
+        if y.shape != (m,):
             raise DataError("l1_hinge_dual_solve shape mismatch")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(w))):
-            raise DataError("l1_hinge_dual_solve requires finite inputs")
         if np.any(np.abs(y) != 1.0):
             raise DataError("labels must be +-1 with both classes present")
-        if np.any(w < 0):
-            raise DataError("weights must be positive")
         yx = (y[:, None] * X).T
         A = np.zeros((1 + 2 * p, m + 2 * p))
         A[0, :m] = y
         A[1 : 1 + p, :m] = yx
         A[1 + p :, :m] = -yx
         A[1:, m:] = np.eye(2 * p)
-        self.X, self.y, self.w, self.A = X, y, w, A
+        self.X, self.y, self.A = X, y, A
         self.cost = np.concatenate([-np.ones(m), np.zeros(2 * p)])
         self.starts = {}
 
 
-def _l1_path(lp, rows, lambdas):
-    """l1_hinge_dual_solve on rows of lp (an _L1DualLP) per lambda, in order.
+def _l1_path(lp, weights, lambdas):
+    """l1_hinge_dual_solve on lp (an _L1DualLP) with weights, per lambda, in order.
 
-    rows, increasing indices of positive-weight rows of both classes, get
-    upper bounds w_i/len(rows) and the other u's 0, so they never enter.
-    A lambda an earlier call solved, on any rows of lp, starts from
-    lp.starts[lambda], so in cv_tune each later fold starts from the
-    previous fold's final basis at it and the refit from the last fold's;
-    any other lambda from the previous lambda's final basis, or cold from
-    {u of rows[0], every slack} for the first.  The reduced costs
-    d = -1 - pi'A_j of a basis depend on neither rows nor lambda, so a start
-    whose nonbasic u's sit at the bound d prefers (upper where d < 0 and
-    upper > 0, else 0; kept where d = 0) is dual feasible, and dual pivots
-    drive out the basic u's now outside their bounds.  A warm solve that
-    fails is solved again cold.  u and the prices are solved once, from the
-    final basis sorted, so the fit depends on that basis alone, not on the
-    order in which pivots placed its columns.  Returns the solutions;
+    weights are finite, >= 0 and one per row, else DataError; the positive
+    ones, on rows of both classes, give upper bounds w_i / (their count), and
+    the other u's 0, so they never enter.  A lambda an earlier call solved,
+    with any weights, starts from lp.starts[lambda], so in cv_tune each later
+    fold starts from the previous fold's final basis at it and the refit from
+    the last fold's; any other lambda from the previous lambda's final basis,
+    or cold from {the first positive-weight u, every slack} for the first.
+    The reduced costs d = -1 - pi'A_j of a basis depend on neither weights nor
+    lambda, so a start whose nonbasic u's sit at the bound d prefers (upper
+    where d < 0 and upper > 0, else 0; kept where d = 0) is dual feasible,
+    and dual pivots drive out the basic u's now outside their bounds.  A warm
+    solve that fails is solved again cold.  u and the prices are solved once,
+    from the final basis sorted, so the fit depends on that basis alone, not
+    on the order in which pivots placed its columns.  Returns the solutions;
     lp.starts then holds their bases.
     """
     for lam in lambdas:
         _check_positive("lam", lam)
-    y, w = lp.y[rows], lp.w[rows]
+    weights = _float_array("weights", weights)
+    if weights.shape != lp.y.shape or not np.all((weights >= 0) & (weights < np.inf)):
+        raise DataError("weights must be finite and >= 0, one per row")
+    rows = np.flatnonzero(weights > 0)
+    y, w = lp.y[rows], weights[rows]
     if np.unique(y).size < 2:
         raise DataError("labels must be +-1 with both classes present")
-    if np.any(w <= 0):
-        raise DataError("weights must be positive")
     X = lp.X[rows]
     n, p = lp.y.size, lp.X.shape[1]
     upper = np.zeros(n + 2 * p)

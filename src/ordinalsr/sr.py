@@ -22,6 +22,7 @@ from .data import (
 from .evaluate import cv_tune
 from .exceptions import DataError, DegenerateStepError
 from .kernels import MEDIAN_SUBSAMPLE_CAP, KernelSpec, _median_distance, median_bandwidth
+from .solvers import _check_positive
 from .varselect import screen_mask
 
 __all__ = [
@@ -41,16 +42,17 @@ SIGMA_SCALES = (0.5, 1.0, 2.0)  # multiples of the median bandwidth when sigma_g
 
 
 def _positive_grid(name, values):
-    """values as a non-empty tuple of finite positive floats, else DataError."""
+    """values as a non-empty tuple of floats, each a finite positive number by
+    cv_tune's rule (solvers._check_positive), else DataError."""
     try:
-        grid = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise DataError(f"{name} must be a sequence of numbers") from None
+        grid = () if isinstance(values, str) else tuple(values)
+    except TypeError:
+        grid = ()
     if not grid:
-        raise DataError(f"{name} must be non-empty")
-    if not all(math.isfinite(v) and v > 0 for v in grid):
-        raise DataError(f"{name} entries must be finite and positive: {grid}")
-    return grid
+        raise DataError(f"{name} must be a non-empty sequence of numbers, not {values!r}")
+    for v in grid:
+        _check_positive(f"{name} entry", v)
+    return tuple(float(v) for v in grid)
 
 
 @dataclass(frozen=True)

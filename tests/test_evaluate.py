@@ -213,7 +213,7 @@ class TestCvTune:
         data = generate(SETTINGS["N8"], 150, seed=5)
         sub = build_subproblem(data, data.features, (1,), (2, 3), np.arange(data.n))
         lambdas, sigmas, folds, seed = (0.01, 0.05, 0.25), (0.5, 1.0), 3, 2
-        monkeypatch.setattr(evaluate, "CV_TOL", 1e-9)
+        monkeypatch.setattr(aol, "CV_TOL", 1e-9)
         _, cv = cv_tune(sub, lambdas, sigma_grid=sigmas, folds=folds, seed=seed)
         assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
         reference = []
@@ -303,10 +303,10 @@ class TestCvTune:
             builds.append(lp_class(*args))
             return builds[-1]
 
-        def path(lp, rows, lambdas):
-            result = l1_path(lp, rows, lambdas)
+        def path(lp, weights, lambdas):
+            result = l1_path(lp, weights, lambdas)
             finals = [lp.starts[lam][0].tolist() for lam in lambdas]
-            calls.append((lp, rows, tuple(lambdas), finals))
+            calls.append((lp, weights, tuple(lambdas), finals))
             return result
 
         def engine(*args):
@@ -324,13 +324,13 @@ class TestCvTune:
         assert len(builds) == 1 and all(call[0] is builds[0] for call in calls)
         assert [call[2] for call in calls] == [lambdas] * 4 + [(cv.best_lambda,)]
         k = lambdas.index(cv.best_lambda)
-        np.testing.assert_array_equal(calls[4][1], np.flatnonzero(sub.weights > 0))
+        np.testing.assert_array_equal(calls[4][1], sub.weights)
         # one solve per lambda and fold and one for the refit: no cold re-solve,
         # and only the first starts at the cold basis of its rows; every later
         # fold's solve starts at the previous fold's final basis at its lambda
         assert len(solves) == 4 * len(lambdas) + 1
         slacks = builds[0].y.size + np.arange(2 * sub.p)
-        cold = [np.append(call[1][0], slacks).tolist() for call in calls]
+        cold = [np.append(np.flatnonzero(call[1])[0], slacks).tolist() for call in calls]
         starts = [basis.tolist() for basis in solves]
         assert starts[0] == cold[0]
         assert all(basis not in cold for basis in starts[1:])

@@ -15,15 +15,17 @@ import numpy as np
 import pytest
 
 import ordinalsr
+from ordinalsr.data import ScalingParams, fit_scaling
 from ordinalsr.evaluate import run_benchmark
 from ordinalsr.exceptions import DataError
 from ordinalsr.kernels import KernelSpec, gram_matrix, median_bandwidth
-from ordinalsr.solvers import LinearProgram, ols_fit
+from ordinalsr.simgen import SETTINGS, loss, mean_effect, true_optimal
+from ordinalsr.solvers import LinearProgram, l1_hinge_dual_solve, logistic_fit, ols_fit
 from ordinalsr.varselect import expand_second_order, screen_stepwise
 
 MAX_PUBLIC_NAMES = 64
 MAX_DEFAULTED_PARAMETERS = 19
-MAX_SOURCE_LINES = 3332
+MAX_SOURCE_LINES = 3327
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -84,6 +86,36 @@ ENTRY_POINTS = {
     "run_benchmark": (
         lambda X: run_benchmark(["N8"], [20], np.asarray(X)[0, 0], ["oracle"]),
         lambda: run_benchmark(["N8"], [20], [2], ["oracle"]),
+    ),
+    "logistic_fit": (
+        lambda X: logistic_fit(X, [0, 1]),
+        lambda: logistic_fit(np.ones((3, 2)), [0, 1]),
+    ),
+    "logistic_fit-labels": (
+        lambda X: logistic_fit(np.eye(2), np.asarray(X)[0]),
+        lambda: logistic_fit(np.eye(2), [[0, 1]]),
+    ),
+    "ScalingParams": (lambda X: ScalingParams(*X), lambda: ScalingParams(np.ones(2), np.ones(3))),
+    "fit_scaling": (fit_scaling, lambda: fit_scaling(np.ones((2, 2, 2)))),
+    "l1_hinge_dual_solve": (
+        lambda X: l1_hinge_dual_solve(X, [1, -1], [1, 1], 0.1),
+        lambda: l1_hinge_dual_solve(np.eye(2), [1, -1], [1, 1, 1], 0.1),
+    ),
+    "l1_hinge_dual_solve-weights": (
+        lambda X: l1_hinge_dual_solve(np.eye(2), [1, -1], np.asarray(X)[0], 0.1),
+        lambda: l1_hinge_dual_solve(np.eye(2), [1, -1], np.ones((2, 2)), 0.1),
+    ),
+    "true_optimal": (
+        lambda X: true_optimal(SETTINGS["N8"], X),
+        lambda: true_optimal(SETTINGS["P1"], np.ones((2, 3))),
+    ),
+    "mean_effect": (
+        lambda X: mean_effect(SETTINGS["N8"], X),
+        lambda: mean_effect(SETTINGS["P1"], [[0.0]]),
+    ),
+    "loss": (
+        lambda X: loss(SETTINGS["N8"], X, X),
+        lambda: loss(SETTINGS["N8"], [1, 2], [1, 2, 3]),
     ),
 }
 

@@ -100,9 +100,10 @@ class TestLoss:
         spec = SETTINGS["P6"]
         np.testing.assert_allclose(loss(spec, [3], [1]), [4.0])
 
-    def test_out_of_range_arm_rejected(self):
+    @pytest.mark.parametrize("assigned", [[4], [1.5], [np.nan]], ids=["four", "fraction", "nan"])
+    def test_out_of_range_arm_rejected(self, assigned):
         with pytest.raises(DataError):
-            loss(SETTINGS["P1"], [4], [1])
+            loss(SETTINGS["P1"], assigned, [2])
 
 
 class TestGenerate:

@@ -731,6 +731,15 @@ class TestSimplex:
                 free=np.zeros(1, dtype=bool),
             )
 
+    @pytest.mark.parametrize("free", [["a", "b"], [2, 0], np.ones(2), [True], np.zeros((2, 1), bool)])
+    def test_free_must_hold_one_boolean_per_variable(self, free):
+        """Not free flags cast from text or numbers, where any non-empty
+        string or nonzero number would read as free."""
+        with pytest.raises(DataError, match="free"):
+            LinearProgram(np.ones(2), np.ones((2, 2)), np.ones(2), ("<=", "<="), free)
+        assert LinearProgram(np.ones(2), np.ones((2, 2)), np.ones(2), ("<=", "<="),
+                             [True, False]).free.tolist() == [True, False]
+
     @pytest.mark.parametrize("field", ["c", "G", "h"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, field, bad):
@@ -930,6 +939,10 @@ class TestL1HingeDual:
             l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.zeros(3), 0.1)
         with pytest.raises(DataError):
             l1_hinge_dual_solve(X, np.array([1.0, -1.0]), np.ones(3), 0.1)
+        with pytest.raises(DataError, match="complex"):  # not fitted on the real part
+            l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.ones(3) + 1j, 0.1)
+        with pytest.raises(DataError, match="finite"):
+            l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.array([1.0, np.inf, 1.0]), 0.1)
 
     @pytest.mark.parametrize(
         "lam", ["0.1", None, np.array([0.1]), np.array([0.1, 0.2]), np.nan, -np.inf, True]
@@ -1086,9 +1099,8 @@ def _step_problem(setting, n, seed):
 
 
 def _path(X, labels, weights, grid):
-    """solvers._l1_path on every row of a new LP of X: its solutions."""
-    lp = solvers._L1DualLP(X, labels, weights)
-    return solvers._l1_path(lp, np.arange(len(labels)), grid)
+    """solvers._l1_path with weights on a new LP of X: its solutions."""
+    return solvers._l1_path(solvers._L1DualLP(X, labels), weights, grid)
 
 
 def _same(sol, cold):
@@ -1101,19 +1113,20 @@ def _same(sol, cold):
     return key(sol) == key(cold)
 
 
-def _fold_rows(setting, n, seed, folds=5):
-    """The first S-step's LP over all its rows, each CV fold's positive-weight
-    training rows, as cv_tune draws them, and all positive-weight rows."""
+def _fold_weights(setting, n, seed, folds=5):
+    """The first S-step's LP over all its rows, each CV fold's weights (the
+    step's, 0 outside the fold's training rows), as cv_tune draws them, and
+    the step's weights."""
     sub = _step(setting, n, seed)
     assign, folds = _stratified_folds(sub.labels, sub.weights, folds, seed)
-    rows = [np.flatnonzero((assign != f) & (sub.weights > 0)) for f in range(folds)]
-    lp = solvers._L1DualLP(sub.features, sub.labels, sub.weights)
-    return lp, rows, np.flatnonzero(sub.weights > 0)
+    weights = [np.where(assign != f, sub.weights, 0.0) for f in range(folds)]
+    return solvers._L1DualLP(sub.features, sub.labels), weights, sub.weights
 
 
-def _cold(lp, rows, lam):
-    """l1_hinge_dual_solve on an LP built from rows alone."""
-    return l1_hinge_dual_solve(lp.X[rows], lp.y[rows], lp.w[rows], lam)
+def _cold(lp, weights, lam):
+    """l1_hinge_dual_solve on an LP built from the positive-weight rows alone."""
+    rows = weights > 0
+    return l1_hinge_dual_solve(lp.X[rows], lp.y[rows], weights[rows], lam)
 
 
 class TestL1Path:
@@ -1158,11 +1171,11 @@ class TestL1Path:
         fold starts every lambda from the previous fold's basis at that
         lambda, and the refit on all rows from the last fold's basis at its
         lambda; all match cold solves on their rows in fewer pivots."""
-        lp, folds, everyone = _fold_rows(setting, n, seed=n + 7)
+        lp, folds, everyone = _fold_weights(setting, n, seed=n + 7)
         grid = self.GRIDS["unsorted"]
-        for f, rows in enumerate(folds):
-            path = solvers._l1_path(lp, rows, grid)
-            colds = [_cold(lp, rows, lam) for lam in grid]
+        for f, weights in enumerate(folds):
+            path = solvers._l1_path(lp, weights, grid)
+            colds = [_cold(lp, weights, lam) for lam in grid]
             assert all(_same(sol, cold) for sol, cold in zip(path, colds))
             warm = sum(sol.pivots for sol in path[f == 0 :])
             assert warm < sum(cold.pivots for cold in colds[f == 0 :])
@@ -1176,7 +1189,7 @@ class TestL1Path:
         basis at it; one no call has solved continues from the previous
         lambda's final basis, or starts cold when it comes first.  The LP
         then holds the latest final basis at every lambda."""
-        lp, folds, _ = _fold_rows("P1", 200, seed=101)
+        lp, folds, _ = _fold_weights("P1", 200, seed=101)
         grid = self.GRIDS["ascending"]
         solvers._l1_path(lp, folds[0], grid[3:0:-2])  # 0.25, then 0.01
         before = {lam: start[0].tolist() for lam, start in lp.starts.items()}
@@ -1190,7 +1203,7 @@ class TestL1Path:
         path = solvers._l1_path(lp, folds[1], grid)
         after = {lam: start[0].tolist() for lam, start in lp.starts.items()}
         n, p = lp.y.size, lp.X.shape[1]
-        assert seen[0] == [int(folds[1][0]), *range(n, n + 2 * p)]  # cold
+        assert seen[0] == [int(np.flatnonzero(folds[1])[0]), *range(n, n + 2 * p)]  # cold
         assert seen[1] == before[grid[1]]
         assert seen[2] == after[grid[1]]  # the previous lambda's final basis
         assert seen[3] == before[grid[3]]
@@ -1203,7 +1216,7 @@ class TestL1Path:
         # fold 0's final basis holds u's of fold 1's held-out rows, strictly
         # inside their bounds; their upper bound is 0 in fold 1, so they start
         # above it and leave, and every u basic at the end is one of fold 1's
-        lp, folds, _ = _fold_rows("P1", 200, seed=101)
+        lp, folds, _ = _fold_weights("P1", 200, seed=101)
         vertex, solved = solvers._vertex, []
 
         def recorded(*args):
@@ -1213,13 +1226,13 @@ class TestL1Path:
         monkeypatch.setattr(solvers, "_vertex", recorded)
         solvers._l1_path(lp, folds[0], (0.05,))
         monkeypatch.undo()
-        n = lp.y.size
-        out = [j for j in lp.starts[0.05][0].tolist() if j < n and j not in set(folds[1].tolist())]
+        n, rows = lp.y.size, set(np.flatnonzero(folds[1]).tolist())
+        out = [j for j in lp.starts[0.05][0].tolist() if j < n and j not in rows]
         assert out and np.all(solved[0][0][out] > 1e-9)
         (sol,) = solvers._l1_path(lp, folds[1], (0.05,))
         final = lp.starts[0.05][0].tolist()
         assert not set(out) & set(final)
-        assert set(j for j in final if j < n) <= set(folds[1].tolist())
+        assert set(j for j in final if j < n) <= rows
         assert _same(sol, _cold(lp, folds[1], 0.05)) and sol.pivots > 0
 
     @pytest.mark.parametrize("fault", ["no-entering-column", "duality-gap"])
@@ -1227,7 +1240,7 @@ class TestL1Path:
         """Every warm start fails: each later lambda of fold 0, each lambda of
         fold 1 (from fold 0's basis at that lambda) and the refit (from fold
         1's basis) is solved again cold, and all of them match cold solves."""
-        lp, folds, everyone = _fold_rows("N8", 200, seed=3)
+        lp, folds, everyone = _fold_weights("N8", 200, seed=3)
         grid = self.GRIDS["unsorted"]
         pivots, vertex, starts = solvers._simplex_pivots, solvers._vertex, []
 
@@ -1252,9 +1265,9 @@ class TestL1Path:
         tries = ["cold"] + ["warm", "cold"] * (len(grid) - 1)
         assert starts == tries + ["warm", "cold"] * len(grid) + ["warm", "cold"]
         monkeypatch.undo()
-        for rows, path in ((folds[0], fold0), (folds[1], fold1), (everyone, [refit])):
+        for weights, path in ((folds[0], fold0), (folds[1], fold1), (everyone, [refit])):
             for lam, sol in zip(grid, path):
-                assert _bits(astuple(sol)) == _bits(astuple(_cold(lp, rows, lam)))
+                assert _bits(astuple(sol)) == _bits(astuple(_cold(lp, weights, lam)))
 
     def test_duplicated_rows_under_the_smallest_index_rule(self, monkeypatch, rng):
         # a degenerate-run threshold of 0 runs both phases by Bland's rule from

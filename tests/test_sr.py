@@ -577,7 +577,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field", ["lambda_grid", "sigma_grid"])
     @pytest.mark.parametrize(
-        "grid", [(-0.1,), (0.0,), (float("nan"),), (float("inf"),), (0.1, -1.0), ("x",), ()]
+        "grid", [(-0.1,), (0.0,), (float("nan"),), (float("inf"),), (0.1, -1.0), ("x",), (),
+                 "25", (True,), ("0.5",), 0.5]
     )
     def test_grids_need_finite_positive_entries(self, field, grid):
         with pytest.raises(DataError, match=field):
