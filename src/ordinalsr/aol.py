@@ -11,12 +11,14 @@ Gram matrix for the Gaussian one, and an L1 linear fit solved through the
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .data import _feature_rows, _float_array, _readonly
+from .data import _check_integer, _feature_rows, _float_array, _readonly
 from .exceptions import DataError, DegenerateStepError
 from .kernels import KernelSpec, _gaussian_from_squared, _gram_into, _squared_distances
 from .solvers import (
@@ -80,6 +82,7 @@ class SparseLinearRule:
     selection_fallback: bool = False
 
     def __post_init__(self):
+        _read_rule_numbers(self, slopes=1)
         _set_selection(self, self.slopes.shape[0])
 
     @property
@@ -115,6 +118,8 @@ class KernelExpansionRule:
     selection_fallback: bool = False
 
     def __post_init__(self):
+        _check_integer("n_features", self.n_features, 1)
+        _read_rule_numbers(self, points=2, coefs=1)
         if self.points.shape != (self.coefs.shape[0], self.n_features):
             raise DataError("expansion points do not match the coefficients and n_features")
         _set_selection(self, self.n_features)
@@ -157,6 +162,20 @@ class KernelExpansionRule:
 
     def predict(self, X):
         return _sign_tie_negative(self.decision_value(X))
+
+
+def _read_rule_numbers(rule, **arrays):
+    """Set each named array of rule, of the given ndim, to its float array;
+    DataError unless its entries and rule.intercept are finite real numbers,
+    which the model file can hold."""
+    b0 = rule.intercept
+    if isinstance(b0, bool) or not (isinstance(b0, numbers.Real) and math.isfinite(b0)):
+        raise DataError(f"a rule's intercept must be a finite number, not {b0!r}")
+    for name, ndim in arrays.items():
+        values = _float_array(name, getattr(rule, name))
+        if values.ndim != ndim or not np.all(np.isfinite(values)):
+            raise DataError(f"a rule's {name} must be a {ndim}-D array of finite numbers")
+        object.__setattr__(rule, name, values)
 
 
 def _set_selection(rule, p):
@@ -346,9 +365,10 @@ def _gaussian_fold_fits(sub, gram, fold_weights, lambdas, starts):
 def fit_aol_l1_linear(sub: BinarySubproblem, lam) -> SparseLinearRule:
     """Weighted hinge loss + lambda * ||beta||_1 (intercept unpenalized).
 
-    Solved by l1_hinge_dual_solve on the active rows: a bounded-variable
-    simplex on the dual LP, whose 1+2p rows do not grow with the subject
-    count.  Slopes below 1e-8 in magnitude are snapped to exactly zero.
+    Solved by solvers._l1_path on the step's solvers._L1DualLP, in which
+    zero-weight rows never enter: a bounded-variable simplex on the dual LP,
+    whose 1+2p rows do not grow with the subject count.  Slopes below 1e-8
+    in magnitude are snapped to exactly zero.
     """
     _check_positive("lam", lam)
     _active(sub)  # DegenerateStepError unless the positive weights hold both labels

@@ -170,9 +170,9 @@ def cmd_benchmark(args, parser):
         p=args.p,
     )
     k_max = max(get_setting(s, p=args.p).k_arms for s in settings)
-    ev.write_rows_csv(rows, args.out_prefix + "_rows.csv", k_max)
-    ev.write_summary_csv(ev.summarize(rows), args.out_prefix + "_summary.csv")
-    ev.write_manifest(
+    ev._write_rows_csv(rows, args.out_prefix + "_rows.csv", k_max)
+    ev._write_summary_csv(ev.summarize(rows), args.out_prefix + "_summary.csv")
+    ev._write_manifest(
         args.out_prefix + "_manifest.txt",
         settings,
         args.n,

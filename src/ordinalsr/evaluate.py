@@ -41,9 +41,6 @@ __all__ = [
     "METHOD_PRESETS",
     "run_benchmark",
     "summarize",
-    "write_rows_csv",
-    "write_summary_csv",
-    "write_manifest",
 ]
 
 
@@ -120,6 +117,7 @@ def itr_effect(pred, data) -> float:
 
 def assignment_proportions(pred, k_arms) -> tuple:
     """Share of pred in each arm 1..k_arms; pred is a non-empty vector of arms."""
+    _check_integer("k_arms", k_arms, 1)
     pred = _arms(pred, k_arms)
     if pred.ndim != 1 or not pred.size:
         raise DataError("assignment_proportions needs a non-empty vector of arms")
@@ -355,6 +353,7 @@ def run_benchmark(
     from concurrent.futures import ProcessPoolExecutor
 
     _check_integer("replicates", replicates, 1)
+    _check_integer("jobs", jobs, 1)
     specs = [get_setting(s, p=p) for s in settings]
     cells = [
         (spec, n, rep, methods, seed, test_size)
@@ -396,7 +395,7 @@ def summarize(rows):
     return out
 
 
-def write_rows_csv(rows, path, k_arms):
+def _write_rows_csv(rows, path, k_arms):
     _write_csv(
         path,
         ["setting", "n", "method", "replicate", "misclass", "value", "itr_effect"]
@@ -411,11 +410,11 @@ _SUMMARY_COLUMNS = ("setting", "n", "method", "replicates",
                     "misclass_mean", "misclass_sd", "value_mean", "value_sd")
 
 
-def write_summary_csv(summary, path):
+def _write_summary_csv(summary, path):
     _write_csv(path, _SUMMARY_COLUMNS, ([s[c] for c in _SUMMARY_COLUMNS] for s in summary))
 
 
-def write_manifest(path, settings, n_list, replicates, methods, seed, test_size, p=None):
+def _write_manifest(path, settings, n_list, replicates, methods, seed, test_size, p=None):
     """Plain-text record of every generator constant the benchmark relies on."""
     specs = [get_setting(s, p=p) for s in settings]
     with open(path, "w", encoding="utf-8", newline="") as fh:

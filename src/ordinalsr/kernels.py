@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _feature_rows
+from .data import _check_integer, _feature_rows
 from .exceptions import DataError
 
 __all__ = ["KernelSpec", "gram_matrix", "median_bandwidth"]
@@ -75,8 +75,9 @@ def gram_matrix(spec: KernelSpec, A, B) -> np.ndarray:
 def median_bandwidth(X, seed=0) -> float:
     """Median pairwise Euclidean distance, subsampled to at most 1000 rows.
 
-    The subsample is deterministic under the given seed.
+    The subsample is deterministic under the given seed, an integer >= 0.
     """
+    _check_integer("seed", seed, 0)
     X = _feature_rows(X, None)
     if X.shape[0] < 2:
         raise DataError("median_bandwidth needs at least two rows")

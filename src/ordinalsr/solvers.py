@@ -32,12 +32,10 @@ __all__ = [
     "DualSolution",
     "LinearProgram",
     "LPSolution",
-    "HingeL1Solution",
     "ols_fit",
     "logistic_fit",
     "wsvm_dual_solve",
     "simplex_solve",
-    "l1_hinge_dual_solve",
 ]
 
 _OLS_JITTER = 1e-8
@@ -747,7 +745,7 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
 
 
 @dataclass(frozen=True)
-class HingeL1Solution:
+class _HingeL1Solution:
     """Minimizer of (1/m) sum w_i max(0, 1 - y_i (b0 + x_i'b)) + lam ||b||_1.
 
     objective is that primal value at (intercept, slopes); duality_gap is it
@@ -765,8 +763,9 @@ class HingeL1Solution:
 _GAP_RTOL = 1e-9
 
 
-def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
-    """L1-penalized weighted hinge loss through its (1+2p)-row dual LP.
+class _L1DualLP:
+    """The (1+2p)-row dual LP of the L1-penalized weighted hinge loss over
+    every row of X, built once and solved by _l1_path for any weights.
 
     The dual (Zhu, Rosset, Hastie & Tibshirani, "1-norm Support Vector
     Machines", 2003) is max sum(u) s.t. sum(u_i y_i) = 0,
@@ -776,32 +775,22 @@ def l1_hinge_dual_solve(X, labels, weights, lam) -> HingeL1Solution:
         y'u = 0,   (y*x_j)'u + s+_j = lam,   -(y*x_j)'u + s-_j = lam,
 
     by _bounded_simplex; a bound flip moves a u_i between 0 and w_i/m.  The
-    start basis {u_0 in row 0 at value 0, every slack at lam} is feasible, so
-    there is no phase 1.  The primal comes from the dual prices pi of the
-    final basis, its columns sorted: b0 = -pi_0 and b_j = pi-_j - pi+_j.
-    ConvergenceError is raised when the primal and dual objectives differ by
-    more than 1e-9 * max(1, |objective|), or when the simplex finds an
-    unbounded ray.  weights are one positive finite number per row, else
-    DataError.  This is the one-lambda, every-row case of _l1_path.
+    cold start basis {the first positive-weight u_i in row 0 at value 0, every
+    slack at lam} is feasible, so there is no phase 1.  The primal comes from
+    the dual prices pi of the final basis, its columns sorted: b0 = -pi_0 and
+    b_j = pi-_j - pi+_j.
+    _l1_path raises ConvergenceError when the primal and dual objectives
+    differ by more than 1e-9 * max(1, |objective|), or when the simplex finds
+    an unbounded ray.  starts maps each lambda to the final (basis, at_upper,
+    prices) of its latest solve.
     """
-    lp = _L1DualLP(X, labels)
-    weights = _float_array("weights", weights)
-    if weights.shape != lp.y.shape or not np.all(weights > 0):
-        raise DataError("l1_hinge_dual_solve needs one positive weight per row")
-    return _l1_path(lp, weights, (lam,))[0]
-
-
-class _L1DualLP:
-    """The dual LP of l1_hinge_dual_solve over every row of X, built once and
-    solved by _l1_path for any weights; starts maps each lambda to the final
-    (basis, at_upper, prices) of its latest solve."""
 
     def __init__(self, X, labels):
         X = _feature_rows(X, None)
         y = _float_array("labels", labels)
         m, p = X.shape
         if y.shape != (m,):
-            raise DataError("l1_hinge_dual_solve shape mismatch")
+            raise DataError("L1 dual LP: labels need one entry per row of X")
         if np.any(np.abs(y) != 1.0):
             raise DataError("labels must be +-1 with both classes present")
         yx = (y[:, None] * X).T
@@ -816,7 +805,7 @@ class _L1DualLP:
 
 
 def _l1_path(lp, weights, lambdas):
-    """l1_hinge_dual_solve on lp (an _L1DualLP) with weights, per lambda, in order.
+    """The L1 hinge fit on lp (an _L1DualLP) with weights, per lambda, in order.
 
     weights are finite, >= 0 and one per row, else DataError; the positive
     ones, on rows of both classes, give upper bounds w_i / (their count), and
@@ -864,7 +853,7 @@ def _l1_path(lp, weights, lambdas):
         hinge = np.mean(w * np.maximum(0.0, 1.0 - y * (intercept + X @ slopes)))
         objective = float(hinge + lam * np.sum(np.abs(slopes)))
         gap = objective - float(np.sum(u[rows]))
-        sol = HingeL1Solution(intercept, slopes, objective, gap, pivots)
+        sol = _HingeL1Solution(intercept, slopes, objective, gap, pivots)
         if abs(gap) > _GAP_RTOL * max(1.0, abs(objective)):
             msg = f"L1 hinge dual simplex: duality gap {gap:.3g} after {pivots} pivots"
             raise ConvergenceError(msg, best=sol)

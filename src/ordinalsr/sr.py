@@ -5,6 +5,11 @@ re-estimation rules (arm k vs. k+1 on the refined subpopulation), then
 ensembles the binary decisions into an ordinal assignment by walking the
 decision tree: the first sequential step that settles on its own arm hands
 the final call to the matching re-estimation rule.
+
+A step learns from its eligible subjects.  S_k takes those that no earlier
+S-rule settled (an in-sample decision of -1 at S_j settles a row on arm j)
+and whose observed arm is k or higher, so S_1 takes everyone.  R_k takes
+those that S_k settled and whose observed arm is k or k+1.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ __all__ = [
     "SRConfig",
     "SRModel",
     "ConstantRule",
-    "eligibility_sequential",
-    "eligibility_reestimation",
     "fit_sr",
     "predict_ordinal",
     "save_model",
@@ -109,7 +112,8 @@ class ConstantRule:
     n_features: int = None
 
     def __post_init__(self):
-        if self.decision not in (-1, 1):
+        d = self.decision  # the model file holds an integer
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d not in (-1, 1):
             raise DataError(f"a constant rule decides -1 or 1, not {self.decision!r}")
         if not isinstance(self.reason, str) or "\n" in self.reason or "\r" in self.reason:
             # the model file keeps the reason on one line
@@ -146,28 +150,6 @@ class SRModel:
                 raise DataError(
                     f"a rule over {rule.n_features} features in a model of {self.scaling.p}"
                 )
-
-
-def eligibility_sequential(data: TrialDataset, k, prior_equals) -> np.ndarray:
-    """Subjects entering sequential step k.
-
-    prior_equals[j] (j = 1..k-1) are boolean arrays marking subjects whose
-    step-j prediction settled on arm j.  Step 1 includes everyone.
-    """
-    n = data.n
-    if k == 1:
-        return np.arange(n)
-    mask = data.treatment > (k - 1)
-    for j in range(1, k):
-        mask &= ~np.asarray(prior_equals[j])
-    return np.flatnonzero(mask)
-
-
-def eligibility_reestimation(data: TrialDataset, k, sk_equals) -> np.ndarray:
-    """Subjects entering re-estimation step k: observed arm in {k, k+1} and
-    the k-th sequential prediction settled on arm k."""
-    mask = ((data.treatment == k) | (data.treatment == k + 1)) & np.asarray(sk_equals)
-    return np.flatnonzero(mask)
 
 
 def _majority_rule(data, eligible, negative_arms, positive_arms, reason) -> ConstantRule:
@@ -230,7 +212,9 @@ def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible,
 
 
 def fit_sr(data: TrialDataset, config: SRConfig) -> SRModel:
-    """Train the full cascade: K-1 sequential steps, then K-2 re-estimation steps."""
+    """Train the full cascade: K-1 sequential steps, then K-2 re-estimation
+    steps, each on the eligible rows of the module docstring, read from one
+    mask of the rows no S-rule has settled yet."""
     K = data.k_arms
     if K < 3:
         raise DataError("SR learning requires K >= 3 ordinal arms")
@@ -240,11 +224,10 @@ def fit_sr(data: TrialDataset, config: SRConfig) -> SRModel:
         raise DataError(f"arms never observed in the data: {missing}")
     scaling = fit_scaling(data)
     Xs = apply_scaling(scaling, data.features)
-    seq_rules = []
-    cv_trace = []
-    s_equals = {}  # k -> bool array, in-sample prediction settled on arm k
+    t = data.treatment
+    open_rows = np.ones(data.n, dtype=bool)  # rows no S-rule has settled yet
+    seq_rules, re_rules, cv_trace, re_eligible = [], [], [], []
     for k in range(1, K):
-        eligible = eligibility_sequential(data, k, s_equals)
         rule, cv = _fit_step(
             data,
             Xs,
@@ -252,15 +235,15 @@ def fit_sr(data: TrialDataset, config: SRConfig) -> SRModel:
             step_id=f"S{k}",
             negative_arms=(k,),
             positive_arms=tuple(range(k + 1, K + 1)),
-            eligible=eligible,
+            eligible=np.flatnonzero(open_rows & (t >= k)),
             seed=config.seed + k,
         )
         seq_rules.append(rule)
         cv_trace.append((f"S{k}", cv))
-        s_equals[k] = rule.predict(Xs) == -1
-    re_rules = []
+        settles = rule.predict(Xs) == -1
+        open_rows &= ~settles
+        re_eligible.append(np.flatnonzero(settles & ((t == k) | (t == k + 1))))
     for k in range(1, K - 1):
-        eligible = eligibility_reestimation(data, k, s_equals[k])
         rule, cv = _fit_step(
             data,
             Xs,
@@ -268,7 +251,7 @@ def fit_sr(data: TrialDataset, config: SRConfig) -> SRModel:
             step_id=f"R{k}",
             negative_arms=(k,),
             positive_arms=(k + 1,),
-            eligible=eligible,
+            eligible=re_eligible[k - 1],
             seed=config.seed + K + k,
         )
         re_rules.append(rule)

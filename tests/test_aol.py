@@ -10,6 +10,7 @@ from _oracles import decision_value_per_block, lambda_max
 from conftest import make_subproblem
 from ordinalsr.aol import (
     KernelExpansionRule,
+    SparseLinearRule,
     build_subproblem,
     fit_aol_l1_linear,
     fit_aol_l2,
@@ -325,6 +326,45 @@ class TestRulePredictions:
         rule = SparseLinearRule(intercept=0.0, slopes=np.array([1.0, 2.0]))
         with pytest.raises(DataError):
             rule.predict(np.zeros((2, 3)))
+
+
+def _linear_kernel_rule(points=((1.0,),), coefs=(1.0,), intercept=0.0, n_features=1):
+    return KernelExpansionRule(points, coefs, intercept, KernelSpec("linear"), n_features)
+
+
+class TestRuleNumbers:
+    """A fitted rule holds only what the model file can hold: finite real
+    numbers, read as float arrays."""
+
+    def test_sequences_are_read_as_float_arrays(self):
+        linear = SparseLinearRule(0.0, [1.0, 2.0])
+        np.testing.assert_array_equal(linear.decision_value([[1.0, 1.0]]), [3.0])
+        np.testing.assert_array_equal(_linear_kernel_rule().decision_value([[2.0]]), [2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        cases = [
+            lambda: SparseLinearRule(bad, np.ones(5)),
+            lambda: SparseLinearRule(0.0, [1.0, bad]),
+            lambda: _linear_kernel_rule(points=[[bad]]),
+            lambda: _linear_kernel_rule(coefs=[bad]),
+            lambda: _linear_kernel_rule(intercept=bad),
+        ]
+        for case in cases:
+            with pytest.raises(DataError, match="finite"):
+                case()
+
+    @pytest.mark.parametrize("intercept", ["0.5", True, None, np.array([0.5]), 1j])
+    def test_intercept_must_be_a_real_number(self, intercept):
+        with pytest.raises(DataError, match="intercept"):
+            SparseLinearRule(intercept, np.ones(2))
+        with pytest.raises(DataError, match="intercept"):
+            _linear_kernel_rule(intercept=intercept)
+
+    @pytest.mark.parametrize("n_features", [True, 1.0, "1", 0])
+    def test_kernel_rule_feature_count_is_a_positive_integer(self, n_features):
+        with pytest.raises(DataError, match="n_features"):
+            _linear_kernel_rule(n_features=n_features)
 
 
 class TestBlockedKernelDecision:

@@ -21,13 +21,12 @@ from ordinalsr.evaluate import (
     run_benchmark,
     summarize,
     value_estimate,
-    write_manifest,
-    write_rows_csv,
-    write_summary_csv,
 )
 from ordinalsr import aol, evaluate, solvers, varselect
 from ordinalsr.aol import build_subproblem, fit_aol_l1_linear, fit_aol_l2, fit_l2_from_gram
-from ordinalsr.evaluate import _holdout_score, _stratified_folds
+from ordinalsr.evaluate import (
+    _holdout_score, _stratified_folds, _write_manifest, _write_rows_csv, _write_summary_csv,
+)
 from ordinalsr.exceptions import DataError, DegenerateStepError, UndefinedMetricError
 from ordinalsr.kernels import KernelSpec, _squared_distances, gram_matrix, median_bandwidth
 from ordinalsr.simgen import SETTINGS, generate, get_setting
@@ -128,13 +127,15 @@ class TestMetrics:
         assert assignment_proportions(np.array([2.0, 2.0]), 4) == (0.0, 1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
-        "pred", [[], [0, 1, 2], [5, 1, 2], [-1, 1, 2], [1.5, 2.0], ["a"], [[1, 2], [2, 3]],
-                 [np.nan, 1.0]],
-        ids=["empty", "zero", "above-k", "negative", "fraction", "text", "matrix", "nan"],
+        "pred, k_arms",
+        [([], 3), ([0, 1, 2], 3), ([5, 1, 2], 3), ([-1, 1, 2], 3), ([1.5, 2.0], 3), (["a"], 3),
+         ([[1, 2], [2, 3]], 3), ([np.nan, 1.0], 3), ([1, 2], 2.5), ([1, 2], True), ([1, 2], "3")],
+        ids=["empty", "zero", "above-k", "negative", "fraction", "text", "matrix", "nan",
+             "fractional-k", "bool-k", "text-k"],
     )
-    def test_assignment_proportions_rejects_bad_arm_vectors(self, pred):
+    def test_assignment_proportions_rejects_bad_arm_vectors(self, pred, k_arms):
         with pytest.raises(DataError):
-            assignment_proportions(pred, 3)
+            assignment_proportions(pred, k_arms)
 
     def test_evaluate_rule_report(self):
         test = generate(SETTINGS["P1"], 500, seed=0)
@@ -615,9 +616,9 @@ class TestBenchmark:
         rows_path = tmp_path / "rows.csv"
         sum_path = tmp_path / "summary.csv"
         man_path = tmp_path / "manifest.txt"
-        write_rows_csv(rows, rows_path, 3)
-        write_summary_csv(summarize(rows), sum_path)
-        write_manifest(man_path, ["P1"], [60], 1, ["oracle"], 0, 200)
+        _write_rows_csv(rows, rows_path, 3)
+        _write_summary_csv(summarize(rows), sum_path)
+        _write_manifest(man_path, ["P1"], [60], 1, ["oracle"], 0, 200)
         for path in (rows_path, sum_path):
             text = path.read_text()
             assert "np.float64" not in text
@@ -625,6 +626,9 @@ class TestBenchmark:
         assert "effect_scale" in manifest
         assert "P1" in manifest
 
-    def test_replicate_validation(self):
+    @pytest.mark.parametrize(
+        "replicates, jobs", [(0, 1), (1, "x"), (1, 2.5), (1, -3), (1, 0), (1, True)]
+    )
+    def test_replicate_validation(self, replicates, jobs):
         with pytest.raises(DataError):
-            run_benchmark(["P1"], [50], 0, ["oracle"])
+            run_benchmark(["P1"], [50], replicates, ["oracle"], jobs=jobs)

@@ -112,6 +112,13 @@ class TestMedianBandwidth:
         with pytest.raises(DataError):
             median_bandwidth(np.ones((1, 2)))
 
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, True, None])
+    @pytest.mark.parametrize("n", [5, 1200], ids=["all-rows", "subsampled"])
+    def test_seed_must_be_an_integer_of_at_least_zero(self, rng, seed, n):
+        """Checked whether or not the row count calls for a subsample."""
+        with pytest.raises(DataError, match="seed"):
+            median_bandwidth(rng.uniform(-1, 1, size=(n, 2)), seed=seed)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [5, 1200], ids=["all-rows", "subsampled"])
     def test_non_finite_row_rejected(self, rng, bad, n):

@@ -15,17 +15,18 @@ import numpy as np
 import pytest
 
 import ordinalsr
+from ordinalsr.aol import KernelExpansionRule, SparseLinearRule
 from ordinalsr.data import ScalingParams, fit_scaling
 from ordinalsr.evaluate import run_benchmark
 from ordinalsr.exceptions import DataError
 from ordinalsr.kernels import KernelSpec, gram_matrix, median_bandwidth
 from ordinalsr.simgen import SETTINGS, loss, mean_effect, true_optimal
-from ordinalsr.solvers import LinearProgram, l1_hinge_dual_solve, logistic_fit, ols_fit
+from ordinalsr.solvers import LinearProgram, _L1DualLP, _l1_path, logistic_fit, ols_fit
 from ordinalsr.varselect import expand_second_order, screen_stepwise
 
-MAX_PUBLIC_NAMES = 64
-MAX_DEFAULTED_PARAMETERS = 19
-MAX_SOURCE_LINES = 3327
+MAX_PUBLIC_NAMES = 57
+MAX_DEFAULTED_PARAMETERS = 18
+MAX_SOURCE_LINES = 3319
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -97,13 +98,25 @@ ENTRY_POINTS = {
     ),
     "ScalingParams": (lambda X: ScalingParams(*X), lambda: ScalingParams(np.ones(2), np.ones(3))),
     "fit_scaling": (fit_scaling, lambda: fit_scaling(np.ones((2, 2, 2)))),
-    "l1_hinge_dual_solve": (
-        lambda X: l1_hinge_dual_solve(X, [1, -1], [1, 1], 0.1),
-        lambda: l1_hinge_dual_solve(np.eye(2), [1, -1], [1, 1, 1], 0.1),
+    "_L1DualLP": (
+        lambda X: _L1DualLP(X, [1, -1]),
+        lambda: _L1DualLP(np.eye(2), [1, -1, 1]),
     ),
-    "l1_hinge_dual_solve-weights": (
-        lambda X: l1_hinge_dual_solve(np.eye(2), [1, -1], np.asarray(X)[0], 0.1),
-        lambda: l1_hinge_dual_solve(np.eye(2), [1, -1], np.ones((2, 2)), 0.1),
+    "_L1DualLP-labels": (
+        lambda X: _L1DualLP(np.eye(2), np.asarray(X)[0]),
+        lambda: _L1DualLP(np.eye(2), [[1, -1]]),
+    ),
+    "_l1_path-weights": (
+        lambda X: _l1_path(_L1DualLP(np.eye(2), [1, -1]), np.asarray(X)[0], (0.1,)),
+        lambda: _l1_path(_L1DualLP(np.eye(2), [1, -1]), np.ones((2, 2)), (0.1,)),
+    ),
+    "SparseLinearRule": (
+        lambda X: SparseLinearRule(0.0, np.asarray(X)[0]),
+        lambda: SparseLinearRule(0.0, np.ones((2, 2))),
+    ),
+    "KernelExpansionRule": (
+        lambda X: KernelExpansionRule(X, [1.0, 1.0], 0.0, KernelSpec("linear"), 2),
+        lambda: KernelExpansionRule(np.ones((2, 3)), [1.0, 1.0], 0.0, KernelSpec("linear"), 2),
     ),
     "true_optimal": (
         lambda X: true_optimal(SETTINGS["N8"], X),

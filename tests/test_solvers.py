@@ -29,7 +29,6 @@ from ordinalsr.exceptions import (
 from ordinalsr.kernels import KernelSpec, gram_matrix
 from ordinalsr.solvers import (
     LinearProgram,
-    l1_hinge_dual_solve,
     logistic_fit,
     ols_fit,
     simplex_solve,
@@ -852,6 +851,13 @@ def _hinge_objective(X, labels, weights, lam, b0, slopes):
     )
 
 
+def _l1_fit(X, labels, weights, lam):
+    """The L1 hinge fit of every row at one lambda: solvers._l1_path on a new
+    solvers._L1DualLP, solved cold."""
+    (sol,) = solvers._l1_path(solvers._L1DualLP(X, labels), weights, (lam,))
+    return sol
+
+
 class TestL1HingeDual:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_primal_simplex_on_random_subproblems(self, seed):
@@ -863,7 +869,7 @@ class TestL1HingeDual:
         weights = rng.uniform(0.05, 3.0, size=m)
         lam = float(rng.uniform(0.002, 0.3))
         b0, slopes, objective = _primal_l1_fit(X, labels, weights, lam)
-        sol = l1_hinge_dual_solve(X, labels, weights, lam)
+        sol = _l1_fit(X, labels, weights, lam)
         assert sol.objective == pytest.approx(objective, abs=1e-8)
         assert sol.intercept == pytest.approx(b0, abs=1e-8)
         np.testing.assert_allclose(sol.slopes, slopes, atol=1e-8)
@@ -877,7 +883,7 @@ class TestL1HingeDual:
         labels[:4] = -labels[:4]  # overlap so the hinge cannot reach zero
         weights = np.ones(36)
         for lam in (0.001, 0.03, 0.3):
-            sol = l1_hinge_dual_solve(X, labels, weights, lam)
+            sol = _l1_fit(X, labels, weights, lam)
             _, _, objective = _primal_l1_fit(X, labels, weights, lam)
             assert sol.objective == pytest.approx(objective, abs=1e-8)
             recomputed = _hinge_objective(
@@ -890,9 +896,9 @@ class TestL1HingeDual:
         X = rng.integers(-1, 2, size=(60, 4)).astype(float)
         labels = np.where(X[:, 0] + rng.normal(scale=0.8, size=60) > 0, 1.0, -1.0)
         weights = rng.integers(1, 4, size=60).astype(float)
-        dantzig = l1_hinge_dual_solve(X, labels, weights, 0.02)
+        dantzig = _l1_fit(X, labels, weights, 0.02)
         monkeypatch.setattr(solvers, "_DEGENERATE_RUN", 0)
-        bland = l1_hinge_dual_solve(X, labels, weights, 0.02)
+        bland = _l1_fit(X, labels, weights, 0.02)
         assert bland.objective == pytest.approx(dantzig.objective, abs=1e-10)
         assert bland.pivots != dantzig.pivots
 
@@ -901,7 +907,7 @@ class TestL1HingeDual:
         labels = np.array([1.0, -1.0])
         for lam in (0.01, 0.5, 5.0):
             weights = np.array([2.0, 1.0])
-            sol = l1_hinge_dual_solve(X, labels, weights, lam)
+            sol = _l1_fit(X, labels, weights, lam)
             _, _, objective = _primal_l1_fit(X, labels, weights, lam)
             assert sol.objective == pytest.approx(objective, abs=1e-10)
 
@@ -913,7 +919,7 @@ class TestL1HingeDual:
         labels = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
         weights = np.where(labels == heavier, 1.5, 1.0)
         lam = 2.0 * weights.mean() * np.max(np.abs(X))
-        sol = l1_hinge_dual_solve(X, labels, weights, lam)
+        sol = _l1_fit(X, labels, weights, lam)
         np.testing.assert_allclose(sol.slopes, 0.0, atol=1e-12)
         assert sol.intercept == pytest.approx(heavier, abs=1e-12)
         minority = weights[labels != heavier].sum() / 40
@@ -926,23 +932,23 @@ class TestL1HingeDual:
         weights = rng.uniform(0.5, 1.5, size=30)
         monkeypatch.setattr(solvers, "_LP_TOL", 0.5)
         with pytest.raises(ConvergenceError) as info:
-            l1_hinge_dual_solve(X, labels, weights, 0.05)
+            _l1_fit(X, labels, weights, 0.05)
         assert info.value.best.duality_gap > 1e-9
 
     def test_input_validation(self):
         X = np.zeros((3, 1))
         with pytest.raises(DataError):
-            l1_hinge_dual_solve(X, np.array([1.0, 1.0, 1.0]), np.ones(3), 0.1)
+            _l1_fit(X, np.array([1.0, 1.0, 1.0]), np.ones(3), 0.1)
         with pytest.raises(DataError):
-            l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.ones(3), 0.0)
+            _l1_fit(X, np.array([1.0, -1.0, 1.0]), np.ones(3), 0.0)
         with pytest.raises(DataError):
-            l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.zeros(3), 0.1)
+            _l1_fit(X, np.array([1.0, -1.0, 1.0]), np.zeros(3), 0.1)
         with pytest.raises(DataError):
-            l1_hinge_dual_solve(X, np.array([1.0, -1.0]), np.ones(3), 0.1)
+            _l1_fit(X, np.array([1.0, -1.0]), np.ones(3), 0.1)
         with pytest.raises(DataError, match="complex"):  # not fitted on the real part
-            l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.ones(3) + 1j, 0.1)
+            _l1_fit(X, np.array([1.0, -1.0, 1.0]), np.ones(3) + 1j, 0.1)
         with pytest.raises(DataError, match="finite"):
-            l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.array([1.0, np.inf, 1.0]), 0.1)
+            _l1_fit(X, np.array([1.0, -1.0, 1.0]), np.array([1.0, np.inf, 1.0]), 0.1)
 
     @pytest.mark.parametrize(
         "lam", ["0.1", None, np.array([0.1]), np.array([0.1, 0.2]), np.nan, -np.inf, True]
@@ -954,7 +960,7 @@ class TestL1HingeDual:
         monkeypatch.setattr(solvers, "_simplex_pivots", never)
         X = np.zeros((3, 1))
         with pytest.raises(DataError, match="lam"):
-            l1_hinge_dual_solve(X, np.array([1.0, -1.0, 1.0]), np.ones(3), lam)
+            _l1_fit(X, np.array([1.0, -1.0, 1.0]), np.ones(3), lam)
 
 
 def _solve(engine, lp):
@@ -1124,9 +1130,9 @@ def _fold_weights(setting, n, seed, folds=5):
 
 
 def _cold(lp, weights, lam):
-    """l1_hinge_dual_solve on an LP built from the positive-weight rows alone."""
+    """_l1_fit on an LP built from the positive-weight rows alone."""
     rows = weights > 0
-    return l1_hinge_dual_solve(lp.X[rows], lp.y[rows], weights[rows], lam)
+    return _l1_fit(lp.X[rows], lp.y[rows], weights[rows], lam)
 
 
 class TestL1Path:
@@ -1150,7 +1156,7 @@ class TestL1Path:
         path = _path(X, labels, weights, grid)
         assert len(path) == len(grid)
         for k, (lam, warm) in enumerate(zip(grid, path)):
-            cold = l1_hinge_dual_solve(X, labels, weights, lam)
+            cold = _l1_fit(X, labels, weights, lam)
             if k == 0:  # the first lambda is the cold solve itself
                 assert _bits(astuple(warm)) == _bits(astuple(cold))
             assert _same(warm, cold)
@@ -1161,7 +1167,7 @@ class TestL1Path:
         X, labels, weights = _step_problem("P1", 200, seed=101)
         grid = self.GRIDS["ascending"]
         warm = sum(sol.pivots for sol in _path(X, labels, weights, grid)[1:])
-        cold = sum(l1_hinge_dual_solve(X, labels, weights, lam).pivots for lam in grid[1:])
+        cold = sum(_l1_fit(X, labels, weights, lam).pivots for lam in grid[1:])
         assert 0 < warm < cold / 2
 
     @pytest.mark.parametrize("n", [40, 200])

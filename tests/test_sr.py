@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import make_subproblem
 import ordinalsr.evaluate as evaluate_module
-from ordinalsr import aol, kernels
+from ordinalsr import aol, kernels, sr
 from ordinalsr.aol import KernelExpansionRule, SparseLinearRule
 from ordinalsr.data import ScalingParams, TrialDataset
 from ordinalsr.exceptions import DataError, OrdinalSRError
@@ -25,8 +25,6 @@ from ordinalsr.sr import (
     ConstantRule,
     SRConfig,
     SRModel,
-    eligibility_reestimation,
-    eligibility_sequential,
     fit_sr,
     load_model,
     predict_ordinal,
@@ -55,37 +53,69 @@ def _stub_model(k_arms, s_decisions, r_decisions, use_r_steps=True, config=None)
     )
 
 
+class _StubRule:
+    """A fitted rule's stand-in whose in-sample decisions are given."""
+
+    n_features = None
+
+    def __init__(self, decisions):
+        self.decisions = decisions
+
+    def predict(self, X):
+        return self.decisions
+
+
+def _steps_seen(monkeypatch, treatment, settles=()):
+    """(step id, eligible rows, seed) of each step fit_sr fits, in order, with
+    _fit_step stubbed so that S_k settles (decides -1 on) the rows
+    settles[k - 1] in sample and nothing else."""
+    seen = []
+
+    def stub(data, Xs, config, step_id, negative_arms, positive_arms, eligible, seed):
+        seen.append((step_id, eligible.tolist(), seed))
+        decisions = np.ones(data.n)
+        k = int(step_id[1:])
+        if step_id[0] == "S" and k <= len(settles):
+            decisions[list(settles[k - 1])] = -1.0
+        return _StubRule(decisions), None
+
+    monkeypatch.setattr(sr, "_fit_step", stub)
+    treatment = np.asarray(treatment)
+    n = treatment.size
+    data = TrialDataset(features=np.zeros((n, 1)), treatment=treatment,
+                        outcome=np.zeros(n), k_arms=int(treatment.max()))
+    fit_sr(data, SRConfig(seed=10))
+    return seen
+
+
 class TestEligibility:
-    def test_first_sequential_step_includes_everyone(self):
-        d = TrialDataset(
-            features=np.zeros((5, 1)),
-            treatment=np.array([1, 2, 3, 1, 2]),
-            outcome=np.zeros(5),
-            k_arms=3,
-        )
-        np.testing.assert_array_equal(eligibility_sequential(d, 1, {}), np.arange(5))
+    """fit_sr's eligible rows: S_k takes the rows no earlier S-rule settled
+    whose arm is k or higher, R_k the rows S_k settled whose arm is k or k+1."""
 
-    def test_later_steps_drop_lower_arms_and_settled_subjects(self):
-        d = TrialDataset(
-            features=np.zeros((6, 1)),
-            treatment=np.array([1, 2, 3, 2, 3, 1]),
-            outcome=np.zeros(6),
-            k_arms=3,
-        )
-        settled = {1: np.array([False, True, False, False, False, False])}
-        elig = eligibility_sequential(d, 2, settled)
+    def test_first_sequential_step_includes_everyone(self, monkeypatch):
+        seen = _steps_seen(monkeypatch, [1, 2, 3, 1, 2])
+        assert seen[0] == ("S1", [0, 1, 2, 3, 4], 11)
+
+    def test_later_steps_drop_lower_arms_and_settled_subjects(self, monkeypatch):
+        seen = _steps_seen(monkeypatch, [1, 2, 3, 2, 3, 1], settles=[{1}])
         # arm-1 subjects are out; subject 1 settled at step 1 and is out
-        np.testing.assert_array_equal(elig, [2, 3, 4])
+        assert seen[1] == ("S2", [2, 3, 4], 12)
 
-    def test_reestimation_needs_matching_arm_and_settled_prediction(self):
-        d = TrialDataset(
-            features=np.zeros((5, 1)),
-            treatment=np.array([1, 2, 3, 2, 1]),
-            outcome=np.zeros(5),
-            k_arms=3,
-        )
-        sk = np.array([True, True, True, False, False])
-        np.testing.assert_array_equal(eligibility_reestimation(d, 1, sk), [0, 1])
+    def test_reestimation_needs_matching_arm_and_settled_prediction(self, monkeypatch):
+        seen = _steps_seen(monkeypatch, [1, 2, 3, 2, 1], settles=[{0, 1, 2}])
+        assert [step for step, _, _ in seen] == ["S1", "S2", "R1"]
+        assert seen[2] == ("R1", [0, 1], 14)
+
+    def test_four_arms_clear_the_open_rows_across_two_sequential_steps(self, monkeypatch):
+        treatment = [1, 2, 3, 4, 2, 3, 4, 3, 4, 1]
+        seen = _steps_seen(monkeypatch, treatment, settles=[{1, 5, 9}, {2, 4, 8}])
+        assert seen == [
+            ("S1", list(range(10)), 11),
+            ("S2", [2, 3, 4, 6, 7, 8], 12),  # arm 1 and S1's rows 1, 5 are out
+            ("S3", [3, 6, 7], 13),  # S2's rows 2, 8 are out too
+            ("R1", [1, 9], 15),  # S1's rows of arm 1 or 2
+            ("R2", [2, 4], 16),  # S2's rows of arm 2 or 3
+        ]
 
 
 class TestEnsemblingStubs:
@@ -822,6 +852,19 @@ class TestModelFile:
     def test_reason_not_one_line_of_text_rejected(self, reason):
         with pytest.raises(DataError, match="one line of text"):
             ConstantRule(decision=1, reason=reason)
+
+    @pytest.mark.parametrize("decision", [True, 1.0, np.True_, -1.0, "1", 0, 2])
+    def test_decision_not_an_integer_of_minus_one_or_one_rejected(self, decision):
+        """The model file holds the decision as an integer, so a bool or a
+        float, which it would write as True or 1.0, cannot load."""
+        with pytest.raises(DataError, match="decides -1 or 1"):
+            ConstantRule(decision=decision, reason="x")
+
+    def test_numpy_integer_decisions_round_trip(self, tmp_path):
+        model = _stub_model(3, (np.int64(-1), np.int64(1)), (np.int32(1),))
+        save_model(model, tmp_path / "model.txt")
+        back = load_model(tmp_path / "model.txt")
+        assert [r.decision for r in back.sequential_rules + back.reestimation_rules] == [-1, 1, 1]
 
     def test_parent_format_file_loads_and_predicts(self, tmp_path):
         path = tmp_path / "model.txt"
