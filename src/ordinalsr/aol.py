@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +40,9 @@ MIN_STEP_SIZE = 10  # fewer eligible subjects make a step degenerate
 COEF_SNAP = 1e-8
 CV_TOL = 1e-3  # SMO tolerance of the Gaussian CV fold solves; the refit solves to 1e-5
 SUPPORT_EPS = 1e-12
-_BLOCK_BYTES = 4 * 2**20  # cap on one block of Gram rows in KernelExpansionRule.decision_value
+# cap on one block of Gram rows in KernelExpansionRule.decision_value: the block
+# and its scratch block, 1 MiB together, stay in a 2 MiB L2 (README: the sweep)
+_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,9 @@ class SparseLinearRule:
 class KernelExpansionRule:
     """f(x) = b0 + sum_i coef_i K(x_i, x); coef_i = alpha_i * label_i.
 
-    When selected_features is a proper subset, the unselected coordinates are
-    zeroed before kernel evaluation (the fixed diagonal-mask formulation).
+    When selected_features is a proper subset, the kernel reads only those
+    coordinates (the fixed diagonal-mask formulation); the points must be 0
+    outside them, as screen_mask leaves a step's features, else DataError.
     """
 
     points: np.ndarray
@@ -123,6 +126,8 @@ class KernelExpansionRule:
         if self.points.shape != (self.coefs.shape[0], self.n_features):
             raise DataError("expansion points do not match the coefficients and n_features")
         _set_selection(self, self.n_features)
+        if np.any(np.delete(self.points, self.selected_features, axis=1)):
+            raise DataError("expansion points must be 0 outside the selected features")
 
     def decision_value(self, X):
         """b0 + K(X, points) @ coefs; DataError unless X holds finite rows of
@@ -132,30 +137,31 @@ class KernelExpansionRule:
     def _decision_value(self, X):
         """decision_value of rows already checked, one block of rows at a time.
 
-        A block has max(1, _BLOCK_BYTES // (8 * len(points))) rows, so its Gram
-        matrix stays near _BLOCK_BYTES however many rows X has.  Every block
-        of the call fills one pair of buffers (the Gram block and the
-        Gaussian's scratch block) by gram_matrix's operations in its order,
-        and its product is written straight into the result.  A row's value
-        does not depend on the other rows, but BLAS may round it differently
-        for another block size (a few ulps).
+        A screened rule computes on its selected columns alone (gram_matrix of
+        the masked rows, up to rounding).  A block has max(1, _BLOCK_BYTES //
+        (8 * len(points))) rows, so its Gram matrix stays near _BLOCK_BYTES
+        however many rows X has.  Every block of the call fills one pair of
+        buffers (the Gram block and the Gaussian's scratch block) by
+        gram_matrix's operations in its order, and its product is written
+        straight into the result.  A row's value does not depend on the other
+        rows, but BLAS may round it differently for another block size (ulps).
         """
-        if len(self.selected_features) != self.n_features:
-            mask = np.zeros(self.n_features)
-            mask[list(self.selected_features)] = 1.0
-            X = X * mask
         if self.coefs.size == 0:
             return np.full(X.shape[0], self.intercept)
+        points = self.points
+        if len(self.selected_features) != self.n_features:
+            columns = self.selected_features  # np.take keeps the rows C-contiguous
+            X, points = np.take(X, columns, axis=1), np.take(points, columns, axis=1)
         out = np.empty(X.shape[0])
         rows = max(1, min(X.shape[0], _BLOCK_BYTES // (8 * self.coefs.shape[0])))
         # two arrays, not one of twice the size: glibc raises its mmap and trim
-        # thresholds to the largest chunk freed, so one 8 MiB chunk would stay
+        # thresholds to the largest chunk freed, so one chunk of both would stay
         # resident after the call
         shape = (rows, self.coefs.shape[0])
         gram, cross = np.empty(shape), np.empty(shape)
         for lo in range(0, X.shape[0], rows):
             r = min(rows, X.shape[0] - lo)
-            block = _gram_into(self.kernel, X[lo : lo + r], self.points, gram[:r], cross[:r])
+            block = _gram_into(self.kernel, X[lo : lo + r], points, gram[:r], cross[:r])
             np.matmul(block, self.coefs, out=out[lo : lo + r])
         out += self.intercept
         return out
@@ -294,9 +300,9 @@ def fit_aol_l2(sub: BinarySubproblem, kernel: KernelSpec, lam):
 
     A linear kernel is solved on the features by the interior-point method
     (solvers._linear_svm_ipm), a Gaussian one by SMO on its Gram matrix
-    (fit_l2_from_gram, tol 1e-5).
+    (fit_l2_from_gram, tol 1e-5) on a copy of sub, so no m x m D2 stays on sub.
     """
-    return _fit_l2(sub, kernel, lam, None)
+    return _fit_l2(replace(sub), kernel, lam, None)
 
 
 def _fit_l2(sub, kernel, lam, gram):

@@ -240,7 +240,7 @@ def fit_sr(data: TrialDataset, config: SRConfig) -> SRModel:
         )
         seq_rules.append(rule)
         cv_trace.append((f"S{k}", cv))
-        settles = rule.predict(Xs) == -1
+        settles = _decide(rule, Xs) == -1
         open_rows &= ~settles
         re_eligible.append(np.flatnonzero(settles & ((t == k) | (t == k + 1))))
     for k in range(1, K - 1):

@@ -584,18 +584,18 @@ def gram_matrix_fresh(spec, A, B):
 
 def decision_value_per_block(rule, X, block_bytes):
     """KernelExpansionRule.decision_value with one gram_matrix_fresh call per
-    block of max(1, block_bytes // (8 * len(points))) rows, as it was before
-    the block buffers; decision_value must match it bit for bit."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    block of max(1, block_bytes // (8 * len(points))) rows, on the selected
+    columns of X and the points, as it was before the block buffers;
+    decision_value must match it bit for bit."""
+    X, points = np.atleast_2d(np.asarray(X, dtype=float)), rule.points
     if len(rule.selected_features) != rule.n_features:
-        mask = np.zeros(rule.n_features)
-        mask[list(rule.selected_features)] = 1.0
-        X = X * mask
+        X = np.take(X, rule.selected_features, axis=1)
+        points = np.take(points, rule.selected_features, axis=1)
     out = np.empty(X.shape[0])
     rows = max(1, block_bytes // (8 * rule.coefs.shape[0]))
     for lo in range(0, X.shape[0], rows):
         block = slice(lo, lo + rows)
-        out[block] = gram_matrix_fresh(rule.kernel, X[block], rule.points) @ rule.coefs
+        out[block] = gram_matrix_fresh(rule.kernel, X[block], points) @ rule.coefs
     out += rule.intercept
     return out
 

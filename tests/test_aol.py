@@ -190,6 +190,20 @@ class TestL2Fit:
         rule = fit_aol_l2(sub, KernelSpec("gaussian", 0.5), lam=0.01)
         assert np.mean(rule.predict(X) == labels) > 0.9
 
+    def test_gaussian_fit_leaves_no_distances_on_the_step(self, rng):
+        """The fit's m x m squared distances die with the call, and a step that
+        cached them already gets the same rule bit for bit."""
+        X = rng.uniform(-1, 1, size=(80, 2))
+        labels = np.where(X[:, 0] ** 2 + X[:, 1] ** 2 > 0.5, 1, -1)
+        sub = make_subproblem(X, labels, rng.uniform(0.5, 2.0, size=80))
+        rule = fit_aol_l2(sub, KernelSpec("gaussian", 0.5), lam=0.05)
+        assert "squared_distances" not in vars(sub)
+        sub.squared_distances
+        again = fit_aol_l2(sub, KernelSpec("gaussian", 0.5), lam=0.05)
+        assert again.coefs.tobytes() == rule.coefs.tobytes()
+        assert again.points.tobytes() == rule.points.tobytes()
+        assert again.intercept == rule.intercept
+
     def test_zero_weight_rows_do_not_matter(self, rng):
         X = rng.uniform(-1, 1, size=(40, 2))
         labels = np.where(X[:, 0] + X[:, 1] > 0, 1, -1)
@@ -371,9 +385,17 @@ class TestBlockedKernelDecision:
     """KernelExpansionRule.decision_value over row blocks of aol._BLOCK_BYTES."""
 
     @staticmethod
-    def _rule(rng, n_points, selected=None):
+    def _points(rng, n_points, selected, p=3):
+        """Uniform points, 0 outside the selected columns as a fitted rule's are."""
+        points = rng.uniform(-1, 1, size=(n_points, p))
+        if selected is not None:
+            points[:, np.setdiff1d(np.arange(p), selected)] = 0.0
+        return points
+
+    @classmethod
+    def _rule(cls, rng, n_points, selected=None):
         return KernelExpansionRule(
-            points=rng.uniform(-1, 1, size=(n_points, 3)),
+            points=cls._points(rng, n_points, selected),
             coefs=rng.normal(size=n_points),
             intercept=0.3,
             kernel=KernelSpec("gaussian", 0.7),
@@ -450,7 +472,7 @@ class TestBlockedKernelDecision:
         """Filling one pair of buffers gives the floats of a new gram_matrix per
         block, for full and partial last blocks."""
         rule = KernelExpansionRule(
-            points=rng.uniform(-1, 1, size=(13, 3)), coefs=rng.normal(size=13),
+            points=self._points(rng, 13, selected), coefs=rng.normal(size=13),
             intercept=0.3, kernel=kernel, n_features=3, selected_features=selected,
         )
         X = rng.uniform(-1.5, 1.5, size=(n_rows, 3))
@@ -460,7 +482,7 @@ class TestBlockedKernelDecision:
         assert got.tobytes() == want.tobytes()
 
     def test_default_budget_is_bit_identical_to_fresh_blocks(self, rng):
-        # 300 points: 1747-row blocks, so 4000 rows end in a partial block
+        # 300 points: 218-row blocks, so 4000 rows end in a partial block
         rule = self._rule(rng, 300, (0, 1))
         X = rng.uniform(-1.5, 1.5, size=(4000, 3))
         want = decision_value_per_block(rule, X, aol._BLOCK_BYTES)
@@ -477,3 +499,35 @@ class TestBlockedKernelDecision:
         finally:
             tracemalloc.stop()
         assert peak < 3 * aol._BLOCK_BYTES + out.nbytes
+
+    def test_screened_rule_computes_in_its_selected_columns(self, rng):
+        """3 of 20 columns: the call holds the block pair, the result and the
+        rows' 3 selected columns, with no masked copy of all 20.  The slack
+        holds _feature_rows' finiteness mask, a byte per entry, and later the
+        sliced points and numpy's 128 KiB of broadcast buffers."""
+        selected = (2, 7, 11)
+        rule = KernelExpansionRule(
+            points=self._points(rng, 300, selected, p=20), coefs=rng.normal(size=300),
+            intercept=0.3, kernel=KernelSpec("gaussian", 0.7), n_features=20,
+            selected_features=selected,
+        )
+        X = rng.uniform(-1, 1, size=(10_000, 20))
+        tracemalloc.start()
+        try:
+            out = rule.decision_value(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = X[:, list(selected)]
+        assert peak < 2 * aol._BLOCK_BYTES + out.nbytes + columns.nbytes + X.size + 2**16
+        mask = np.isin(np.arange(20), selected)
+        want = rule.intercept + gram_matrix(rule.kernel, X * mask, rule.points) @ rule.coefs
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+    def test_points_outside_the_selection_are_rejected(self, rng):
+        points = self._points(rng, 4, (0, 2))
+        points[1, 1] = 1e-300
+        with pytest.raises(DataError, match="outside the selected features"):
+            KernelExpansionRule(points=points, coefs=np.ones(4), intercept=0.0,
+                                kernel=KernelSpec("gaussian", 1.0), n_features=3,
+                                selected_features=(0, 2))

@@ -9,6 +9,7 @@ from ordinalsr import aol, cli
 from ordinalsr.data import TrialDataset, load_csv, save_csv
 from ordinalsr.exceptions import ConvergenceError
 from ordinalsr.sr import load_model
+from test_sr import PARENT_FORMAT_MODEL
 
 
 def run(argv):
@@ -168,6 +169,16 @@ class TestFitPredictEvaluate:
             ["predict", "--model", str(path), "--data", str(trial_csv),
              "--out", str(tmp_path / "o.csv")]
         ) == 1
+
+    def test_model_point_outside_its_selection_exits_one(self, tmp_path, capsys):
+        """A kernel rule's point must be 0 outside the rule's selected features."""
+        path, data = tmp_path / "m.txt", tmp_path / "d.csv"
+        text = PARENT_FORMAT_MODEL.replace("point 1.0 0.5 0.0\n", "point 1.0 0.5 0.25\n")
+        path.write_text(text)
+        assert run(["simgen", "--setting", "N8", "--n", "20", "--out", str(data)]) == 0
+        assert run(["predict", "--model", str(path), "--data", str(data),
+                    "--out", str(tmp_path / "o.csv")]) == 1
+        assert "outside the selected features" in capsys.readouterr().err
 
     def test_nonpositive_lambda_exits_one(self, tmp_path, trial_csv):
         assert run(

@@ -26,7 +26,7 @@ from ordinalsr.varselect import expand_second_order, screen_stepwise
 
 MAX_PUBLIC_NAMES = 57
 MAX_DEFAULTED_PARAMETERS = 18
-MAX_SOURCE_LINES = 3319
+MAX_SOURCE_LINES = 3325
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 

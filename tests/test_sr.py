@@ -15,7 +15,7 @@ from conftest import make_subproblem
 import ordinalsr.evaluate as evaluate_module
 from ordinalsr import aol, kernels, sr
 from ordinalsr.aol import KernelExpansionRule, SparseLinearRule
-from ordinalsr.data import ScalingParams, TrialDataset
+from ordinalsr.data import ScalingParams, TrialDataset, apply_scaling
 from ordinalsr.exceptions import DataError, OrdinalSRError
 from ordinalsr.kernels import MEDIAN_SUBSAMPLE_CAP, KernelSpec, median_bandwidth
 from ordinalsr.simgen import SETTINGS, generate, get_setting
@@ -54,14 +54,15 @@ def _stub_model(k_arms, s_decisions, r_decisions, use_r_steps=True, config=None)
 
 
 class _StubRule:
-    """A fitted rule's stand-in whose in-sample decisions are given."""
+    """A fitted rule's stand-in whose in-sample decision values are given;
+    fit_sr reads a rule's _decision_value on its checked scaled features."""
 
     n_features = None
 
     def __init__(self, decisions):
         self.decisions = decisions
 
-    def predict(self, X):
+    def _decision_value(self, X):
         return self.decisions
 
 
@@ -498,6 +499,35 @@ def test_each_gaussian_step_computes_its_distances_once(monkeypatch, selection):
     assert calls["kernels"] and not any(calls["kernels"])
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_screened_rules_match_the_masked_gram(seed):
+    """sr-gaussian-select on N8 padded to p=20: a rule that computes in its
+    selected columns gives gram_matrix of the masked rows within 1e-12, and
+    predict_ordinal the arms of those values."""
+    params = dict(evaluate_module.METHOD_PRESETS["sr-gaussian-select"])
+    params.pop("kind")
+    spec = get_setting("N8", p=20)
+    model = fit_sr(generate(spec, 200, seed=seed), SRConfig(seed=seed, **params))
+    test = generate(spec, 2000, seed=seed + 100_000)
+    X = apply_scaling(model.scaling, test.features)
+    decisions, screened = [], 0
+    for rule in model.sequential_rules + model.reestimation_rules:
+        got = rule.decision_value(X)
+        if isinstance(rule, KernelExpansionRule):
+            mask = np.isin(np.arange(rule.n_features), rule.selected_features)
+            want = rule.intercept + kernels.gram_matrix(rule.kernel, X * mask,
+                                                        rule.points) @ rule.coefs
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            screened += len(rule.selected_features) < rule.n_features
+            got = want
+        decisions.append(np.where(got > 0, 1, -1))
+    assert screened
+    k = model.k_arms
+    s, r = np.array(decisions[: k - 1]).T, np.array(decisions[k - 1 :]).T
+    want = [_cascade(si, ri, use_r_steps=True) for si, ri in zip(s, r)]
+    np.testing.assert_array_equal(predict_ordinal(model, test.features), want)
+
+
 class TestMajorityRule:
     """The constant rule a degenerate step falls back to."""
 
@@ -813,7 +843,9 @@ def _random_rules(draw, p):
     kernel = draw(st.sampled_from([KernelSpec("linear")]) | st.builds(
         KernelSpec, st.just("gaussian"), st.floats(min_value=1e-150, max_value=1e150)
     ))
-    return KernelExpansionRule(points=floats((m, p)), coefs=floats((m,)), intercept=draw(_finite),
+    points = floats((m, p))  # 0 outside the selection, as a fitted rule's are
+    points[:, np.setdiff1d(np.arange(p), selection.get("selected_features", range(p)))] = 0.0
+    return KernelExpansionRule(points=points, coefs=floats((m,)), intercept=draw(_finite),
                                kernel=kernel, n_features=p, **selection)
 
 
@@ -909,11 +941,12 @@ class TestModelFile:
             ("intercept 0.25\n", "intercept 0.25\nintercept 0.25\n"),
             ("fallback 0\nend\nrule S2", "fallback 2\nend\nrule S2"),
             ("decision -1\n", "decision 0\n"),
+            ("point 1.0 0.5 0.0\n", "point 1.0 0.5 0.25\n"),
         ],
         ids=["kernel_ridge", "weighted_misclass", "min_step_size_5", "sigma_scales_1",
              "unknown_key", "repeated_key", "missing_key", "nan_intercept", "inf_slope",
              "nan_scaling_row", "junk_after_last_rule", "tag_S0", "unknown_rule_key",
-             "repeated_rule_key", "fallback_2", "decision_0"],
+             "repeated_rule_key", "fallback_2", "decision_0", "point_outside_selection"],
     )
     def test_retired_values_and_unknown_keys_raise_data_error(self, tmp_path, old, new):
         """Each edit of the parent-format file is malformed and raises DataError."""
