@@ -2,8 +2,9 @@
 
 Generates a three-arm trial whose optimal assignment is driven by a linear
 index of the covariates, fits the cascade with a linear kernel under the L2
-penalty and under the L1 penalty (whose slopes can be exactly zero), and
-compares each learned rule against the oracle on an independent test draw.
+penalty (selection "none") and under the L1 penalty (selection "embedded",
+whose slopes can be exactly zero), and compares each learned rule against the
+oracle on an independent test draw.
 """
 
 import numpy as np
@@ -20,11 +21,11 @@ def main():
     oracle = evaluate_rule(test.true_optimal, test)
     print(f"setting {spec.id}: {spec.k_arms} arms, n_train={train.n}")
 
-    for penalty in ("l2", "l1linear"):
-        model = fit_sr(train, SRConfig(kernel_kind="linear", penalty=penalty, seed=1))
+    for selection in ("none", "embedded"):
+        model = fit_sr(train, SRConfig(kernel_kind="linear", selection=selection, seed=1))
         pred = predict_ordinal(model, test.features)
         report = evaluate_rule(pred, test)
-        print(f"penalty {penalty}:")
+        print(f"selection {selection}:")
         for tag, rule in zip(("S1", "S2", "R1"),
                              model.sequential_rules + model.reestimation_rules):
             slopes = np.round(rule.slopes, 3) if hasattr(rule, "slopes") else "constant"

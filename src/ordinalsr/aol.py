@@ -76,8 +76,22 @@ class BinarySubproblem:
         return _readonly(_squared_distances(self.features, self.features))
 
 
+class _Rule:
+    """A fitted binary rule: decision values f(x) by its class docstring's
+    formula, computed by its _decision_value, and the decisions they give."""
+
+    def decision_value(self, X):
+        """f on each row; DataError unless X holds finite rows of n_features features."""
+        return self._decision_value(_feature_rows(X, self.n_features))
+
+    def predict(self, X):
+        return _sign_tie_negative(self.decision_value(X))
+
+
 @dataclass(frozen=True)
-class SparseLinearRule:
+class SparseLinearRule(_Rule):
+    """f(x) = b0 + x @ slopes."""
+
     intercept: float
     slopes: np.ndarray
     selected_features: tuple = None  # None means the full feature set
@@ -91,20 +105,13 @@ class SparseLinearRule:
     def n_features(self):
         return self.slopes.shape[0]
 
-    def decision_value(self, X):
-        """b0 + X @ slopes; DataError unless X holds finite rows of n_features features."""
-        return self._decision_value(_feature_rows(X, self.n_features))
-
     def _decision_value(self, X):
         """decision_value of rows already checked, as predict_ordinal's are."""
         return self.intercept + X @ self.slopes
 
-    def predict(self, X):
-        return _sign_tie_negative(self.decision_value(X))
-
 
 @dataclass(frozen=True)
-class KernelExpansionRule:
+class KernelExpansionRule(_Rule):
     """f(x) = b0 + sum_i coef_i K(x_i, x); coef_i = alpha_i * label_i.
 
     When selected_features is a proper subset, the kernel reads only those
@@ -128,11 +135,6 @@ class KernelExpansionRule:
         _set_selection(self, self.n_features)
         if np.any(np.delete(self.points, self.selected_features, axis=1)):
             raise DataError("expansion points must be 0 outside the selected features")
-
-    def decision_value(self, X):
-        """b0 + K(X, points) @ coefs; DataError unless X holds finite rows of
-        n_features features."""
-        return self._decision_value(_feature_rows(X, self.n_features))
 
     def _decision_value(self, X):
         """decision_value of rows already checked, one block of rows at a time.
@@ -165,9 +167,6 @@ class KernelExpansionRule:
             np.matmul(block, self.coefs, out=out[lo : lo + r])
         out += self.intercept
         return out
-
-    def predict(self, X):
-        return _sign_tie_negative(self.decision_value(X))
 
 
 def _read_rule_numbers(rule, **arrays):

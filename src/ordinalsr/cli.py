@@ -48,7 +48,6 @@ def _positive_int(text):
 
 def _add_fit_flags(sp):
     sp.add_argument("--kernel", choices=["linear", "gaussian"], default="linear")
-    sp.add_argument("--penalty", choices=["l2", "l1"], default="l2")
     sp.add_argument(
         "--select", choices=["none", "embedded", "two-stage"], default="none"
     )
@@ -65,13 +64,8 @@ def _add_fit_flags(sp):
 def _config_from_args(args, parser):
     if args.select == "embedded" and args.kernel != "linear":
         parser.error("--select embedded requires --kernel linear")
-    if args.penalty == "l1" and args.kernel != "linear":
-        parser.error("--penalty l1 requires --kernel linear")
-    if args.penalty == "l1" and args.select == "two-stage":
-        parser.error("--select two-stage requires --penalty l2")
     kwargs = dict(
         kernel_kind=args.kernel,
-        penalty="l1linear" if args.penalty == "l1" else "l2",
         selection=args.select,
         cv_folds=args.cv,
         seed=args.seed,

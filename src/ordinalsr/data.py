@@ -220,7 +220,10 @@ def apply_scaling(params: ScalingParams, features) -> np.ndarray:
     X = _feature_rows(features, params.p)
     span = params.maxs - params.mins
     safe = np.where(params.degenerate, 1.0, span)
-    out = 2.0 * (X - params.mins) / safe - 1.0
+    out = np.subtract(X, params.mins)  # 2 (X - mins) / safe - 1 in one array
+    out *= 2.0
+    out /= safe
+    out -= 1.0
     out[:, params.degenerate] = 0.0
     return out
 

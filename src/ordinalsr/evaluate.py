@@ -268,24 +268,21 @@ def cv_tune(sub, lambda_grid, sigma_grid=(None,), folds=5, seed=0, penalty="l2")
 
 METHOD_PRESETS = {
     "oracle": {"kind": "oracle"},
-    "sr-linear": {"kind": "sr", "kernel_kind": "linear", "penalty": "l2"},
+    "sr-linear": {"kind": "sr", "kernel_kind": "linear"},
     "sr-linear-l1": {
         "kind": "sr",
         "kernel_kind": "linear",
-        "penalty": "l1linear",
         "selection": "embedded",
     },
-    "sr-gaussian": {"kind": "sr", "kernel_kind": "gaussian", "penalty": "l2"},
+    "sr-gaussian": {"kind": "sr", "kernel_kind": "gaussian"},
     "sr-gaussian-select": {
         "kind": "sr",
         "kernel_kind": "gaussian",
-        "penalty": "l2",
         "selection": "two-stage",
     },
     "sr-linear-no-r": {
         "kind": "sr",
         "kernel_kind": "linear",
-        "penalty": "l2",
         "use_r_steps": False,
     },
 }

@@ -19,10 +19,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .aol import KernelExpansionRule, SparseLinearRule, _sign_tie_negative, build_subproblem
+from .aol import KernelExpansionRule, SparseLinearRule, _Rule, _sign_tie_negative, build_subproblem
 from .data import (
-    ScalingParams, TrialDataset, _check_integer, _feature_rows, _read_text, apply_scaling,
-    fit_scaling,
+    ScalingParams, TrialDataset, _check_integer, _read_text, apply_scaling, fit_scaling,
 )
 from .evaluate import cv_tune
 from .exceptions import DataError, DegenerateStepError
@@ -61,7 +60,7 @@ def _positive_grid(name, values):
 @dataclass(frozen=True)
 class SRConfig:
     kernel_kind: str = "linear"
-    penalty: str = "l2"
+    # "embedded" is the L1 linear rule, sparse by its penalty; the rest fit L2
     selection: str = "none"
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     sigma_grid: tuple = None  # absolute bandwidths; None -> median * SIGMA_SCALES
@@ -73,22 +72,10 @@ class SRConfig:
     def __post_init__(self):
         if self.kernel_kind not in ("linear", "gaussian"):
             raise DataError(f"unknown kernel {self.kernel_kind!r}")
-        if self.penalty not in ("l2", "l1linear"):
-            raise DataError(f"unknown penalty {self.penalty!r}")
         if self.selection not in ("none", "embedded", "two-stage"):
             raise DataError(f"unknown selection mode {self.selection!r}")
         if self.selection == "embedded" and self.kernel_kind != "linear":
             raise DataError("embedded L1 selection requires the linear kernel")
-        if self.selection == "embedded":
-            # embedded selection is the L1 penalty's own sparsity
-            object.__setattr__(self, "penalty", "l1linear")
-        if self.penalty == "l1linear" and self.kernel_kind != "linear":
-            raise DataError("the L1 penalty applies to linear rules only")
-        if self.penalty == "l1linear" and self.selection == "two-stage":
-            raise DataError(
-                "two-stage selection screens for an L2 fit; the L1 penalty "
-                "selects by itself (selection='embedded')"
-            )
         for name, low in (("cv_folds", 2), ("seed", 0)):
             _check_integer(name, getattr(self, name), low)
         if not isinstance(self.use_r_steps, bool):
@@ -101,8 +88,8 @@ class SRConfig:
 
 
 @dataclass(frozen=True)
-class ConstantRule:
-    """Stand-in for a degenerate step; always emits the same binary decision."""
+class ConstantRule(_Rule):
+    """Stand-in for a degenerate step: f(x) = decision, the same on every row."""
 
     decision: int
     reason: str
@@ -119,15 +106,8 @@ class ConstantRule:
             # the model file keeps the reason on one line
             raise DataError(f"a constant rule's reason is one line of text, not {self.reason!r}")
 
-    def decision_value(self, X):
-        """The decision for each row; DataError unless X holds finite rows of n_features."""
-        return self._decision_value(_feature_rows(X, self.n_features))
-
     def _decision_value(self, X):
         return np.full(X.shape[0], float(self.decision))
-
-    def predict(self, X):
-        return _sign_tie_negative(self.decision_value(X))
 
 
 @dataclass(frozen=True)
@@ -205,7 +185,7 @@ def _fit_step(data, Xs, config, step_id, negative_arms, positive_arms, eligible,
             sigma_grid=_resolve_sigma_grid(config, sub, seed),
             folds=config.cv_folds,
             seed=seed,
-            penalty=config.penalty,
+            penalty="l1linear" if config.selection == "embedded" else "l2",
         )
     except DegenerateStepError as exc:
         return _majority_rule(data, eligible, negative_arms, positive_arms, str(exc)), None
@@ -289,7 +269,8 @@ def predict_ordinal(model: SRModel, features) -> np.ndarray:
     pred = np.zeros(n, dtype=int)
     rows = np.arange(n)  # rows no S-rule has settled yet
     for k in range(1, K - 1):
-        settles = _decide(model.sequential_rules[k - 1], Xs[rows]) == -1
+        # S1 reads every row, so it takes Xs itself rather than a gathered copy
+        settles = _decide(model.sequential_rules[k - 1], Xs if k == 1 else Xs[rows]) == -1
         settled, rows = rows[settles], rows[~settles]
         if model.config.use_r_steps:
             r_dec = _decide(model.reestimation_rules[k - 1], Xs[settled])
@@ -350,9 +331,11 @@ _CODECS = {
 }
 _CONFIG_FIELDS = tuple((f.name, f.name, f.type) for f in fields(SRConfig))
 _OPTIONAL_CONFIG = tuple(f.name for f in fields(SRConfig) if f.default is None)
-# config lines of options since removed, at the one value they could take
+# config lines of options since removed, at the one value they could take; the
+# retired penalty had two, and load_model reads "penalty l1linear" as embedded
 _RETIRED_CONFIG = ("residual_model ols", "cv_criterion value", "sigma_scales 0.5 1.0 2.0",
-                   "min_step_size 10")
+                   "min_step_size 10", "penalty l2")
+_PENALTY = ("penalty", "penalty", "str")
 _INTERCEPT = ("intercept", "intercept", "float")
 _SELECTION = (("selected", "selected_features", "ints"), ("fallback", "selection_fallback", "bool"))
 # rule kind -> (class, (file key, attribute, codec) per line); a kernel rule's
@@ -437,9 +420,13 @@ def load_model(path) -> SRModel:
         if not lines[1].startswith("k_arms "):
             raise DataError("line 2: expected 'k_arms <K>'")
         k_arms = int(lines[1][len("k_arms ") :])
-        config, _, i = _read_block(
-            lines, 2, "config", _CONFIG_FIELDS, None, _OPTIONAL_CONFIG, _RETIRED_CONFIG
-        )
+        config, _, i = _read_block(lines, 2, "config", (*_CONFIG_FIELDS, _PENALTY), None,
+                                   (*_OPTIONAL_CONFIG, "penalty"), _RETIRED_CONFIG)
+        if "penalty" in config:
+            penalty = config.pop("penalty")
+            if penalty != "l1linear" or config["selection"] == "two-stage":
+                raise DataError(f"penalty {penalty!r} with selection {config['selection']!r}")
+            config["selection"] = "embedded"
         _, bounds, i = _read_block(lines, i, "scaling", rows_key="")
         bounds = np.array([_floats(row) for row in bounds]).reshape(len(bounds), 2)
         rules = []

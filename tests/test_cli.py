@@ -99,6 +99,16 @@ class TestFitPredictEvaluate:
         header = text.splitlines()[0].split(",")
         assert "value" in header and "misclass" in header
 
+    def test_select_embedded_fits_the_l1_rule(self, tmp_path, trial_csv):
+        model_path = tmp_path / "model.txt"
+        assert run(
+            ["fit", "--data", str(trial_csv), "--out", str(model_path),
+             "--select", "embedded", "--lambdas", "0.05"]
+        ) == 0
+        assert load_model(model_path).config.selection == "embedded"
+        manifest = (tmp_path / "model.txt.manifest.txt").read_text()
+        assert "selection embedded\n" in manifest and "penalty" not in manifest
+
     def test_cv_trace_written(self, tmp_path, trial_csv):
         model_path = tmp_path / "model.txt"
         trace_path = tmp_path / "trace.csv"
@@ -138,15 +148,17 @@ class TestFitPredictEvaluate:
         with pytest.raises(SystemExit) as exc:
             run(
                 ["fit", "--data", str(trial_csv), "--out", str(tmp_path / "m.txt"),
-                 "--kernel", "gaussian", "--penalty", "l1"]
+                 "--select", "embedded", "--kernel", "gaussian"]
             )
         assert exc.value.code == 2
+        assert not (tmp_path / "m.txt").exists()
 
-    def test_l1_with_two_stage_exits_two(self, tmp_path, trial_csv):
+    def test_removed_penalty_flag_exits_two(self, tmp_path, trial_csv):
+        """--penalty is gone: --select embedded is the L1 rule."""
         with pytest.raises(SystemExit) as exc:
             run(
                 ["fit", "--data", str(trial_csv), "--out", str(tmp_path / "m.txt"),
-                 "--penalty", "l1", "--select", "two-stage"]
+                 "--penalty", "l1"]
             )
         assert exc.value.code == 2
         assert not (tmp_path / "m.txt").exists()

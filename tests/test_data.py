@@ -1,6 +1,7 @@
 """Tests for trial containers, CSV round-trips, and covariate scaling."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,26 @@ class TestScaling:
         params = ScalingParams(mins=np.zeros(2), maxs=np.ones(2))
         with pytest.raises(DataError, match=match):
             apply_scaling(params, rows)
+
+    def test_scaling_computes_in_its_result_alone(self):
+        """10k x 20 rows with a constant column: the call holds its result and
+        numpy's broadcast buffer (np.getbufsize() doubles), no temporary of the
+        rows' size, and gives the bits of 2 (X - mins) / span - 1."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(10_000, 20))
+        X[:, 4] = 1.5
+        params = fit_scaling(X)
+        tracemalloc.start()
+        try:
+            out = apply_scaling(params, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8 * np.getbufsize() + 2**16
+        span = np.where(params.degenerate, 1.0, params.maxs - params.mins)
+        want = 2.0 * (X - params.mins) / span - 1.0
+        want[:, params.degenerate] = 0.0
+        assert params.degenerate[4] and np.array_equal(out, want)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -1,11 +1,13 @@
 """The package's public surface: the names its modules export in __all__.
 
 The project tracks their number, the number of defaulted parameters of the
-exported functions and the source lines of the package, so a new public
-name or knob has to displace one, and growth is stated where it happens.
+exported functions, the fields of SRConfig and the source lines of the
+package, so a new public name or knob has to displace one, and growth is
+stated where it happens.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -21,12 +23,14 @@ from ordinalsr.evaluate import run_benchmark
 from ordinalsr.exceptions import DataError
 from ordinalsr.kernels import KernelSpec, gram_matrix, median_bandwidth
 from ordinalsr.simgen import SETTINGS, loss, mean_effect, true_optimal
+from ordinalsr.sr import SRConfig
 from ordinalsr.solvers import LinearProgram, _L1DualLP, _l1_path, logistic_fit, ols_fit
 from ordinalsr.varselect import expand_second_order, screen_stepwise
 
 MAX_PUBLIC_NAMES = 57
 MAX_DEFAULTED_PARAMETERS = 18
-MAX_SOURCE_LINES = 3325
+MAX_CONFIG_FIELDS = 8
+MAX_SOURCE_LINES = 3305
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -50,6 +54,11 @@ def test_defaulted_parameters_stay_within_the_budget():
         if param.default is not param.empty
     }
     assert len(defaulted) <= MAX_DEFAULTED_PARAMETERS, sorted(defaulted)
+
+
+def test_config_fields_stay_within_the_budget():
+    """Each SRConfig field is a setting of every fit, saved in every model file."""
+    assert len(dataclasses.fields(SRConfig)) <= MAX_CONFIG_FIELDS
 
 
 def test_source_lines_stay_within_the_budget():

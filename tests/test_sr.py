@@ -617,8 +617,6 @@ class TestInvariance:
 class TestConfigValidation:
     def test_bad_combinations_rejected(self):
         with pytest.raises(DataError):
-            SRConfig(kernel_kind="gaussian", penalty="l1linear")
-        with pytest.raises(DataError):
             SRConfig(kernel_kind="gaussian", selection="embedded")
         with pytest.raises(DataError):
             SRConfig(lambda_grid=())
@@ -668,8 +666,9 @@ class TestConfigValidation:
         assert (config.seed, config.use_r_steps) == (3, False)
 
     def test_fitter_resolution(self, monkeypatch):
-        """The penalty alone picks the rule fitter inside cv_tune; a two-stage
-        step is an L2 fit on masked features that carries the screen's selection."""
+        """The selection alone picks the rule fitter inside cv_tune: embedded
+        the L1 one, the rest the L2 one; a two-stage step is an L2 fit on masked
+        features that carries the screen's selection."""
         calls = []
         for name in ("_fit_l2", "_l1_rule"):
             fitter = getattr(evaluate_module, name)
@@ -685,7 +684,6 @@ class TestConfigValidation:
         # so each fitted step calls its rule fitter once, for the final fit
         cases = [
             (SRConfig(**fast), "_fit_l2"),
-            (SRConfig(penalty="l1linear", **fast), "_l1_rule"),
             (SRConfig(selection="embedded", **fast), "_l1_rule"),
             (
                 SRConfig(
@@ -704,21 +702,28 @@ class TestConfigValidation:
         assert screened and all(len(r.selected_features) < data.p for r in screened)
 
     def test_embedded_selection_records_the_l1_penalty(self, tmp_path):
+        """The L1 rule is saved as its selection alone, with no penalty line."""
         config = SRConfig(selection="embedded")
-        assert config.penalty == "l1linear"
-        assert SRConfig(selection="embedded", penalty="l2") == config
         path = tmp_path / "model.txt"
         save_model(_stub_model(3, (-1, 1), (1,), config=config), path)
-        assert "penalty l1linear\n" in path.read_text()
+        text = path.read_text()
+        assert "selection embedded\n" in text and "penalty" not in text
+        assert load_model(path).config == config
 
-    def test_l1_penalty_with_two_stage_selection_rejected(self):
+    def test_l1_penalty_with_two_stage_selection_rejected(self, tmp_path):
+        """SRConfig cannot pair the L1 rule with the screen; a version-1 file
+        that does (penalty l1linear, selection two-stage) does not load."""
+        old = "kernel_kind gaussian\npenalty l2\n"
+        assert PARENT_FORMAT_MODEL.count(old) == 1
+        path = tmp_path / "model.txt"
+        path.write_text(PARENT_FORMAT_MODEL.replace(old, "kernel_kind linear\npenalty l1linear\n"))
         with pytest.raises(DataError, match="two-stage"):
-            SRConfig(penalty="l1linear", selection="two-stage")
+            load_model(path)
 
 
-# A model file written before the residual_model, cv_criterion, sigma_scales
-# and min_step_size options were removed: its config block still carries a line
-# for each.
+# A model file written before the residual_model, cv_criterion, sigma_scales,
+# min_step_size and penalty options were removed: its config block still
+# carries a line for each.
 PARENT_FORMAT_MODEL = """\
 ordinalsr-model v1
 k_arms 3
@@ -804,12 +809,9 @@ _grid = st.lists(_positive, min_size=1, max_size=4).map(tuple)
 def _sr_configs(draw):
     kernel_kind = draw(st.sampled_from(["linear", "gaussian"]))
     selections = ["none", "two-stage"] + (["embedded"] if kernel_kind == "linear" else [])
-    selection = draw(st.sampled_from(selections))
-    penalties = ["l2"] + (["l1linear"] if (kernel_kind, selection) == ("linear", "none") else [])
     return SRConfig(
         kernel_kind=kernel_kind,
-        penalty=draw(st.sampled_from(penalties)),
-        selection=selection,
+        selection=draw(st.sampled_from(selections)),
         lambda_grid=draw(_grid),
         sigma_grid=draw(st.none() | _grid),
         cv_folds=draw(st.integers(2, 100)),
@@ -915,7 +917,7 @@ class TestModelFile:
         again = tmp_path / "again.txt"
         save_model(model, again)
         dropped = ("residual_model ols\n", "cv_criterion value\n", "sigma_scales 0.5 1.0 2.0\n",
-                   "min_step_size 10\n")
+                   "min_step_size 10\n", "penalty l2\n")
         expected = "".join(
             line for line in PARENT_FORMAT_MODEL.splitlines(keepends=True)
             if line not in dropped
@@ -929,6 +931,7 @@ class TestModelFile:
             ("cv_criterion value\n", "cv_criterion weighted_misclass\n"),
             ("min_step_size 10\n", "min_step_size 5\n"),
             ("sigma_scales 0.5 1.0 2.0\n", "sigma_scales 1.0\n"),
+            ("penalty l2\n", "penalty l3\n"),
             ("seed 7\n", "seed 7\nbogus_key 1\n"),
             ("seed 7\n", "seed 7\nseed 8\n"),
             ("seed 7\n", ""),
@@ -944,8 +947,8 @@ class TestModelFile:
             ("point 1.0 0.5 0.0\n", "point 1.0 0.5 0.25\n"),
         ],
         ids=["kernel_ridge", "weighted_misclass", "min_step_size_5", "sigma_scales_1",
-             "unknown_key", "repeated_key", "missing_key", "nan_intercept", "inf_slope",
-             "nan_scaling_row", "junk_after_last_rule", "tag_S0", "unknown_rule_key",
+             "penalty_l3", "unknown_key", "repeated_key", "missing_key", "nan_intercept",
+             "inf_slope", "nan_scaling_row", "junk_after_last_rule", "tag_S0", "unknown_rule_key",
              "repeated_rule_key", "fallback_2", "decision_0", "point_outside_selection"],
     )
     def test_retired_values_and_unknown_keys_raise_data_error(self, tmp_path, old, new):
@@ -955,6 +958,26 @@ class TestModelFile:
         path.write_text(PARENT_FORMAT_MODEL.replace(old, new))
         with pytest.raises(DataError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "penalty, selection",
+        [("l2", "none"), ("l2", "two-stage"), ("l1linear", "none"), ("l1linear", "embedded")],
+    )
+    def test_version_1_penalty_lines_load(self, tmp_path, penalty, selection):
+        """A version-1 file's penalty line goes: l2 is skipped and l1linear
+        loads as the embedded selection; the rules predict as they did."""
+        old = "kernel_kind gaussian\npenalty l2\nselection two-stage\n"
+        assert PARENT_FORMAT_MODEL.count(old) == 1
+        path = tmp_path / "model.txt"
+        new = f"kernel_kind linear\npenalty {penalty}\nselection {selection}\n"
+        path.write_text(PARENT_FORMAT_MODEL.replace(old, new))
+        model = load_model(path)
+        expected = "embedded" if penalty == "l1linear" else selection
+        assert model.config == SRConfig(selection=expected, lambda_grid=(0.01, 0.05),
+                                        sigma_grid=(0.7,), seed=7)
+        np.testing.assert_array_equal(
+            predict_ordinal(model, PARENT_FORMAT_ROWS), [1, 1, 2, 3, 3, 3]
+        )
 
     @settings(max_examples=400, deadline=None)
     @given(_mutated_model_files())
@@ -983,7 +1006,7 @@ class TestModelFile:
                 sigma_grid=(0.8,),
                 seed=2,
             ),
-            SRConfig(penalty="l1linear", selection="embedded", lambda_grid=(0.05,)),
+            SRConfig(selection="embedded", lambda_grid=(0.05,)),
         ]
 
     @pytest.mark.parametrize("idx", [0, 1, 2])
